@@ -356,11 +356,11 @@ func benchEngineIngestGrid(b *testing.B, shards int, halo float64) {
 // benchEngineIngest measures wall-clock ingest of the whole batch stream.
 // The object-hash variants give even shard load, so the measured speed-up
 // is the sharding/concurrency win, not placement luck. Replication volume
-// is reported as clusters/op (snapshot clusters built), objrep/op (object
-// replica deliveries) and clrep/op (cluster-view replica deliveries).
+// is reported as clusters/op (snapshot clusters built) and clrep/op
+// (cluster-view replica deliveries).
 func benchEngineIngest(b *testing.B, shards int, part engine.Partitioner) {
 	batches := benchEngineBatches()
-	var clusters, objRep, clRep uint64
+	var clusters, clRep uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng, err := engine.New(engine.Config{
@@ -380,12 +380,10 @@ func benchEngineIngest(b *testing.B, shards int, part engine.Partitioner) {
 		eng.Flush()
 		cs := eng.Counters().Snapshot()
 		clusters += cs.ClustersBuilt
-		objRep += cs.ObjectsReplicated
 		clRep += cs.ClustersReplicated
 		eng.Close()
 	}
 	b.ReportMetric(float64(clusters)/float64(b.N), "clusters/op")
-	b.ReportMetric(float64(objRep)/float64(b.N), "objrep/op")
 	b.ReportMetric(float64(clRep)/float64(b.N), "clrep/op")
 }
 

@@ -14,13 +14,16 @@
 //	            [-cluster map.json -node a] [-forward-deadline 30s]
 //	            [-attempt-timeout 2s] [-breaker-threshold 5]
 //	            [-breaker-cooldown 3s] [-hedge 0]
-//	            [-retry-seed 0] [-ingest-retry-for 2m]
+//	            [-retry-seed 0]
 //	            [-addr :8080] [-oneshot] [-pprof]
 //
 // The CSV is replayed in batches of -batch ticks, one every -interval
-// (immediately when zero), through the engine's bounded ingest queue.
-// With the default grid partitioner and a positive -halo, each batch is
-// DBSCAN-clustered once globally and the shards receive routed cluster
+// (immediately when zero), through the engine's bounded ingest queue:
+// one routing goroutine splits each batch and every shard goroutine
+// buffers up to -queue/-shards tasks, so a backlogged engine blocks the
+// feed rather than dropping batches. With the default grid partitioner
+// and a positive -halo, each batch is DBSCAN-clustered once globally
+// (-workers ticks at a time) and the shards receive routed cluster
 // views (see internal/engine), so recall-preserving sharding costs a few
 // tens of percent of ingest throughput rather than a re-clustering per
 // replica.
@@ -116,8 +119,8 @@ func main() {
 		interval = flag.Duration("interval", 0, "delay between batches (0 = replay at full speed)")
 
 		shards    = flag.Int("shards", 0, "engine shards (0 = one per CPU)")
-		workers   = flag.Int("workers", 0, "ingest workers (0 = one per shard)")
-		queue     = flag.Int("queue", 0, "ingest queue depth in shard tasks (0 = 4×shards)")
+		workers   = flag.Int("workers", 0, "per-tick parallelism of the global clustering build (0 = one per shard)")
+		queue     = flag.Int("queue", 0, "ingest queue depth in shard tasks, split evenly across the shards (0 = 4×shards)")
 		partition = flag.String("partition", "grid", "shard routing: grid (spatial cell) or hash (object ID)")
 		cell      = flag.Float64("cell", 0, "grid partition cell size in metres (0 = 10×delta)")
 		halo      = flag.Float64("halo", -1, "grid partition halo margin in metres: each batch is clustered once globally and boundary clusters are shared as views with adjacent shards, with duplicates merged at query time (-1 = 4×delta, 0 = no replication)")
@@ -145,8 +148,7 @@ func main() {
 		brkCool    = flag.Duration("breaker-cooldown", 3*time.Second, "how long an open breaker waits before a half-open probe")
 		hedge      = flag.Duration("hedge", 0, "hedged-read delay for scatter-gather queries: a second request launches if the first has not answered within this (0 = no hedging)")
 
-		retrySeed = flag.Int64("retry-seed", 0, "seed for retry jitter; any fixed value makes backoff schedules replayable")
-		retryFor  = flag.Duration("ingest-retry-for", 2*time.Minute, "total wall-time budget for retrying one batch into a backlogged engine (0 = retry forever)")
+		retrySeed = flag.Int64("retry-seed", 0, "seed for cluster forward retry jitter; any fixed value makes backoff schedules replayable")
 
 		addr    = flag.String("addr", ":8080", "HTTP listen address")
 		oneshot = flag.Bool("oneshot", false, "ingest everything, print gatherings GeoJSON, exit")
@@ -205,7 +207,7 @@ func main() {
 	cfg.Pipeline.KP, cfg.Pipeline.MP = *kp, *mp
 	cfg.Pipeline.Searcher = *searcher
 	// Zero flag values keep DefaultEngineConfig's resolution (one shard
-	// and worker per CPU, queue of 4×shards).
+	// per CPU, build parallelism of one per shard, queue of 4×shards).
 	if *shards > 0 {
 		cfg.Shards = *shards
 	}
@@ -314,7 +316,6 @@ func main() {
 			TicksPerBatch: *batch,
 			Counters:      resil,
 		})
-		bo := rpc.NewBackoff(0, 0, *retrySeed)
 		var emits []admit.Emit
 
 		if db == nil {
@@ -326,18 +327,16 @@ func main() {
 					// Best-effort: release anything parked in the reorder
 					// buffer before the final checkpoint (with the front's
 					// ordered per-peer forwarding it is empty in practice).
-					flushCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 					emits = adm.Drain(emits[:0])
-					if err := applyEmits(flushCtx, eng, mgr, emits, bo, *retryFor); err != nil {
+					if err := applyEmits(eng, mgr, emits); err != nil {
 						logIngestEnd(err)
 					}
-					cancel()
 					eng.Flush()
 					closeManager(mgr)
 					return
 				case fwd := <-clNode.Inbox():
 					emits = adm.Offer(fwd.Seq, fwd.Batch, emits[:0])
-					if err := applyEmits(ctx, eng, mgr, emits, bo, *retryFor); err != nil {
+					if err := applyEmits(eng, mgr, emits); err != nil {
 						logIngestEnd(err)
 						closeManager(mgr)
 						return
@@ -354,7 +353,7 @@ func main() {
 				b = clNode.Route(uint64(i), b)
 			}
 			emits = adm.Offer(uint64(i), b, emits[:0])
-			if err := applyEmits(ctx, eng, mgr, emits, bo, *retryFor); err != nil {
+			if err := applyEmits(eng, mgr, emits); err != nil {
 				logIngestEnd(err)
 				closeManager(mgr)
 				return
@@ -369,7 +368,7 @@ func main() {
 			}
 		}
 		emits = adm.Drain(emits[:0])
-		if err := applyEmits(ctx, eng, mgr, emits, bo, *retryFor); err != nil {
+		if err := applyEmits(eng, mgr, emits); err != nil {
 			logIngestEnd(err)
 			closeManager(mgr)
 			return
@@ -489,8 +488,9 @@ func main() {
 
 // applyEmits logs and applies the admission stage's released batches, in
 // order: WAL append first (write-ahead), then the engine, then the
-// checkpoint bookkeeping.
-func applyEmits(ctx context.Context, eng *gatherings.Engine, mgr *recovery.Manager, emits []admit.Emit, bo *rpc.Backoff, budget time.Duration) error {
+// checkpoint bookkeeping. Append blocks while the engine is backlogged and
+// fails only once the engine is closed.
+func applyEmits(eng *gatherings.Engine, mgr *recovery.Manager, emits []admit.Emit) error {
 	for _, em := range emits {
 		if em.Filler {
 			log.Printf("ingest: batch %d lost beyond the watermark; advancing with an empty filler", em.Seq)
@@ -498,7 +498,7 @@ func applyEmits(ctx context.Context, eng *gatherings.Engine, mgr *recovery.Manag
 		if err := mgr.Log(em.Seq, em.Batch); err != nil {
 			return err
 		}
-		if err := appendWithRetry(ctx, eng, em.Batch, bo, budget); err != nil {
+		if err := eng.Append(em.Batch); err != nil {
 			return err
 		}
 		if err := mgr.Applied(); err != nil {
@@ -508,43 +508,10 @@ func applyEmits(ctx context.Context, eng *gatherings.Engine, mgr *recovery.Manag
 	return nil
 }
 
-// appendWithRetry submits one batch, retrying transient failures (a full
-// queue under load) with capped exponential backoff and jitter — the
-// jitter is seeded (rpc.Backoff), so a test can replay the exact retry
-// schedule. A positive budget caps the total retry wall-time for this
-// batch with a context deadline: an engine that stays backlogged past it
-// fails the ingest loudly instead of stalling the feed forever. Only a
-// closed engine, an exhausted budget or a cancelled context abort the
-// ingest.
-func appendWithRetry(ctx context.Context, eng *gatherings.Engine, b *gatherings.DB, bo *rpc.Backoff, budget time.Duration) error {
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
-	}
-	bo.Reset()
-	for {
-		err := eng.Append(b)
-		if err == nil || errors.Is(err, gatherings.ErrEngineClosed) {
-			return err
-		}
-		d := bo.Next()
-		log.Printf("ingest: %v; retrying in %v", err, d)
-		select {
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return fmt.Errorf("retry wall-time budget %v exhausted: %w", budget, ctx.Err())
-			}
-			return ctx.Err()
-		case <-time.After(d):
-		}
-	}
-}
-
 // logIngestEnd reports why the ingest loop stopped, quietly for the
 // expected shutdown paths.
 func logIngestEnd(err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, gatherings.ErrEngineClosed) {
+	if errors.Is(err, gatherings.ErrEngineClosed) {
 		return
 	}
 	log.Printf("ingest: %v", err)

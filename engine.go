@@ -7,15 +7,16 @@ import (
 )
 
 // The streaming engine: a thread-safe, sharded service over the §III-C
-// incremental algorithm. An Engine ingests trajectory batches through a
-// bounded queue and worker pool while answering snapshot queries for the
-// current closed crowds and gatherings, filtered by time window and
+// incremental algorithm. An Engine ingests trajectory batches through one
+// routing goroutine and one goroutine per shard, each draining a bounded
+// task channel, while answering snapshot queries for the current closed
+// crowds and gatherings, filtered by time window and
 // bounding box. See EngineConfig for the sharding and concurrency knobs.
 type (
 	// Engine is the concurrent streaming-discovery service.
 	Engine = engine.Engine
-	// EngineConfig configures sharding, the worker pool, the bounded
-	// ingest queue and the partitioner.
+	// EngineConfig configures sharding, the global build's parallelism,
+	// the bounded ingest queue and the partitioner.
 	EngineConfig = engine.Config
 	// EngineQuery selects crowds and gatherings from an engine snapshot;
 	// the zero value matches everything.
@@ -41,17 +42,18 @@ type (
 
 // Engine ingest errors.
 var (
-	// ErrQueueFull is returned by Engine.TryAppend when the bounded
-	// ingest queue cannot take a whole batch.
+	// ErrQueueFull is returned by Engine.TryAppend when the engine's
+	// routing goroutine is not waiting for a batch.
 	ErrQueueFull = engine.ErrQueueFull
 	// ErrEngineClosed is returned by appends after Engine.Close.
 	ErrEngineClosed = engine.ErrClosed
 )
 
 // DefaultEngineConfig returns the paper's pipeline defaults wrapped in a
-// serving-oriented engine setup: one shard and one worker per CPU, and a
-// grid-cell partitioner with 3 km cells (10×δ, comfortably larger than a
-// gathering site) so spatial density stays intact within each shard. The
+// serving-oriented engine setup: one shard per CPU, a global clustering
+// build with per-tick parallelism of one per CPU, and a grid-cell
+// partitioner with 3 km cells (10×δ, comfortably larger than a gathering
+// site) so spatial density stays intact within each shard. The
 // partitioner's halo margin of 4×δ enables the cluster-once pipeline:
 // each batch is clustered once globally and boundary clusters are shared
 // as views with adjacent shards, so groups straddling a cell edge are
@@ -69,6 +71,6 @@ func DefaultEngineConfig() EngineConfig {
 	}
 }
 
-// NewEngine creates a streaming engine and starts its worker pool. Close
-// it to stop the workers; queries remain valid afterwards.
+// NewEngine creates a streaming engine and starts its routing and shard
+// goroutines. Close it to stop them; queries remain valid afterwards.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }

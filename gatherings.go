@@ -24,8 +24,8 @@
 // §III-C and extends crowds and gatherings incrementally as batches are
 // appended. For concurrent serving — many writers and readers at once —
 // use Engine, which shards the incremental state, ingests batches through
-// a bounded worker pool, and answers snapshot queries filtered by time
-// window and bounding box.
+// one goroutine per shard behind bounded queues, and answers snapshot
+// queries filtered by time window and bounding box.
 package gatherings
 
 import (

@@ -104,8 +104,9 @@ func Perturb(batches []*trajectory.DB, cfg Config) []Event {
 // Faults builds a deterministic shard-apply fault plan for
 // engine.Config.ApplyFault: each (shard, applySeq) pair panics with
 // probability prob, decided up front from the seed — so the plan is
-// reproducible no matter how the engine's workers interleave. shards and
-// seqs bound the precomputed plan; applies outside it never fault.
+// reproducible no matter how the engine's shard goroutines interleave.
+// shards and seqs bound the precomputed plan; applies outside it never
+// fault.
 func Faults(seed int64, shards, seqs int, prob float64) func(shard int, seq uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	plan := make(map[[2]uint64]bool)

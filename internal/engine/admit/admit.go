@@ -206,25 +206,18 @@ func (a *Admitter) Offer(seq uint64, batch *trajectory.DB, out []Emit) []Emit {
 
 	w := uint64(len(a.ring))
 	// Beyond the watermark: force it forward, releasing (or abandoning)
-	// slots until seq fits in the ring.
+	// slots until seq fits in the ring. The advance can stop on a parked
+	// batch at the new frontier; it must go out now, or a re-delivery of
+	// its sequence would be released in its place and strand it.
 	for seq >= a.next+w {
 		out = a.releaseNext(out)
 	}
+	out = a.releaseRun(out)
 
 	if seq == a.next {
 		out = a.release(out, seq, batch, false)
 		// The arrival may complete a buffered run.
-		for {
-			s := &a.ring[a.next%w]
-			if !s.occupied || s.seq != a.next {
-				break
-			}
-			b := s.batch
-			s.occupied, s.batch = false, nil
-			a.buffered--
-			out = a.release(out, a.next, b, false)
-		}
-		return out
+		return a.releaseRun(out)
 	}
 
 	// Early within the watermark: park it.
@@ -249,6 +242,21 @@ func (a *Admitter) Drain(out []Emit) []Emit {
 		out = a.releaseNext(out)
 	}
 	return out
+}
+
+// releaseRun releases the run of parked batches starting at the frontier.
+func (a *Admitter) releaseRun(out []Emit) []Emit {
+	w := uint64(len(a.ring))
+	for {
+		s := &a.ring[a.next%w]
+		if !s.occupied || s.seq != a.next {
+			return out
+		}
+		b := s.batch
+		s.occupied, s.batch = false, nil
+		a.buffered--
+		out = a.release(out, a.next, b, false)
+	}
 }
 
 // releaseNext releases the next slot: its buffered batch when it arrived,

@@ -171,6 +171,38 @@ func TestBeyondWatermarkAbandonsAndCountsLate(t *testing.T) {
 	}
 }
 
+// TestForcedAdvanceReleasesParkedFrontier: a forced watermark advance
+// that stops on a parked batch must release it at once. Otherwise a
+// re-delivery of that sequence is released in its place, the parked copy
+// is stranded, Pending never reaches zero and Drain never returns.
+func TestForcedAdvanceReleasesParkedFrontier(t *testing.T) {
+	c := &stats.ResilienceCounters{}
+	a := New(Config{Watermark: 2, Counters: c})
+
+	wantSeqs(t, a.Offer(1, batch(1, 4), nil)) // parks ahead of the gap at 0
+	// Seq 2 forces the watermark past slot 0, which stops on the parked 1.
+	out := a.Offer(2, batch(2, 4), nil)
+	wantSeqs(t, out, 0, 1, 2)
+	if !out[0].Filler || out[1].Filler || out[2].Filler {
+		t.Fatalf("filler marks wrong: %+v", out)
+	}
+	wantSeqs(t, a.Offer(1, batch(1, 4), nil)) // the re-delivery
+	if got := c.BatchesDuplicate.Load(); got != 1 {
+		t.Errorf("duplicate = %d, want 1 for the re-delivered batch 1", got)
+	}
+	if got := c.BatchesAdmitted.Load(); got != 2 {
+		t.Errorf("admitted = %d, want 2 (batch 1 exactly once, then 2)", got)
+	}
+	// Checked before Drain: a stranded slot would make it loop forever.
+	if a.Pending() != 0 {
+		t.Fatalf("Pending = %d after the stream, want 0", a.Pending())
+	}
+	wantSeqs(t, a.Drain(nil))
+	if a.NextSeq() != 3 {
+		t.Fatalf("NextSeq = %d, want 3", a.NextSeq())
+	}
+}
+
 func TestStartSeedsResumeFrontier(t *testing.T) {
 	c := &stats.ResilienceCounters{}
 	a := New(Config{Watermark: 4, Start: 5, Counters: c})

@@ -4,14 +4,16 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestCloseRacesInFlightAppend: Close concurrent with a stream of Appends
 // must neither race nor panic — every Append either lands before the
-// close or returns ErrClosed, and Close returns with the workers stopped.
-// The interesting windows are Close hitting an Append mid-submission and
-// an Append arriving after the queue is gone; run under -race this pins
-// the engine's closed-flag and queue teardown ordering.
+// close or returns ErrClosed, and Close returns with the engine's
+// goroutines stopped. The interesting windows are Close hitting an Append
+// mid-hand-off and an Append arriving after the router is gone; run under
+// -race this pins the engine's done-channel and shard-channel teardown
+// ordering.
 func TestCloseRacesInFlightAppend(t *testing.T) {
 	batches := testWorkload(t, 120, 48, 8)
 	for round := 0; round < 8; round++ {
@@ -40,5 +42,74 @@ func TestCloseRacesInFlightAppend(t *testing.T) {
 		wg.Wait()
 		// The engine must still answer queries after a racy close.
 		_ = e.Snapshot(Query{})
+	}
+}
+
+// TestCloseRacesFlush: a Flush racing with Close must return — whether its
+// barrier reached the router first or the close did — and every batch
+// accepted before the close must be applied by the time Close returns.
+func TestCloseRacesFlush(t *testing.T) {
+	batches := testWorkload(t, 120, 48, 8)
+	for round := 0; round < 8; round++ {
+		e, err := New(Config{Pipeline: testPipeline(), Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted := 0
+		for _, b := range batches[:4] {
+			if err := e.Append(b); err != nil {
+				t.Fatal(err)
+			}
+			accepted += b.Domain.N
+		}
+		flushed := make(chan struct{})
+		go func() {
+			e.Flush()
+			close(flushed)
+		}()
+		e.Close()
+		select {
+		case <-flushed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Flush racing Close never returned")
+		}
+		if got := e.Ticks(); got != accepted {
+			t.Fatalf("round %d: ticks = %d after Close, want %d accepted", round, got, accepted)
+		}
+	}
+}
+
+// TestCloseThenFlush: Flush after Close must return, including on an
+// engine closed under a stream of Appends.
+func TestCloseThenFlush(t *testing.T) {
+	batches := testWorkload(t, 120, 48, 8)
+	e, err := New(Config{Pipeline: testPipeline(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appending := make(chan struct{})
+	go func() {
+		defer close(appending)
+		for _, b := range batches {
+			if err := e.Append(b); err != nil {
+				return
+			}
+		}
+	}()
+	e.Close()
+	flushed := make(chan struct{})
+	go func() {
+		e.Flush()
+		e.Flush()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush after Close never returned")
+	}
+	<-appending
+	if err := e.Append(batches[0]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after Close: %v, want ErrClosed", err)
 	}
 }

@@ -2,41 +2,39 @@
 // §III-C incremental algorithm: a thread-safe, sharded discovery service
 // that ingests trajectory batches while answering snapshot queries.
 //
-// An Engine owns N incremental.Store shards fed through a bounded queue:
-// Append blocks when it is full (backpressure), TryAppend refuses instead.
-// Per-shard sequence numbers keep batch order even when several workers
-// race on one shard's tasks. How a batch reaches the shards depends on the
+// An Engine owns N incremental.Store shards, each driven by one goroutine
+// that drains its own buffered task channel. Append hands a batch to a
+// single routing goroutine over an unbuffered channel; the router splits
+// it into one task per shard and sends each to its shard's channel, so
+// channel FIFO order is the apply order Theorem 2 needs. A full shard
+// channel stalls the router, which stalls Append (backpressure);
+// TryAppend refuses instead. How a batch is split depends on the
 // Partitioner's routing mode:
 //
-//   - Cluster-once ingest (ClusterRouter — GridCell with a positive Halo,
-//     what DefaultEngineConfig and the gatherserve -halo default install).
-//     The batch is DBSCAN-clustered exactly once, globally, with per-tick
-//     parallelism across the worker pool — the same clusters a single
-//     store would build. Each snapshot cluster is then routed to the shard
-//     owning its centroid's cell, and every shard owning a cell within
-//     Halo of the cluster receives a view of the same *snapshot.Cluster.
-//     Workers only apply the pre-clustered per-shard CDBs under the write
-//     locks, so clustering cost no longer scales with the replication
-//     factor (ClustersBuilt counts each cluster once; ClustersReplicated
-//     tracks the views). Crowds discovered redundantly along cell borders
-//     have pointer-identical clusters by construction, and the
-//     snapshot-time merge (merge.go) collapses duplicates, absorbs
-//     tick-cropped views and stitches fragments of moving crowds back
-//     together, so multi-shard recall matches a single incremental store.
+//   - Cluster-once ingest (a ClusterRouter that Replicates — GridCell
+//     with a positive Halo, what DefaultEngineConfig and the gatherserve
+//     -halo default install). The router DBSCAN-clusters the batch
+//     exactly once, globally, with per-tick parallelism of
+//     Config.Workers — the same clusters a single store would build.
+//     Each snapshot cluster is then routed to the shard owning its
+//     centroid's cell, and every shard owning a cell within Halo of the
+//     cluster receives a view of the same *snapshot.Cluster. Shard
+//     goroutines only apply the pre-clustered per-shard CDBs under their
+//     write locks, so clustering cost does not scale with the
+//     replication factor (ClustersBuilt counts each cluster once;
+//     ClustersReplicated tracks the views). Crowds discovered
+//     redundantly along cell borders have pointer-identical clusters by
+//     construction, and the snapshot-time merge (merge.go) collapses
+//     duplicates, absorbs tick-cropped views and stitches fragments of
+//     moving crowds back together, so multi-shard recall matches a
+//     single incremental store.
 //
 //   - Single-shard routing (ObjectHash, or a zero-Halo GridCell). Each
-//     trajectory lands on exactly one shard, each shard's sub-batch is
-//     clustered by the worker pool independently, and no merge runs: the
-//     shards are independent discovery domains. Groups the partitioner
-//     scatters are lost; choose this mode for tenant isolation or raw
-//     throughput, not for recall-sensitive discovery.
-//
-//   - Legacy replicating fan-out (a MultiShardPartitioner without
-//     ClusterShards). Trajectories near cell edges are copied into every
-//     nearby shard's sub-batch and each shard re-clusters its copies —
-//     recall-preserving like cluster-once, but paying the 3–5× redundant
-//     clustering the cluster-once pipeline exists to avoid. Kept for
-//     custom partitioners that cannot route bare clusters.
+//     trajectory lands on exactly one shard, each shard goroutine
+//     clusters its own sub-batch, and no merge runs: the shards are
+//     independent discovery domains. Groups the partitioner scatters are
+//     lost; choose this mode for tenant isolation or raw throughput, not
+//     for recall-sensitive discovery.
 //
 // However a batch reaches a shard, the shard's incremental store extends
 // persistent state rather than rebuilding it: crowds are prefix-sharing
@@ -80,24 +78,26 @@ type Config struct {
 	// one (the plain incremental algorithm behind a lock).
 	Shards int
 
-	// Workers is the ingest worker pool size. Zero means one worker per
-	// shard. Workers cluster sub-batches concurrently; a worker that gets
-	// ahead of a shard's batch order waits for its predecessor.
+	// Workers is the per-tick parallelism of the cluster-once global
+	// DBSCAN build. Zero means one per shard. It sizes no goroutine pool:
+	// every shard has exactly one goroutine.
 	Workers int
 
-	// QueueDepth bounds the ingest queue in per-shard tasks (each Append
-	// enqueues Shards tasks). Zero means 4×Shards; values below Shards
-	// are rejected, since one batch must fit entirely.
+	// QueueDepth bounds the ingest queue in shard tasks: each shard's
+	// channel buffers QueueDepth/Shards of them. Zero means 4×Shards;
+	// values below Shards are rejected, since every shard needs room for
+	// one task.
 	QueueDepth int
 
 	// Partitioner routes trajectories to shards. Nil means ObjectHash.
 	Partitioner Partitioner
 
 	// ApplyFault, when non-nil, is called before every shard apply, under
-	// the shard's write lock — a fault-injection hook for the chaos
-	// harness (internal/chaos). A panic it raises is recovered by the
-	// worker and quarantines the shard instead of crashing the process.
-	// Production configurations leave it nil.
+	// the shard's write lock, with the shard index and the shard's apply
+	// sequence (0 for its first batch) — a fault-injection hook for the
+	// chaos harness (internal/chaos). A panic it raises is recovered by
+	// the shard goroutine and quarantines the shard instead of crashing
+	// the process. Production configurations leave it nil.
 	ApplyFault func(shard int, seq uint64)
 }
 
@@ -144,40 +144,39 @@ func (c Config) Validate() error {
 
 // Errors returned by the ingest side.
 var (
-	// ErrQueueFull is returned by TryAppend when the ingest queue cannot
-	// take a whole batch without blocking.
+	// ErrQueueFull is returned by TryAppend when the routing goroutine is
+	// not waiting for a batch.
 	ErrQueueFull = errors.New("engine: ingest queue full")
 	// ErrClosed is returned by Append and TryAppend after Close.
 	ErrClosed = errors.New("engine: closed")
 )
 
-// task is one shard's slice of an ingested batch: either a trajectory
-// sub-batch the worker still has to cluster (single-shard routing), or a
-// pre-clustered per-shard CDB from the cluster-once pipeline, which the
-// worker only applies.
+// task is one unit on the engine's channels. On the router's input it
+// carries a whole batch; on a shard's channel it carries that shard's
+// slice of one — a trajectory sub-batch the shard goroutine still has to
+// cluster (single-shard routing) or a pre-clustered per-shard CDB from the
+// cluster-once pipeline, which it only applies. A task with a barrier is
+// a Flush: the router forwards it to every shard, and each shard
+// goroutine marks it done once every earlier task of its own is applied.
 type task struct {
-	shard int
-	seq   uint64 // per-shard apply order
-	batch *trajectory.DB
-	cdb   *snapshot.CDB
+	batch   *trajectory.DB
+	cdb     *snapshot.CDB
+	barrier *sync.WaitGroup
 }
 
-// shard pairs an incremental store with its locks. mu guards the store;
-// readers take RLock, appliers take Lock. cond (on the write side of mu)
-// sequences appliers so sub-batches hit the store in Append order no
-// matter which worker finishes clustering first.
+// shard pairs an incremental store with its lock and its task channel.
+// mu guards the store; readers take RLock, the shard goroutine takes Lock
+// to apply. tasks is drained by the shard goroutine alone, so batches hit
+// the store in the order the router sent them.
 type shard struct {
 	//gather:lock shard
-	mu   sync.RWMutex
-	cond *sync.Cond
+	mu sync.RWMutex
 	//gather:guardedby shard
 	store *incremental.Store
-	//gather:guardedby shard
-	next uint64 // seq of the next task to apply
 	// quarantined marks a shard whose apply panicked: its store is no
-	// longer trusted, later sub-batches are discarded (the sequence still
-	// advances so siblings drain), and snapshots skip it. A checkpoint
-	// restore replaces the store and clears the flag.
+	// longer trusted, later sub-batches are discarded (its tick frontier
+	// still advances), and snapshots skip it. A checkpoint restore
+	// replaces the store and clears the flag.
 	//gather:guardedby shard
 	quarantined bool
 	// appliedTicks mirrors store.Ticks() on the healthy path and keeps
@@ -186,6 +185,7 @@ type shard struct {
 	//gather:guardedby shard
 	appliedTicks int
 	ticks        atomic.Int64 // appliedTicks after the last apply, lock-free for the frontier
+	tasks        chan task
 }
 
 // Engine is the concurrent sharded streaming-discovery service. Create
@@ -193,24 +193,30 @@ type shard struct {
 type Engine struct {
 	cfg    Config
 	shards []*shard
-	queue  chan task
-	wg     sync.WaitGroup
+
+	// in hands batches and Flush barriers to the routing goroutine. It is
+	// unbuffered, so a send completes only when the router takes it: once
+	// the router has stopped, no Append can succeed.
+	in        chan task
+	done      chan struct{} // closed by Close; stops the router
+	closeOnce sync.Once
+	wg        sync.WaitGroup // the router and the shard goroutines
+
+	// unapplied counts shard tasks handed to the engine but not yet
+	// applied. Append adds Shards before its hand-off (and takes them back
+	// when the hand-off fails); each shard goroutine subtracts one per
+	// applied task. Flush on an idle engine sees zero and returns without
+	// waking any goroutine.
+	unapplied atomic.Int64
 
 	// gatherParams re-detects gatherings on crowds stitched from
 	// cross-shard fragments at Snapshot time.
 	gatherParams gathering.Params
-	// multi and router are set together — and only — when the partitioner
-	// actually replicates (MultiShardPartitioner with Replicates() true):
-	// multi marks the replicating regime, router maps a point to its
-	// owning shard for the snapshot merge. Both nil for single-shard
-	// routing, which skips the merge entirely. clusterRoute is set when
-	// the partitioner additionally implements ClusterRouter (GridCell
-	// does): batches are then clustered once globally and the shards
-	// receive per-tick cluster views instead of raw trajectory replicas.
-	// A replicating partitioner without ClusterRouter falls back to the
-	// legacy fan-out (replicate trajectories, cluster per shard).
-	multi        MultiShardPartitioner
-	router       PointRouter
+	// clusterRoute is set when the partitioner is a ClusterRouter that
+	// replicates and there is more than one shard: batches are then
+	// clustered once globally, the shards receive per-tick cluster views,
+	// and Snapshot merges their answers. Nil means single-shard routing,
+	// which skips the merge entirely.
 	clusterRoute ClusterRouter
 
 	// mergeMu guards the memoized cross-shard merge: the merged, sorted
@@ -228,55 +234,12 @@ type Engine struct {
 	//gather:guardedby merge
 	mergeTicks int
 
-	// buildMu serialises the cluster-once global DBSCAN pass across
-	// concurrent appenders: each build already fans per-tick work across
-	// Workers goroutines, so admitting one at a time keeps total
-	// clustering parallelism bounded by the configured worker count.
-	//gather:lock build
-	buildMu sync.Mutex
-
-	// enqMu serialises sequence assignment and queue sends so the queue's
-	// FIFO order agrees with per-shard sequence order (workers would
-	// deadlock waiting for an out-of-order predecessor otherwise). Free
-	// capacity is tracked explicitly in qFree so admission waits on
-	// enqCond, never parked inside a channel send while holding enqMu —
-	// that would stall TryAppend and Close behind a blocked Append.
-	//gather:lock enq
-	enqMu   sync.Mutex
-	enqCond *sync.Cond
-	//gather:guardedby enq
-	qFree int // queue slots not yet promised to a batch
-	//gather:guardedby enq
-	inflight int // batches holding reserved slots but not yet published
-	//gather:guardedby enq
-	seq uint64
-	//gather:guardedby enq
-	closed bool
-
-	// pending tracks enqueued-but-unapplied tasks for Flush.
-	//gather:lock pend
-	pendMu   sync.Mutex
-	pendCond *sync.Cond
-	//gather:guardedby pend
-	pending int
-
 	counters stats.EngineCounters
 	ticksLow atomic.Int64 // cached fully-applied tick frontier (min over shards)
 }
 
-// New creates an engine and starts its worker pool.
+// New creates an engine and starts its routing and shard goroutines.
 func New(cfg Config) (*Engine, error) {
-	e, err := newEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.start()
-	return e, nil
-}
-
-// newEngine builds the engine without starting workers; tests use it to
-// exercise queue backpressure deterministically.
-func newEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -284,23 +247,12 @@ func newEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		shards: make([]*shard, cfg.Shards),
-		queue:  make(chan task, cfg.QueueDepth),
-		qFree:  cfg.QueueDepth,
+		in:     make(chan task),
+		done:   make(chan struct{}),
 	}
-	if m, ok := cfg.Partitioner.(MultiShardPartitioner); ok && m.Replicates() {
-		r, ok := cfg.Partitioner.(PointRouter)
-		if !ok {
-			// Replication without owner routing would return every
-			// boundary crowd once per discovering shard: refuse it.
-			return nil, fmt.Errorf("engine: partitioner %s replicates (ShardSet) but implements no PointRouter for the snapshot merge", m.Name())
-		}
-		e.multi, e.router = m, r
-		if cr, ok := cfg.Partitioner.(ClusterRouter); ok {
-			e.clusterRoute = cr
-		}
+	if r, ok := cfg.Partitioner.(ClusterRouter); ok && r.Replicates() && cfg.Shards > 1 {
+		e.clusterRoute = r
 	}
-	e.enqCond = sync.NewCond(&e.enqMu)
-	e.pendCond = sync.NewCond(&e.pendMu)
 	cp := crowd.Params{MC: cfg.Pipeline.MC, KC: cfg.Pipeline.KC, Delta: cfg.Pipeline.Delta}
 	gp := gathering.Params{KC: cfg.Pipeline.KC, KP: cfg.Pipeline.KP, MP: cfg.Pipeline.MP}
 	e.gatherParams = gp
@@ -310,193 +262,140 @@ func newEngine(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{store: st}
-		sh.cond = sync.NewCond(&sh.mu)
-		e.shards[i] = sh
+		// The configured queue, split evenly: each shard may run this
+		// many tasks ahead of its apply before the router stalls.
+		e.shards[i] = &shard{store: st, tasks: make(chan task, cfg.QueueDepth/cfg.Shards)}
+	}
+	e.wg.Add(1 + len(e.shards))
+	go e.routeLoop()
+	for i, sh := range e.shards {
+		go e.shardLoop(i, sh)
 	}
 	return e, nil
 }
 
-// start launches the worker pool.
-func (e *Engine) start() {
-	for w := 0; w < e.cfg.Workers; w++ {
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			for t := range e.queue {
-				// The buffer slot is free as soon as the task is out of
-				// the channel; hand it to a waiting appender.
-				e.enqMu.Lock()
-				e.qFree++
-				e.enqCond.Signal()
-				e.enqMu.Unlock()
-				e.apply(t)
-			}
-		}()
-	}
-}
-
-// Append splits the batch across the shards and enqueues it, blocking
-// while the ingest queue is full (backpressure). The batch covers the
-// next batch.Domain.N ticks of every shard's domain; concurrent Append
-// calls are admitted one at a time, in lock-acquisition order. The engine
-// keeps reading the batch after Append returns (workers cluster it
-// asynchronously; with one shard it is routed without copying), so callers
-// must not mutate it.
+// Append hands the batch to the routing goroutine, blocking while the
+// router is busy or stalled on a full shard channel (backpressure). The
+// batch covers the next batch.Domain.N ticks of every shard's domain;
+// concurrent Append calls are taken one at a time, in the order the
+// router receives them. The engine keeps reading the batch after Append
+// returns (it is routed and applied asynchronously; with one shard it is
+// applied without copying), so callers must not mutate it.
 //
 //gather:blocking
-func (e *Engine) Append(batch *trajectory.DB) error { return e.enqueue(batch, true) }
+func (e *Engine) Append(batch *trajectory.DB) error { return e.submit(batch, true) }
 
-// TryAppend is Append without the blocking: it returns ErrQueueFull when
-// the batch cannot be taken right now — the queue is full, or (under
-// cluster-once routing) the global clustering stage is busy with another
-// appender's batch.
-func (e *Engine) TryAppend(batch *trajectory.DB) error { return e.enqueue(batch, false) }
+// TryAppend is Append without the blocking: it returns ErrQueueFull
+// whenever the routing goroutine is not waiting for a batch at the moment
+// of the call — it is still routing an earlier batch, or stalled on a
+// full shard channel.
+func (e *Engine) TryAppend(batch *trajectory.DB) error { return e.submit(batch, false) }
 
 //gather:blocking
-func (e *Engine) enqueue(batch *trajectory.DB, wait bool) error {
-	n := e.cfg.Shards
-	clusterOnce := e.clusterRoute != nil && n > 1
-
-	// Phase 1 — admission: reserve the batch's n queue slots before any
-	// routing work, so a batch that cannot be accepted costs nothing
-	// (Append parks here under backpressure, TryAppend fails fast) and an
-	// accepted batch's sends in phase 3 can never block. inflight keeps
-	// Close from shutting the queue while a reservation is outstanding.
-	e.enqMu.Lock()
-	for e.qFree < n {
-		if e.closed {
-			e.enqMu.Unlock()
-			return ErrClosed
-		}
-		if !wait {
-			e.enqMu.Unlock()
-			e.counters.BatchesRejected.Add(1)
-			return ErrQueueFull
-		}
-		e.enqCond.Wait() // backpressure: parked before any routing work
-	}
-	if e.closed {
-		e.enqMu.Unlock()
+func (e *Engine) submit(batch *trajectory.DB, wait bool) error {
+	select {
+	case <-e.done:
 		return ErrClosed
-	}
-	e.qFree -= n
-	e.inflight++
-	e.enqMu.Unlock()
-
-	// Phase 2 — route. Cluster-once: the whole batch is DBSCAN-clustered
-	// here, once, on the appender's goroutine (per-tick parallelism
-	// across the worker count), and the shards are handed pre-clustered
-	// views — the workers only apply them. buildMu admits one global
-	// build at a time so concurrent appenders cannot multiply clustering
-	// parallelism past the worker count; TryAppend refuses instead of
-	// queueing behind another appender's build, keeping its no-blocking
-	// contract. Otherwise each shard's task carries raw trajectories and
-	// the worker clusters them. Routing counters are deferred to phase 3:
-	// a dropped batch must not advance them.
-	var cdbs []*snapshot.CDB
-	var subs []*trajectory.DB
-	var stat routeStats
-	switch {
-	case clusterOnce:
-		if wait {
-			e.buildMu.Lock()
-		} else if !e.buildMu.TryLock() {
-			e.abandon(n)
-			e.counters.BatchesRejected.Add(1)
-			return ErrQueueFull
-		}
-		cdbs, stat = e.routeClusters(batch)
-		e.buildMu.Unlock()
-	case n == 1:
-		// Single shard: every trajectory targets shard 0 whatever the
-		// partitioner says, and a zero-halo single shard replicates
-		// nothing — hand the batch through untouched instead of copying
-		// its trajectory headers into a sub-batch, so one-shard ingest
-		// costs exactly the single-store pipeline plus the queue hop.
-		subs = []*trajectory.DB{batch}
 	default:
-		subs, stat = e.split(batch)
 	}
-
-	// Phase 3 — publish: assign the batch sequence number and send the
-	// shard tasks in one enqMu critical section, so queue FIFO order
-	// agrees with per-shard sequence order (workers would deadlock on an
-	// out-of-order predecessor otherwise). The phase-1 reservation makes
-	// every send buffered — enqMu is never held across a park. A Close
-	// that raced with phase 2 wins: the batch is dropped and its slots
-	// returned before Close shuts the queue.
-	e.enqMu.Lock()
-	defer e.enqMu.Unlock()
-	e.inflight--
-	if e.closed {
-		e.qFree += n
-		e.enqCond.Broadcast() // wake Close waiting for inflight to drain
-		return ErrClosed
-	}
-	stat.apply(&e.counters)
-	seq := e.seq
-	e.seq++
-	e.pendMu.Lock()
-	e.pending += n
-	e.pendMu.Unlock()
-	for i := 0; i < n; i++ {
-		t := task{shard: i, seq: seq}
-		if cdbs != nil {
-			t.cdb = cdbs[i]
-		} else {
-			t.batch = subs[i]
+	n := int64(len(e.shards))
+	e.unapplied.Add(n)
+	var err error
+	if wait {
+		select {
+		case e.in <- task{batch: batch}:
+		case <-e.done:
+			err = ErrClosed
 		}
-		// The phase-1 reservation guarantees n free buffered slots, so
-		// these sends cannot block even though enqMu is still held.
-		e.queue <- t //lint:allow lockcheck phase-1 reserved n buffered slots, so this send cannot block
+	} else {
+		select {
+		case e.in <- task{batch: batch}:
+		case <-e.done:
+			err = ErrClosed
+		default:
+			e.counters.BatchesRejected.Add(1)
+			err = ErrQueueFull
+		}
+	}
+	if err != nil {
+		e.unapplied.Add(-n)
+		return err
 	}
 	e.counters.BatchesEnqueued.Add(1)
 	e.counters.TicksIngested.Add(uint64(batch.Domain.N))
 	return nil
 }
 
-// abandon returns a phase-1 reservation unused (busy build stage or a
-// Close racing ahead), waking slot waiters and a draining Close.
-func (e *Engine) abandon(n int) {
-	e.enqMu.Lock()
-	e.qFree += n
-	e.inflight--
-	e.enqCond.Broadcast()
-	e.enqMu.Unlock()
-}
-
-// routeStats carries the routing counters of one prepared batch; they are
-// folded into the engine counters only once the batch is admitted, so a
-// rejected TryAppend leaves no trace beyond BatchesRejected.
-type routeStats struct {
-	clustersBuilt      int
-	clustersReplicated int
-	objectsReplicated  int
-}
-
-func (s routeStats) apply(c *stats.EngineCounters) {
-	if s.clustersBuilt > 0 {
-		c.ClustersBuilt.Add(uint64(s.clustersBuilt))
-	}
-	if s.clustersReplicated > 0 {
-		c.ClustersReplicated.Add(uint64(s.clustersReplicated))
-	}
-	if s.objectsReplicated > 0 {
-		c.ObjectsReplicated.Add(uint64(s.objectsReplicated))
+// routeLoop is the routing goroutine: it takes one task at a time from
+// in until Close, and then closes every shard channel so the shard
+// goroutines drain what they hold and exit.
+func (e *Engine) routeLoop() {
+	defer e.wg.Done()
+	defer func() {
+		for _, sh := range e.shards {
+			close(sh.tasks)
+		}
+	}()
+	for {
+		select {
+		case t := <-e.in:
+			e.route(t)
+		case <-e.done:
+			return
+		}
 	}
 }
 
-// split partitions the batch's trajectories into one sub-batch per shard.
-// Every shard gets a sub-batch — possibly with no trajectories — because
-// each store must still advance its time domain by the batch's ticks.
-// With a MultiShardPartitioner (and no ClusterRouter — the legacy
-// replicating fan-out) a trajectory may land in several sub-batches (home
-// shard plus halo replicas); replicas are reported in the returned stats
-// and collapsed again by the snapshot merge. Sub-batch and routing slices
-// are pre-sized so steady-state splitting never grows an append.
-func (e *Engine) split(batch *trajectory.DB) ([]*trajectory.DB, routeStats) {
-	n := e.cfg.Shards
+// route splits one task into its shard tasks and sends them in shard
+// order. A barrier, and the whole batch when there is one shard, go
+// through unchanged — one-shard ingest costs the single-store pipeline
+// plus the channel hops. The sends block while a shard's channel is full.
+//
+//gather:blocking
+func (e *Engine) route(t task) {
+	var cdbs []*snapshot.CDB
+	var subs []*trajectory.DB
+	switch {
+	case t.barrier != nil || len(e.shards) == 1:
+	case e.clusterRoute != nil:
+		cdbs = e.routeClusters(t.batch)
+	default:
+		subs = e.split(t.batch)
+	}
+	for i, sh := range e.shards {
+		switch {
+		case cdbs != nil:
+			t = task{cdb: cdbs[i]}
+		case subs != nil:
+			t = task{batch: subs[i]}
+		}
+		sh.tasks <- t
+	}
+}
+
+// shardLoop is shard i's goroutine: it applies the shard's tasks in
+// channel order until the router closes the channel. seq is the shard's
+// apply sequence, handed to Config.ApplyFault.
+func (e *Engine) shardLoop(i int, sh *shard) {
+	defer e.wg.Done()
+	var seq uint64
+	for t := range sh.tasks {
+		if t.barrier != nil {
+			t.barrier.Done()
+			continue
+		}
+		e.apply(i, sh, seq, t)
+		seq++
+	}
+}
+
+// split partitions the batch's trajectories into one sub-batch per shard
+// (single-shard routing). Every shard gets a sub-batch — possibly with no
+// trajectories — because each store must still advance its time domain
+// by the batch's ticks. Sub-batches are pre-sized so steady-state
+// splitting rarely grows an append.
+func (e *Engine) split(batch *trajectory.DB) []*trajectory.DB {
+	n := len(e.shards)
 	subs := make([]*trajectory.DB, n)
 	per := len(batch.Trajs)/n + 1
 	for i := range subs {
@@ -505,51 +404,28 @@ func (e *Engine) split(batch *trajectory.DB) ([]*trajectory.DB, routeStats) {
 			Trajs:  make([]trajectory.Trajectory, 0, per),
 		}
 	}
-	targets := make([]int, 0, n)
-	replicated := 0
 	for i := range batch.Trajs {
 		tr := &batch.Trajs[i]
-		if e.multi != nil && n > 1 {
-			targets = e.multi.ShardSet(tr, batch.Domain, n, targets[:0])
-			added := 0
-			for _, s := range targets {
-				s = normShard(s, n)
-				// Out-of-range ShardSet values may fold onto a shard this
-				// trajectory already targets; its copy would be the last
-				// append on that shard, so one look suffices to dedupe.
-				if prev := subs[s].Trajs; len(prev) > 0 && prev[len(prev)-1].ID == tr.ID {
-					continue
-				}
-				subs[s].Trajs = append(subs[s].Trajs, *tr)
-				added++
-			}
-			if added > 1 {
-				replicated += added - 1
-			}
-			continue
-		}
 		s := normShard(e.cfg.Partitioner.Shard(tr, batch.Domain, n), n)
 		subs[s].Trajs = append(subs[s].Trajs, *tr)
 	}
-	return subs, routeStats{objectsReplicated: replicated}
+	return subs
 }
 
 // routeClusters is the cluster-once ingest stage: one global DBSCAN pass
-// over the batch (per-tick parallelism across the worker pool, exactly the
-// clusters a single store would build), then a cluster-granularity fan-out
-// — each cluster goes to the shard owning its centroid, and halo-adjacent
-// shards receive a view of the same *snapshot.Cluster. Duplicate crowd
-// discoveries therefore have identical per-tick membership by construction
-// and the snapshot merge collapses them with pointer-equality fast paths.
-// ClustersBuilt counts the global pass once per batch: it no longer scales
-// with the replication factor; ClustersReplicated and ObjectsReplicated
-// track the extra view deliveries (all via the returned stats, applied on
-// admission).
-func (e *Engine) routeClusters(batch *trajectory.DB) ([]*snapshot.CDB, routeStats) {
+// over the batch (per-tick parallelism of Config.Workers, exactly the
+// clusters a single store would build), then a cluster-granularity
+// fan-out — each cluster goes to the shard owning its centroid, and
+// halo-adjacent shards receive a view of the same *snapshot.Cluster.
+// Duplicate crowd discoveries therefore have identical per-tick membership
+// by construction and the snapshot merge collapses them with
+// pointer-equality fast paths. ClustersBuilt counts the global pass once
+// per batch; ClustersReplicated counts the extra view deliveries.
+func (e *Engine) routeClusters(batch *trajectory.DB) []*snapshot.CDB {
 	cdb := snapshot.Build(batch, e.cfg.Pipeline.SnapshotOptions(e.cfg.Workers))
-	stat := routeStats{clustersBuilt: cdb.NumClusters()}
+	e.counters.ClustersBuilt.Add(uint64(cdb.NumClusters()))
 
-	n := e.cfg.Shards
+	n := len(e.shards)
 	out := make([]*snapshot.CDB, n)
 	for s := range out {
 		out[s] = &snapshot.CDB{
@@ -558,6 +434,7 @@ func (e *Engine) routeClusters(batch *trajectory.DB) ([]*snapshot.CDB, routeStat
 		}
 	}
 	targets := make([]int, 0, n)
+	replicated := 0
 	for t, cls := range cdb.Clusters {
 		for _, cl := range cls {
 			targets = e.clusterRoute.ClusterShards(centroid(cl), cl.MBR(), n, targets[:0])
@@ -574,50 +451,37 @@ func (e *Engine) routeClusters(batch *trajectory.DB) ([]*snapshot.CDB, routeStat
 				delivered++
 			}
 			if delivered > 1 {
-				stat.clustersReplicated += delivered - 1
-				stat.objectsReplicated += (delivered - 1) * cl.Len()
+				replicated += delivered - 1
 			}
 		}
 	}
-	return out, stat
+	e.counters.ClustersReplicated.Add(uint64(replicated))
+	return out
 }
 
-// apply brings one shard task to its store in sequence order. A task from
-// the cluster-once pipeline already carries its per-shard CDB; a raw
-// sub-batch is clustered here (outside any lock) first.
-func (e *Engine) apply(t task) {
+// apply brings one shard task to its store. A task from the cluster-once
+// pipeline already carries its per-shard CDB; a raw sub-batch is
+// clustered here (outside any lock) first.
+func (e *Engine) apply(i int, sh *shard, seq uint64, t task) {
 	cdb := t.cdb
 	if cdb == nil {
 		cdb = core.BuildCDB(t.batch, e.cfg.Pipeline)
 		e.counters.ClustersBuilt.Add(uint64(cdb.NumClusters()))
 	}
 
-	sh := e.shards[t.shard]
 	sh.mu.Lock()
-	for sh.next != t.seq {
-		sh.cond.Wait()
-	}
 	if !sh.quarantined {
-		e.applyStore(sh, t.shard, t.seq, cdb)
+		e.applyStore(sh, i, seq, cdb)
 	}
 	// appliedTicks advances whether or not the store took the batch: a
-	// quarantined shard must not stall the engine-wide tick frontier, and
-	// the sequence must advance so successors parked on cond drain.
+	// quarantined shard must not stall the engine-wide tick frontier.
 	sh.appliedTicks += cdb.Domain.N
 	sh.ticks.Store(int64(sh.appliedTicks))
-	sh.next++
-	sh.cond.Broadcast()
 	sh.mu.Unlock()
 
 	e.counters.TasksApplied.Add(1)
 	e.advanceFrontier()
-
-	e.pendMu.Lock()
-	e.pending--
-	if e.pending == 0 {
-		e.pendCond.Broadcast()
-	}
-	e.pendMu.Unlock()
+	e.unapplied.Add(-1)
 }
 
 // applyStore feeds one sub-batch to the shard's store, converting a panic
@@ -664,7 +528,8 @@ func (e *Engine) advanceFrontier() {
 			low = t
 		}
 	}
-	// Monotonic max: a stale worker must not move the frontier backwards.
+	// Monotonic max: a shard goroutine with a stale read must not move
+	// the frontier backwards.
 	for {
 		cur := e.ticksLow.Load()
 		if low <= cur || e.ticksLow.CompareAndSwap(cur, low) {
@@ -674,40 +539,38 @@ func (e *Engine) advanceFrontier() {
 }
 
 // Ticks returns the number of ticks applied to every shard — the engine's
-// fully-ingested frontier. Batches still in the queue are not counted.
+// fully-ingested frontier. Batches still queued are not counted.
 func (e *Engine) Ticks() int { return int(e.ticksLow.Load()) }
 
-// Flush blocks until every batch enqueued before the call has been applied
-// to its shard, establishing a cross-shard consistent frontier.
+// Flush blocks until every batch accepted before the call has been
+// applied to its shards, establishing a cross-shard consistent frontier.
+// On an idle engine it returns at once without waking the engine's
+// goroutines; otherwise it sends a barrier behind every earlier task on
+// every shard channel. After Close it waits for Close's drain.
 //
 //gather:blocking
 func (e *Engine) Flush() {
-	e.pendMu.Lock()
-	for e.pending > 0 {
-		e.pendCond.Wait()
+	if e.unapplied.Load() == 0 {
+		return
 	}
-	e.pendMu.Unlock()
+	var barrier sync.WaitGroup
+	barrier.Add(len(e.shards))
+	select {
+	case e.in <- task{barrier: &barrier}:
+		barrier.Wait()
+	case <-e.done:
+		e.wg.Wait()
+	}
 }
 
-// Close stops accepting batches, drains the queue and stops the workers.
-// It is idempotent; queries remain valid after Close. Batches still in
-// their routing phase are dropped: their reservations are waited out so
-// the queue channel never closes under a pending send.
+// Close stops accepting batches, applies every batch already accepted and
+// stops the engine's goroutines. It is idempotent; queries remain valid
+// after Close. An Append racing with Close is either accepted, and applied
+// before Close returns, or returns ErrClosed.
 //
 //gather:blocking
 func (e *Engine) Close() {
-	e.enqMu.Lock()
-	if e.closed {
-		e.enqMu.Unlock()
-		return
-	}
-	e.closed = true
-	e.enqCond.Broadcast() // wake parked appenders; they return ErrClosed
-	for e.inflight > 0 {
-		e.enqCond.Wait() // in-flight batches abandon in phase 3
-	}
-	close(e.queue)
-	e.enqMu.Unlock()
+	e.closeOnce.Do(func() { close(e.done) })
 	e.wg.Wait()
 }
 
@@ -786,19 +649,18 @@ func (r *Result) AllGatherings() []*gathering.Gathering {
 // Snapshot answers a query against the current state. Each shard is read
 // under its read lock, so the answer is consistent per shard; shards are
 // visited in order and may sit at different ingest frontiers while
-// batches are in flight (Flush first for a global barrier). When the
-// partitioner replicates (MultiShardPartitioner), the per-shard answers
-// are merged first: duplicate discoveries of one boundary crowd collapse
-// onto its canonical owner and cross-shard fragments are stitched whole
-// (see merge.go). The surviving crowds are sorted deterministically and
+// batches are in flight (Flush first for a global barrier). Under
+// cluster-once routing the per-shard answers are merged first: duplicate
+// discoveries of one boundary crowd collapse onto its canonical owner and
+// cross-shard fragments are stitched whole (see merge.go). The surviving crowds are sorted deterministically and
 // only then truncated to Query.Limit. The returned crowds are shallow
 // copies detached from the ingest path; clusters and gatherings are
 // immutable and shared.
 func (e *Engine) Snapshot(q Query) *Result {
 	var matched []shardCrowd
 	var minTicks int
-	if e.multi != nil && len(e.shards) > 1 {
-		// Replicating partitioner: filter the memoized merged state. The
+	if e.clusterRoute != nil {
+		// Cluster-once routing: filter the memoized merged state. The
 		// merge must see every crowd — a filtered-out canonical copy must
 		// still absorb its surviving duplicates — so filters apply to its
 		// already-sorted output.
@@ -904,7 +766,7 @@ func (e *Engine) mergedState() ([]shardCrowd, int) {
 
 	n := len(e.shards)
 	entries, st := mergeShards(entries, func(p geo.Point) int {
-		return normShard(e.router.OwnerShard(p, n), n)
+		return normShard(e.clusterRoute.OwnerShard(p, n), n)
 	}, e.gatherParams)
 	e.counters.CrowdsDeduped.Add(uint64(st.deduped))
 	e.counters.CrowdsStitched.Add(uint64(st.stitched))

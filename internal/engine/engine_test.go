@@ -214,19 +214,40 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	}
 }
 
-// TestBackpressure exercises the bounded queue without workers: TryAppend
-// must refuse when full, Append must block, and starting the pool must
-// drain both.
+// TestBackpressure holds the single shard inside ApplyFault so the queue
+// fills deterministically: TryAppend must refuse, Append must block, a
+// parked Append must not stall TryAppend, and releasing the shard must
+// drain everything.
 func TestBackpressure(t *testing.T) {
 	db := parkedDB([]geo.Point{{X: 1000, Y: 1000}}, 12, 8)
-	e, err := newEngine(Config{Pipeline: testPipeline(), Shards: 1, Workers: 1, QueueDepth: 2})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	e, err := New(Config{Pipeline: testPipeline(), Shards: 1, QueueDepth: 2,
+		ApplyFault: func(_ int, seq uint64) {
+			if seq == 0 {
+				close(entered)
+				<-release
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var unblock sync.Once
+	defer func() {
+		unblock.Do(func() { close(release) })
+		e.Close()
+	}()
 
-	for i := 0; i < 2; i++ {
-		if err := e.TryAppend(db); err != nil {
-			t.Fatalf("TryAppend %d with free queue: %v", i, err)
+	// Batch 0 reaches the shard goroutine, which parks in ApplyFault.
+	if err := e.Append(db); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	// Batches 1 and 2 fill the shard's two-task channel; the router takes
+	// batch 3 and stalls sending it.
+	for i := 1; i <= 3; i++ {
+		if err := e.Append(db); err != nil {
+			t.Fatalf("Append %d with room in the queue: %v", i, err)
 		}
 	}
 	if err := e.TryAppend(db); !errors.Is(err, ErrQueueFull) {
@@ -256,20 +277,19 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal("TryAppend blocked behind a parked Append")
 	}
 
-	e.start()
+	unblock.Do(func() { close(release) })
 	select {
 	case err := <-blocked:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Append never unblocked after workers started")
+		t.Fatal("Append never unblocked after the shard was released")
 	}
 	e.Flush()
-	defer e.Close()
 
-	if e.Ticks() != 3*db.Domain.N {
-		t.Fatalf("ticks = %d, want %d", e.Ticks(), 3*db.Domain.N)
+	if e.Ticks() != 5*db.Domain.N {
+		t.Fatalf("ticks = %d, want %d", e.Ticks(), 5*db.Domain.N)
 	}
 	if res := e.Snapshot(Query{GatheringsOnly: true}); len(res.Crowds) == 0 {
 		t.Fatal("parked workload produced no gatherings")

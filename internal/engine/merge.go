@@ -1,9 +1,10 @@
 // Cross-shard merge: the query-time counterpart of halo replication.
 //
-// With a MultiShardPartitioner, an object near a cell edge is ingested by
-// every shard owning a nearby cell, so a group straddling the boundary is
-// discovered independently — and redundantly — by each of them. mergeShards
-// restores single-store semantics over the union of the per-shard answers:
+// Under cluster-once ingest, a cluster near a cell edge is shared as a view
+// with every shard owning a nearby cell, so a group straddling the
+// boundary is discovered independently — and redundantly — by each of
+// them. mergeShards restores single-store semantics over the union of the
+// per-shard answers:
 //
 //  1. Exact duplicates (same span, same per-tick membership) collapse to
 //     one copy, kept by the canonical owner — the shard owning the cell of
@@ -23,14 +24,14 @@
 // and stitching — which require proper overlap — only ever fuse cross-shard
 // copies of the same underlying crowd, never two genuinely distinct ones.
 //
-// Under the cluster-once ingest pipeline (ClusterRouter partitioners, the
-// default), the shards' crowds are built from views of the same global
-// *snapshot.Cluster values, so cross-shard copies of one crowd hold
+// Within one engine the shards' crowds are built from views of the same
+// global *snapshot.Cluster values, so cross-shard copies of one crowd hold
 // pointer-identical clusters at every shared tick: duplicates are exact,
 // absorption reduces to a tick-range crop, and the set comparisons below
 // short-circuit on pointer equality instead of walking member lists. The
-// element-wise paths remain for the legacy fan-out (replicated raw
-// trajectories clustered per shard), where copies are equal by value only.
+// element-wise paths serve only MergeRemote (remote.go): cluster nodes
+// each cluster their own replicated trajectories, so cross-node copies
+// are equal by value only.
 package engine
 
 import (

@@ -160,78 +160,3 @@ func TestCompareCrowdsOrdering(t *testing.T) {
 		t.Fatal("a crowd must compare equal to itself")
 	}
 }
-
-// TestGridCellShardSet checks the multi-shard routing mode: interior
-// objects route only to their home shard, boundary objects replicate to
-// the adjacent cell's shard, and moving objects cover every cell their
-// trail passes within the halo.
-func TestGridCellShardSet(t *testing.T) {
-	g := GridCell{CellSize: 1000, Halo: 150}
-	const n = 16
-	dom := trajectory.TimeDomain{Start: 0, Step: 1, N: 4}
-
-	parked := func(p geo.Point) *trajectory.Trajectory {
-		tr := &trajectory.Trajectory{ID: 1}
-		for i := 0; i < 4; i++ {
-			tr.Samples = append(tr.Samples, trajectory.Sample{Time: float64(i), P: p})
-		}
-		return tr
-	}
-
-	// Cell interior: the halo box stays inside one cell.
-	center := parked(geo.Point{X: 500, Y: 500})
-	set := g.ShardSet(center, dom, n, nil)
-	if len(set) != 1 || set[0] != g.Shard(center, dom, n) {
-		t.Fatalf("interior object got shard set %v, want only home %d", set, g.Shard(center, dom, n))
-	}
-
-	// Near a vertical cell edge: the right neighbour's shard joins the set.
-	edge := parked(geo.Point{X: 950, Y: 500})
-	set = g.ShardSet(edge, dom, n, nil)
-	if set[0] != g.Shard(edge, dom, n) {
-		t.Fatalf("home shard %d not first in %v", g.Shard(edge, dom, n), set)
-	}
-	wantNeighbour := g.OwnerShard(geo.Point{X: 1050, Y: 500}, n)
-	found := false
-	for _, s := range set {
-		if s == wantNeighbour {
-			found = true
-		}
-	}
-	if !found && wantNeighbour != set[0] {
-		t.Fatalf("boundary object set %v misses adjacent cell's shard %d", set, wantNeighbour)
-	}
-
-	// A moving object's trail covers the shards of every visited cell.
-	mover := &trajectory.Trajectory{ID: 2}
-	for i := 0; i < 4; i++ {
-		mover.Samples = append(mover.Samples,
-			trajectory.Sample{Time: float64(i), P: geo.Point{X: 500 + float64(i)*1000, Y: 500}})
-	}
-	set = g.ShardSet(mover, dom, n, nil)
-	for i := 0; i < 4; i++ {
-		want := g.OwnerShard(geo.Point{X: 500 + float64(i)*1000, Y: 500}, n)
-		found := false
-		for _, s := range set {
-			if s == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("mover's set %v misses visited cell shard %d (tick %d)", set, want, i)
-		}
-	}
-	for i, s := range set {
-		for _, u := range set[:i] {
-			if s == u {
-				t.Fatalf("duplicate shard %d in set %v", s, set)
-			}
-		}
-	}
-
-	// Halo 0 must degenerate to single-shard routing.
-	g0 := GridCell{CellSize: 1000}
-	if set := g0.ShardSet(edge, dom, n, nil); len(set) != 1 {
-		t.Fatalf("halo 0 replicated: %v", set)
-	}
-}

@@ -23,36 +23,16 @@ import (
 //   - GridCell routes by the object's position at the start of the batch:
 //     objects in the same spatial cell share a shard, so local density —
 //     what crowds and gatherings are made of — is preserved. With a
-//     positive Halo it additionally replicates objects near cell edges
-//     into every shard owning a nearby cell, which lets the snapshot-time
-//     merge restore groups that straddle a cell boundary (see merge.go).
+//     positive Halo it is a ClusterRouter: the engine clusters each batch
+//     once and shares clusters near cell edges as views with every shard
+//     owning a nearby cell, which lets the snapshot-time merge restore
+//     groups that straddle a cell boundary (see merge.go).
 type Partitioner interface {
 	// Shard returns the shard in [0, n) for tr within a batch covering
 	// domain. Results outside [0, n) are reduced modulo n by the engine.
 	Shard(tr *trajectory.Trajectory, domain trajectory.TimeDomain, n int) int
 	// Name identifies the scheme in logs and diagnostics.
 	Name() string
-}
-
-// MultiShardPartitioner is the multi-shard routing mode: a partitioner
-// that can route one trajectory to several shards — a home shard plus
-// halo replicas. The engine fans a replicated trajectory into every
-// listed shard's sub-batch, so each shard sees the full local density
-// even for objects homed across a partition boundary; the resulting
-// duplicate discoveries are collapsed again at Snapshot time by the
-// cross-shard merge.
-type MultiShardPartitioner interface {
-	Partitioner
-	// ShardSet returns the target shards for tr (each in [0, n), no
-	// duplicates, home shard first), overwriting dst from its start and
-	// reusing its capacity — callers pass the previous result to avoid
-	// allocation, so implementations must truncate, not append. The home
-	// shard must equal Shard(tr, domain, n).
-	ShardSet(tr *trajectory.Trajectory, domain trajectory.TimeDomain, n int, dst []int) []int
-	// Replicates reports whether ShardSet can ever return more than the
-	// home shard under the current configuration. When false the engine
-	// skips both replica fan-out and the snapshot-time merge.
-	Replicates() bool
 }
 
 // normShard folds an arbitrary shard value into [0, n); the ingest fan-out
@@ -66,31 +46,32 @@ func normShard(s, n int) int {
 	return s
 }
 
-// PointRouter is implemented by spatial partitioners that can map a bare
-// location to the shard owning it. The snapshot merge uses it for the
-// canonical-owner rule: a crowd discovered by several shards is kept only
-// by the shard owning its first cluster's centroid.
-type PointRouter interface {
-	OwnerShard(p geo.Point, n int) int
-}
-
 // ClusterRouter is the cluster-granularity routing mode behind the
 // cluster-once ingest pipeline: the engine clusters each batch globally
 // (one DBSCAN pass per tick, exactly as a single store would) and then
-// routes every resulting snapshot cluster — instead of raw trajectory
-// replicas — to the shards that must see it. A partitioner implementing it
-// upgrades the engine's replicating path from "replicate objects, cluster
-// per shard" to "cluster once, ship views": the owner shard holds the
-// cluster, halo-adjacent shards receive a read-only view of the same
-// *snapshot.Cluster so their crowd fragments overlap the owner's and the
-// snapshot merge can dedup and stitch them by construction.
+// routes every resulting snapshot cluster to the shards that must see it.
+// The owner shard holds the cluster, halo-adjacent shards receive a
+// read-only view of the same *snapshot.Cluster so their crowd fragments
+// overlap the owner's and the snapshot merge can dedup and stitch them by
+// construction.
 type ClusterRouter interface {
-	PointRouter
+	Partitioner
+	// Replicates reports whether ClusterShards can ever return more than
+	// the owner under the current configuration. When false the engine
+	// routes trajectories with Shard instead and skips the snapshot-time
+	// merge.
+	Replicates() bool
+	// OwnerShard maps a bare location to the shard owning it. The
+	// snapshot merge uses it for the canonical-owner rule: a crowd
+	// discovered by several shards is kept only by the shard owning its
+	// first cluster's centroid.
+	OwnerShard(p geo.Point, n int) int
 	// ClusterShards returns the target shards for a cluster with the given
 	// centroid and bounding box (owner first, no duplicates), overwriting
-	// dst from its start and reusing its capacity as ShardSet does. The
-	// owner must equal OwnerShard(centroid, n). Results outside [0, n) are
-	// folded by the engine with normShard.
+	// dst from its start and reusing its capacity — callers pass the
+	// previous result to avoid allocation, so implementations must
+	// truncate, not append. The owner must equal OwnerShard(centroid, n).
+	// Results outside [0, n) are folded by the engine with normShard.
 	ClusterShards(centroid geo.Point, mbr geo.Rect, n int, dst []int) []int
 }
 
@@ -126,14 +107,14 @@ type GridCell struct {
 	// groups fit inside one cell.
 	CellSize float64
 
-	// Halo is the replication margin in metres. When positive, every
-	// trajectory is also routed to the shard of each cell within Halo of
-	// any of its positions during the batch, so a shard sees the complete
-	// neighbourhood of its own cells: groups straddling a cell edge are
-	// discovered whole by every adjacent shard and deduplicated at query
-	// time. It should cover the expected group diameter — a few × δ.
-	// Zero disables replication (single-shard routing, lossy at cell
-	// boundaries).
+	// Halo is the replication margin in metres. When positive, the
+	// engine runs cluster-once ingest: every snapshot cluster is also
+	// routed, as a view, to the shard of each cell within Halo of its
+	// bounding box, so a shard sees the complete neighbourhood of its own
+	// cells: groups straddling a cell edge are discovered whole by every
+	// adjacent shard and deduplicated at query time. It should cover the
+	// expected group diameter — a few × δ. Zero disables replication
+	// (single-shard routing, lossy at cell boundaries).
 	Halo float64
 }
 
@@ -161,49 +142,30 @@ func (g GridCell) Shard(tr *trajectory.Trajectory, domain trajectory.TimeDomain,
 	return cellShard(cx, cy, n)
 }
 
-// OwnerShard implements PointRouter: the shard of the cell containing p.
-// For a position at a batch's first tick this agrees with Shard.
+// OwnerShard implements ClusterRouter: the shard of the cell containing
+// p. For a position at a batch's first tick this agrees with Shard.
 func (g GridCell) OwnerShard(p geo.Point, n int) int {
 	cx, cy := g.cellOf(p)
 	return cellShard(cx, cy, n)
 }
 
-// ShardSet implements MultiShardPartitioner. The home shard (identical to
-// Shard) comes first; with a positive Halo the set also contains the shard
-// of every cell whose region lies within Halo of any of the trajectory's
-// per-tick positions inside the batch domain. Routing by the whole trail —
-// not just the batch-start position — keeps moving objects replicated to
-// every shard whose neighbourhood they pass through, so crowd fragments
-// discovered by consecutive shards overlap in time and can be stitched
-// back together by the merge.
-func (g GridCell) ShardSet(tr *trajectory.Trajectory, domain trajectory.TimeDomain, n int, dst []int) []int {
-	dst = append(dst[:0], g.Shard(tr, domain, n))
-	if g.Halo <= 0 {
+// ClusterShards implements ClusterRouter: the owner shard of the cell
+// containing the centroid, plus the shard of every cell whose region lies
+// within Halo of the cluster's bounding box, stopping early once all n
+// shards are targeted. A crowd moves at most δ per tick (Definition 2)
+// and Halo defaults to 4×δ, so consecutive owners of a moving crowd keep
+// receiving its views for several ticks after handing it over — enough
+// shared ticks for the snapshot merge to stitch their fragments back
+// together.
+func (g GridCell) ClusterShards(c geo.Point, mbr geo.Rect, n int, dst []int) []int {
+	dst = append(dst[:0], g.OwnerShard(c, n))
+	if g.Halo <= 0 || n <= 1 {
 		return dst
 	}
-	for t := 0; t < domain.N; t++ {
-		p, ok := tr.LocationAt(domain.TimeOf(trajectory.Tick(t)))
-		if !ok {
-			continue
-		}
-		dst = g.appendHaloShards(dst, geo.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}, n)
-		if len(dst) == n { // every shard already targeted
-			break
-		}
-	}
-	return dst
-}
-
-// appendHaloShards appends (deduped) the shard of every cell whose region
-// lies within Halo of the rectangle, stopping early once all n shards are
-// targeted. It is the one halo scan shared by trajectory routing
-// (ShardSet, per-tick positions) and cluster-view routing (ClusterShards,
-// the cluster MBR), so the two routing modes cannot drift apart.
-func (g GridCell) appendHaloShards(dst []int, r geo.Rect, n int) []int {
-	x0 := int64(math.Floor((r.MinX - g.Halo) / g.CellSize))
-	x1 := int64(math.Floor((r.MaxX + g.Halo) / g.CellSize))
-	y0 := int64(math.Floor((r.MinY - g.Halo) / g.CellSize))
-	y1 := int64(math.Floor((r.MaxY + g.Halo) / g.CellSize))
+	x0 := int64(math.Floor((mbr.MinX - g.Halo) / g.CellSize))
+	x1 := int64(math.Floor((mbr.MaxX + g.Halo) / g.CellSize))
+	y0 := int64(math.Floor((mbr.MinY - g.Halo) / g.CellSize))
+	y1 := int64(math.Floor((mbr.MaxY + g.Halo) / g.CellSize))
 	for cx := x0; cx <= x1; cx++ {
 		for cy := y0; cy <= y1; cy++ {
 			s := cellShard(cx, cy, n)
@@ -225,23 +187,8 @@ func (g GridCell) appendHaloShards(dst []int, r geo.Rect, n int) []int {
 	return dst
 }
 
-// ClusterShards implements ClusterRouter: the owner shard of the cell
-// containing the centroid, plus the shard of every cell whose region lies
-// within Halo of the cluster's bounding box. A crowd moves at most δ per
-// tick (Definition 2) and Halo defaults to 4×δ, so consecutive owners of a
-// moving crowd keep receiving its views for several ticks after handing it
-// over — enough shared ticks for the snapshot merge to stitch their
-// fragments back together.
-func (g GridCell) ClusterShards(c geo.Point, mbr geo.Rect, n int, dst []int) []int {
-	dst = append(dst[:0], g.OwnerShard(c, n))
-	if g.Halo <= 0 || n <= 1 {
-		return dst
-	}
-	return g.appendHaloShards(dst, mbr, n)
-}
-
-// Replicates implements MultiShardPartitioner: only a positive halo
-// margin produces replicas.
+// Replicates implements ClusterRouter: only a positive halo margin
+// produces cluster views.
 func (g GridCell) Replicates() bool { return g.Halo > 0 }
 
 // Name implements Partitioner.

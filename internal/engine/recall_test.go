@@ -111,7 +111,7 @@ func TestShardedRecallParity(t *testing.T) {
 			}
 
 			cs := e.Counters().Snapshot()
-			if cs.ObjectsReplicated == 0 {
+			if cs.ClustersReplicated == 0 {
 				t.Error("halo replication never fired on the boundary-heavy scenario")
 			}
 			if cs.CrowdsDeduped == 0 {

@@ -8,8 +8,8 @@
 // scatter-gather read path reduces the per-node answers with the very same
 // dedup/absorb/stitch pass queries use across shards (merge.go) — the
 // cross-node copies are value-equal rather than pointer-identical (each
-// node clusters its own replicas), which is the element-wise regime the
-// merge already handles for the legacy fan-out.
+// node clusters its own replicas), which is what the merge's element-wise
+// paths are kept for.
 package engine
 
 import (

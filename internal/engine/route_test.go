@@ -112,7 +112,7 @@ func TestGridCellClusterShards(t *testing.T) {
 	}
 }
 
-// wildRouter is a replicating partitioner whose ShardSet/ClusterShards
+// wildRouter is a replicating partitioner whose OwnerShard/ClusterShards
 // return out-of-range values (negative and ≥ n) that the engine must fold
 // with normShard at every routing call site.
 type wildRouter struct{ GridCell }
@@ -209,9 +209,6 @@ func TestClusterOnceBuildsOnce(t *testing.T) {
 		}
 		if cs.ClustersReplicated == 0 {
 			t.Errorf("shards=%d: boundary clusters produced no view replicas", shards)
-		}
-		if cs.ObjectsReplicated == 0 {
-			t.Errorf("shards=%d: view replicas counted no member objects", shards)
 		}
 	}
 }

@@ -9,23 +9,15 @@ import (
 // EngineCounters are the live activity counters of the streaming engine:
 // how much work entered the ingest queue, how much has been applied to the
 // shards, and what the query side is reading back. All fields are atomic,
-// so the engine's workers and query handlers update them without locks;
+// so the engine's goroutines and query handlers update them without locks;
 // read a consistent-enough view with Snapshot.
 type EngineCounters struct {
 	// Ingest side.
 	BatchesEnqueued atomic.Uint64 // Append/TryAppend calls accepted
-	BatchesRejected atomic.Uint64 // TryAppend calls refused by a full queue
+	BatchesRejected atomic.Uint64 // TryAppend calls refused by a busy router
 	TasksApplied    atomic.Uint64 // per-shard sub-batches applied to a store
 	TicksIngested   atomic.Uint64 // ticks appended (counted once per batch)
 	ClustersBuilt   atomic.Uint64 // snapshot clusters produced while ingesting
-	// ObjectsReplicated counts halo replica deliveries at object
-	// granularity. Its unit depends on the ingest mode: under cluster-once
-	// routing it advances once per (object, extra shard, tick) — each
-	// replicated cluster view counts its members — while the legacy
-	// trajectory fan-out advances once per (object, extra shard) per
-	// batch, so values from the two modes differ by roughly the ticks per
-	// batch and are not comparable.
-	ObjectsReplicated atomic.Uint64
 	// ClustersReplicated counts cluster views delivered to shards beyond the
 	// owner by the cluster-once ingest pipeline. Unlike ClustersBuilt it
 	// scales with the replication factor; their ratio is the halo overhead.
@@ -43,10 +35,10 @@ type EngineCounters struct {
 	CrowdsStitched atomic.Uint64 // crowd fragments fused into cross-shard crowds by the snapshot merge
 
 	// Fault side. A panic while applying a sub-batch to a shard's store is
-	// recovered by the worker instead of taking the process down: the shard
-	// is quarantined — its store is no longer trusted, later sub-batches
-	// are discarded, snapshots skip it — until a checkpoint restore
-	// replaces it. Both counters advancing means data loss is bounded to
+	// recovered by the shard goroutine instead of taking the process down:
+	// the shard is quarantined — its store is no longer trusted, later
+	// sub-batches are discarded, snapshots skip it — until a checkpoint
+	// restore replaces it. Both counters advancing means data loss is bounded to
 	// the quarantined shards, never silent.
 	ApplyPanics       atomic.Uint64 // panics recovered in the shard-apply path
 	ShardsQuarantined atomic.Uint64 // shards retired by a recovered apply panic
@@ -59,7 +51,6 @@ type EngineCounterSnapshot struct {
 	TasksApplied       uint64
 	TicksIngested      uint64
 	ClustersBuilt      uint64
-	ObjectsReplicated  uint64
 	ClustersReplicated uint64
 	Queries            uint64
 	CrowdsReturned     uint64
@@ -80,7 +71,6 @@ func (c *EngineCounters) Snapshot() EngineCounterSnapshot {
 		TasksApplied:       c.TasksApplied.Load(),
 		TicksIngested:      c.TicksIngested.Load(),
 		ClustersBuilt:      c.ClustersBuilt.Load(),
-		ObjectsReplicated:  c.ObjectsReplicated.Load(),
 		ClustersReplicated: c.ClustersReplicated.Load(),
 		Queries:            c.Queries.Load(),
 		CrowdsReturned:     c.CrowdsReturned.Load(),
@@ -99,7 +89,6 @@ func (s EngineCounterSnapshot) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "shard tasks applied: %d\n", s.TasksApplied)
 	fmt.Fprintf(w, "ticks ingested:      %d\n", s.TicksIngested)
 	fmt.Fprintf(w, "clusters built:      %d\n", s.ClustersBuilt)
-	fmt.Fprintf(w, "objects replicated:  %d\n", s.ObjectsReplicated)
 	fmt.Fprintf(w, "clusters replicated: %d\n", s.ClustersReplicated)
 	fmt.Fprintf(w, "queries served:      %d\n", s.Queries)
 	fmt.Fprintf(w, "crowds returned:     %d\n", s.CrowdsReturned)
