@@ -96,7 +96,7 @@ func Open(eng *engine.Engine, opts Options) (*Manager, error) {
 
 	replayed := 0
 	if opts.WALPath != "" {
-		_, err := wal.Replay(opts.WALPath, func(seq uint64, db *trajectory.DB) error {
+		w, err := wal.Open(opts.WALPath, func(seq uint64, db *trajectory.DB) error {
 			switch {
 			case seq < m.next:
 				return nil // covered by the checkpoint
@@ -116,10 +116,6 @@ func Open(eng *engine.Engine, opts Options) (*Manager, error) {
 			return nil, err
 		}
 		eng.Flush()
-		w, err := wal.Create(opts.WALPath)
-		if err != nil {
-			return nil, err
-		}
 		w.SetSync(opts.Sync)
 		m.w = w
 	}

@@ -70,19 +70,7 @@ func (tr *Trajectory) LocationAt(t float64) (geo.Point, bool) {
 	if t < tr.Samples[0].Time || t > tr.Samples[n-1].Time {
 		return geo.Point{}, false
 	}
-	// Find the first sample with Time >= t. Open-coded binary search:
-	// this is the innermost call of snapshot interpolation, and the
-	// sort.Search closure would allocate on that hot path.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if tr.Samples[mid].Time < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	i := lo
+	i := searchTime(tr.Samples, t)
 	if i < n && tr.Samples[i].Time == t {
 		return tr.Samples[i].P, true
 	}
@@ -93,6 +81,48 @@ func (tr *Trajectory) LocationAt(t float64) (geo.Point, bool) {
 		return a.P, true
 	}
 	return a.P.Lerp(b.P, (t-a.Time)/span), true
+}
+
+// Window returns the samples that fix LocationAt(t) for every t in
+// [t0, t1]: the last sample at or before t0 (the first sample at t0 when
+// one lies exactly there), through the first sample at or after t1, both
+// clamped to the lifespan. It is a sub-slice of Samples, not a copy, and
+// nil when the lifespan misses the window. LocationAt on the result agrees
+// with LocationAt on the whole trajectory at every t in [t0, t1], ok flag
+// included, and the Window of a Window is the same slice. Like LocationAt
+// it presumes time-sorted samples.
+func (tr *Trajectory) Window(t0, t1 float64) []Sample {
+	ss := tr.Samples
+	n := len(ss)
+	if n == 0 || !(t0 <= t1) || ss[n-1].Time < t0 || ss[0].Time > t1 {
+		return nil
+	}
+	lo := searchTime(ss, t0)
+	if lo > 0 && lo < n && ss[lo].Time > t0 {
+		lo-- // t0 falls between samples: keep the one before it
+	}
+	hi := searchTime(ss, t1)
+	if hi == n {
+		hi = n - 1
+	}
+	return ss[lo : hi+1]
+}
+
+// searchTime returns the index of the first sample with Time >= t, or
+// len(ss). Open-coded binary search: it is the innermost call of
+// snapshot interpolation, and the sort.Search closure would allocate on
+// that hot path.
+func searchTime(ss []Sample, t float64) int {
+	lo, hi := 0, len(ss)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ss[mid].Time < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Simplify returns a copy of the trajectory keeping only the vertices

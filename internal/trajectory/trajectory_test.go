@@ -339,3 +339,78 @@ func TestInterpolationIsPiecewiseLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowPreservesLocationAt is the clip's contract, over random
+// irregularly sampled trajectories (duplicate timestamps, samples on the
+// window's ends, 0 and 1 samples) and windows that start, end, or lie
+// wholly inside or outside the lifespan: LocationAt on Window agrees with
+// LocationAt on the whole trajectory at every tick of the window, ok flag
+// included, and the Window of a Window is the same slice.
+func TestWindowPreservesLocationAt(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	gaps := []float64{0, 0.5, 1, 1.5, 3} // 0 duplicates a timestamp
+	for trial := 0; trial < 2000; trial++ {
+		tr := Trajectory{ID: 0}
+		tm := float64(r.Intn(10)) / 2
+		for k := r.Intn(9); k > 0; k-- {
+			tr.Samples = append(tr.Samples, s(tm, r.Float64()*100, r.Float64()*100))
+			tm += gaps[r.Intn(len(gaps))]
+		}
+		// Half-tick grid, so window ends often land exactly on samples;
+		// the range reaches past both ends of every lifespan.
+		d := TimeDomain{
+			Start: float64(r.Intn(40)-10) / 2,
+			Step:  float64(1+r.Intn(3)) / 2,
+			N:     r.Intn(7),
+		}
+		t0, t1 := d.Start, d.End()
+		w := tr.Window(t0, t1)
+		clip := Trajectory{ID: tr.ID, Samples: w}
+		for i := 0; i < d.N; i++ {
+			at := d.TimeOf(Tick(i))
+			wantP, wantOK := tr.LocationAt(at)
+			gotP, gotOK := clip.LocationAt(at)
+			if gotOK != wantOK || gotP != wantP {
+				t.Fatalf("trial %d: %v over window [%v, %v] at %v: clipped %v,%v, whole %v,%v (clip %v)",
+					trial, tr.Samples, t0, t1, at, gotP, gotOK, wantP, wantOK, w)
+			}
+		}
+		again := clip.Window(t0, t1)
+		if len(again) != len(w) || (len(w) > 0 && &again[0] != &w[0]) {
+			t.Fatalf("trial %d: Window of Window %v, want the same slice %v", trial, again, w)
+		}
+		start, end, ok := tr.Lifespan()
+		if misses := !ok || end < t0 || start > t1; misses != (w == nil) {
+			t.Fatalf("trial %d: lifespan [%v, %v] vs window [%v, %v]: got %v", trial, start, end, t0, t1, w)
+		}
+	}
+}
+
+func TestWindowBounds(t *testing.T) {
+	tr := traj(0, s(0, 0, 0), s(2, 2, 0), s(4, 4, 0), s(4, 5, 0), s(6, 6, 0), s(8, 8, 0))
+	cases := []struct {
+		t0, t1     float64
+		first, end int // want Samples[first:end]
+	}{
+		{2, 4, 1, 3},   // ends on samples: nothing outside
+		{3, 5, 1, 5},   // ends between samples: one neighbour each side
+		{4, 4, 2, 3},   // duplicate timestamp: the first one, as LocationAt
+		{-5, 1, 0, 2},  // starts before the lifespan
+		{7, 20, 4, 6},  // ends after it
+		{-1, 99, 0, 6}, // covers it
+	}
+	for _, c := range cases {
+		got := tr.Window(c.t0, c.t1)
+		if want := tr.Samples[c.first:c.end]; !reflect.DeepEqual(got, want) {
+			t.Errorf("Window(%v, %v) = %v, want %v", c.t0, c.t1, got, want)
+		}
+	}
+	for _, w := range [][2]float64{{-3, -1}, {9, 12}, {5, 1}} {
+		if got := tr.Window(w[0], w[1]); got != nil {
+			t.Errorf("Window(%v, %v) = %v, want nil", w[0], w[1], got)
+		}
+	}
+	if got := (&Trajectory{}).Window(0, 1); got != nil {
+		t.Errorf("empty trajectory Window = %v, want nil", got)
+	}
+}

@@ -12,12 +12,13 @@
 //	         | uint32 ntrajs | per trajectory:
 //	           uint64 id | uint32 nsamples | per sample: time, x, y float64 bits
 //
-// All integers are little-endian. The length/CRC frame makes a torn tail
-// — the half-written record of the write that crashed — detectable:
-// Replay stops at the first frame that does not check out and reports the
-// byte offset of the valid prefix, which Open truncates away. Records are
-// encoded into a buffer reused across appends, so steady-state logging
-// does not allocate (guarded by TestWriterAppendAllocs).
+// All integers are little-endian. A record carries only the samples its
+// batch's ticks interpolate from (see EncodePayload). The length/CRC frame
+// makes a torn tail — the half-written record of the write that crashed —
+// detectable: Open replays up to the first frame that does not check out
+// and truncates the file there. Records are encoded into a buffer reused
+// across appends, so steady-state logging does not allocate (guarded by
+// TestAppendAllocs).
 package wal
 
 import (
@@ -44,7 +45,7 @@ const (
 // drive a multi-gigabyte allocation during replay.
 const maxRecordSize = 1 << 30
 
-// ErrCorrupt is wrapped by Replay errors describing an unreadable log.
+// ErrCorrupt is wrapped by Open errors describing an unreadable log.
 var ErrCorrupt = errors.New("wal: corrupt")
 
 // SyncMode decides when the log is fsynced to stable storage — the
@@ -103,38 +104,45 @@ type Writer struct {
 	mode SyncMode
 }
 
-// Create opens path for appending, writing the file header when the file
-// is new or empty, and truncating a torn tail left by a crash (it replays
-// the frames to find the valid prefix). The writer syncs on every append
-// (SyncAppend); use SetSync to relax it.
-func Create(path string) (*Writer, error) {
-	valid, _, err := scan(path, nil)
-	if err != nil {
-		return nil, err
-	}
+// Open replays every intact record of the log at path, in order, through
+// fn (nil only validates them), truncates the torn or corrupt tail a crash
+// left behind, and returns a Writer positioned after the last intact
+// record. The file is read once. A missing or empty file is started
+// fresh. The tail ends the replay silently — those bytes never finished
+// being written, so they hold at most a batch the producer will
+// re-deliver — but a corrupt header, an unreadable file or an error from
+// fn fails the open and leaves the file as it was. The writer syncs on
+// every append (SyncAppend); use SetSync to relax it.
+func Open(path string, fn func(seq uint64, db *trajectory.DB) error) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	w := &Writer{f: f}
-	if valid == 0 {
-		// New or headerless file: start it fresh.
-		if err := w.reset(); err != nil {
-			f.Close()
-			return nil, err
+	var valid int64
+	data, err := io.ReadAll(f)
+	if err == nil {
+		valid, err = scan(path, data, fn)
+	}
+	switch {
+	case err != nil:
+	case valid == 0:
+		err = w.reset() // new or empty file: start it fresh
+	default:
+		if err = f.Truncate(valid); err == nil {
+			_, err = f.Seek(valid, io.SeekStart)
 		}
-		return w, nil
 	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	return w, nil
 }
+
+// Create is Open without a replay callback: it opens path for appending
+// after the log's intact records.
+func Create(path string) (*Writer, error) { return Open(path, nil) }
 
 // SetSync sets when the writer fsyncs (see SyncMode). Call it before the
 // first Append; it is not safe to change concurrently with writes.
@@ -145,18 +153,33 @@ func (w *Writer) Mode() SyncMode { return w.mode }
 
 // Append logs one admitted batch under its admission sequence number. The
 // record is written in a single Write call; Sync decides durability per
-// the writer's SyncMode.
+// the writer's SyncMode. A record larger than replay accepts is refused,
+// not written: replay would take it for a torn tail and drop it together
+// with every record after it.
 func (w *Writer) Append(seq uint64, db *trajectory.DB) error {
 	buf := w.buf[:0]
 	// Frame placeholder, patched below.
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
 	buf = EncodePayload(buf, seq, db)
-	w.buf = buf
 	payload := buf[frameSize:]
+	if err := checkRecordSize(len(payload)); err != nil {
+		w.buf = nil // do not keep an oversized buffer alive
+		return fmt.Errorf("wal: batch %d: %w", seq, err)
+	}
+	w.buf = buf
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 	_, err := w.f.Write(buf)
 	return err
+}
+
+// checkRecordSize refuses a payload length that scan would read as a
+// torn tail.
+func checkRecordSize(n int) error {
+	if n > maxRecordSize {
+		return fmt.Errorf("record of %d bytes exceeds the %d-byte limit", n, maxRecordSize)
+	}
+	return nil
 }
 
 // EncodePayload appends the wire encoding of one (sequence, batch) record
@@ -164,22 +187,41 @@ func (w *Writer) Append(seq uint64, db *trajectory.DB) error {
 // the batch domain, then each trajectory — and is shared with the cluster
 // forwarding data plane (internal/cluster/rpc), so a forwarded batch and a
 // logged batch are byte-identical and either side can decode the other.
+//
+// A record carries only the samples that fix the batch's positions: per
+// trajectory, Window over the batch's first to last tick. Trajectories with
+// no sample there are left out, and a batch with no ticks carries none.
+// Feed batches are views sharing whole trajectories (DB.Batches), so
+// without the clip a record would grow with the stream's age, not with
+// its window; the engine reads positions only at the batch's ticks, so a
+// decoded record yields the same snapshots as the batch it came from.
 func EncodePayload(buf []byte, seq uint64, db *trajectory.DB) []byte {
 	buf = putUint64(buf, seq)
 	buf = putFloat(buf, db.Domain.Start)
 	buf = putFloat(buf, db.Domain.Step)
 	buf = putUint32(buf, uint32(db.Domain.N))
-	buf = putUint32(buf, uint32(len(db.Trajs)))
-	for i := range db.Trajs {
-		tr := &db.Trajs[i]
-		buf = putUint64(buf, uint64(tr.ID))
-		buf = putUint32(buf, uint32(len(tr.Samples)))
-		for _, s := range tr.Samples {
-			buf = putFloat(buf, s.Time)
-			buf = putFloat(buf, s.P.X)
-			buf = putFloat(buf, s.P.Y)
+	at := len(buf)
+	buf = putUint32(buf, 0) // trajectory count, patched below
+	ntr := 0
+	if db.Domain.N > 0 {
+		t0, t1 := db.Domain.Start, db.Domain.End()
+		for i := range db.Trajs {
+			tr := &db.Trajs[i]
+			ss := tr.Window(t0, t1)
+			if len(ss) == 0 {
+				continue
+			}
+			ntr++
+			buf = putUint64(buf, uint64(tr.ID))
+			buf = putUint32(buf, uint32(len(ss)))
+			for _, s := range ss {
+				buf = putFloat(buf, s.Time)
+				buf = putFloat(buf, s.P.X)
+				buf = putFloat(buf, s.P.Y)
+			}
 		}
 	}
+	binary.LittleEndian.PutUint32(buf[at:], uint32(ntr))
 	return buf
 }
 
@@ -228,35 +270,19 @@ func (w *Writer) reset() error {
 // Close closes the underlying file (without an implicit Sync).
 func (w *Writer) Close() error { return w.f.Close() }
 
-// Replay reads every intact record of the log at path, in order, calling
-// fn for each. A missing file replays zero records. A torn or corrupt
-// tail ends the replay silently — those bytes never finished being
-// written, so they hold at most a batch the producer will re-deliver —
-// but a corrupt header or an unreadable file is an error. The returned
-// count is the number of records delivered to fn.
-func Replay(path string, fn func(seq uint64, db *trajectory.DB) error) (int, error) {
-	_, n, err := scan(path, fn)
-	return n, err
-}
-
-// scan walks the log, validating frames; fn (when non-nil) receives each
-// decoded record. It returns the byte offset of the valid prefix.
-func scan(path string, fn func(seq uint64, db *trajectory.DB) error) (valid int64, n int, err error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, err
-	}
+// scan walks the log contents data (read from path), validating frames
+// and decoding each payload; fn (when non-nil) receives each record. It
+// returns the byte offset of the valid prefix: the end of the last record
+// that decoded, or 0 for an empty log.
+func scan(path string, data []byte, fn func(seq uint64, db *trajectory.DB) error) (valid int64, err error) {
 	if len(data) == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	if len(data) < headerSize || string(data[:4]) != magic {
-		return 0, 0, fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
+		return 0, fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
-		return 0, 0, fmt.Errorf("%w: %s is log version %d, this build reads %d", ErrCorrupt, path, v, version)
+		return 0, fmt.Errorf("%w: %s is log version %d, this build reads %d", ErrCorrupt, path, v, version)
 	}
 	at := int64(headerSize)
 	rest := data[headerSize:]
@@ -269,20 +295,19 @@ func scan(path string, fn func(seq uint64, db *trajectory.DB) error) (valid int6
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
 			break // torn or corrupt tail
 		}
+		seq, db, derr := decode(payload)
+		if derr != nil {
+			break // frame intact but payload malformed: treat as tail
+		}
 		if fn != nil {
-			seq, db, derr := decode(payload)
-			if derr != nil {
-				break // frame intact but payload malformed: treat as tail
-			}
 			if err := fn(seq, db); err != nil {
-				return at, n, err
+				return at, err
 			}
 		}
-		n++
 		at += frameSize + int64(plen)
 		rest = rest[frameSize+int(plen):]
 	}
-	return at, n, nil
+	return at, nil
 }
 
 // decode unmarshals one record payload.
@@ -294,14 +319,14 @@ func decode(p []byte) (uint64, *trajectory.DB, error) {
 	db.Domain.Step = r.float()
 	db.Domain.N = int(r.uint32())
 	ntr := int(r.uint32())
-	if r.bad || ntr < 0 || ntr > len(p) {
+	if r.bad || ntr < 0 || ntr > len(r.p)/12 { // id + count per trajectory
 		return 0, nil, fmt.Errorf("%w: record shape", ErrCorrupt)
 	}
 	db.Trajs = make([]trajectory.Trajectory, 0, ntr)
 	for i := 0; i < ntr; i++ {
 		id := trajectory.ObjectID(r.uint64())
 		ns := int(r.uint32())
-		if r.bad || ns < 0 || ns > len(p) {
+		if r.bad || ns < 0 || ns > len(r.p)/24 { // time, x, y per sample
 			return 0, nil, fmt.Errorf("%w: record shape", ErrCorrupt)
 		}
 		samples := make([]trajectory.Sample, ns)

@@ -1,13 +1,16 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/dbscan"
 	"repro/internal/geo"
+	"repro/internal/snapshot"
 	"repro/internal/trajectory"
 )
 
@@ -38,18 +41,20 @@ type rec struct {
 	db  *trajectory.DB
 }
 
+// replayAll reopens the log at path, collecting every intact record, and
+// closes it again.
 func replayAll(t *testing.T, path string) []rec {
 	t.Helper()
 	var out []rec
-	n, err := Replay(path, func(seq uint64, db *trajectory.DB) error {
+	w, err := Open(path, func(seq uint64, db *trajectory.DB) error {
 		out = append(out, rec{seq, db})
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	if n != len(out) {
-		t.Fatalf("Replay reported %d records, delivered %d", n, len(out))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -121,6 +126,15 @@ func TestTornTailTruncated(t *testing.T) {
 	if len(got) != 2 || got[0].seq != 0 || got[1].seq != 1 {
 		t.Fatalf("torn log replayed %+v records, want intact prefix [0 1]", len(got))
 	}
+	intact := fi.Size() - int64(frameSize+len(EncodePayload(nil, 2, testDB(2, 4, 2))))
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != intact {
+		t.Fatalf("opening the torn log left %d bytes, want the %d-byte intact prefix",
+			after.Size(), intact)
+	}
 
 	// Reopening truncates the torn bytes and appends cleanly after them.
 	w, err = Create(path)
@@ -165,23 +179,30 @@ func TestResetEmptiesLog(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	n, err := Replay(filepath.Join(t.TempDir(), "nope"), func(uint64, *trajectory.DB) error {
+	w, err := Open(filepath.Join(t.TempDir(), "nope"), func(uint64, *trajectory.DB) error {
 		t.Fatal("callback fired for a missing log")
 		return nil
 	})
-	if err != nil || n != 0 {
-		t.Fatalf("missing log: n=%d err=%v, want 0, nil", n, err)
+	if err != nil {
+		t.Fatalf("missing log: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReplayBadHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	if err := os.WriteFile(path, []byte("XXXXXXXXXXXX"), 0o644); err != nil {
+	junk := []byte("XXXXXXXXXXXX")
+	if err := os.WriteFile(path, junk, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Replay(path, nil)
+	_, err := Open(path, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad header replay error = %v, want ErrCorrupt", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != string(junk) {
+		t.Fatalf("failed Open rewrote the file: %q", got)
 	}
 }
 
@@ -204,5 +225,96 @@ func TestAppendAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Append allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
+// TestRecordCarriesOnlyWindow: feed batches are views over trajectories
+// that extend far on both sides of their tick window. The record must
+// weigh what the window's own samples do (plus at most the two
+// interpolation neighbours per trajectory when the window's ends fall
+// between samples), and decode into a batch that snapshots identically.
+func TestRecordCarriesOnlyWindow(t *testing.T) {
+	const life = 1000
+	var trajs []trajectory.Trajectory
+	add := func(offset float64, from, to int) {
+		tr := trajectory.Trajectory{ID: trajectory.ObjectID(len(trajs))}
+		for k := from; k < to; k++ {
+			tm := float64(k) + offset
+			tr.Samples = append(tr.Samples, trajectory.Sample{
+				Time: tm, P: geo.Point{X: float64(k%7) * 3, Y: float64(len(trajs)) + tm/100},
+			})
+		}
+		trajs = append(trajs, tr)
+	}
+	for i := 0; i < 6; i++ {
+		add(0, 0, life) // sampled on every tick
+	}
+	for i := 0; i < 6; i++ {
+		add(0.5, 0, life) // sampled between ticks
+	}
+	add(0, 0, 400)      // ends before the window
+	add(0, 600, life)   // starts after it
+	add(0, 0, 502)      // ends inside it
+	add(0.5, 501, life) // starts inside it
+	full := &trajectory.DB{Trajs: trajs, Domain: trajectory.TimeDomain{Step: 1, N: life}}
+	batch := full.SliceTicks(500, 4) // ticks 500..503
+
+	rec := EncodePayload(nil, 9, batch)
+	t0, t1 := batch.Domain.Start, batch.Domain.End()
+	bound := 8 + 8 + 8 + 4 + 4 // seq, domain, trajectory count
+	for i := range batch.Trajs {
+		inside, between := 0, false
+		for _, s := range batch.Trajs[i].Samples {
+			if s.Time >= t0 && s.Time <= t1 {
+				inside++
+			}
+			between = between || s.Time != float64(int(s.Time))
+		}
+		if inside > 0 {
+			bound += 8 + 4 + 24*inside // id, count, samples
+			if between {
+				bound += 2 * 24
+			}
+		}
+	}
+	if len(rec) > bound {
+		t.Fatalf("record is %d bytes, window bound %d", len(rec), bound)
+	}
+	whole := 8 + 8 + 8 + 4 + 4
+	for i := range batch.Trajs {
+		whole += 8 + 4 + 24*len(batch.Trajs[i].Samples)
+	}
+	if len(rec)*100 > whole {
+		t.Fatalf("record is %d bytes, more than 1%% of the whole trajectories' %d", len(rec), whole)
+	}
+
+	seq, got, err := DecodePayload(rec)
+	if err != nil || seq != 9 {
+		t.Fatalf("DecodePayload: seq %d, err %v", seq, err)
+	}
+	opt := snapshot.Options{DBSCAN: dbscan.Params{Eps: 5, MinPts: 2}}
+	want, have := snapshot.Build(batch, opt), snapshot.Build(got, opt)
+	if want.NumClusters() == 0 {
+		t.Fatal("workload forms no clusters; the snapshot comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(have, want) {
+		t.Fatalf("decoded batch snapshots differently:\ngot  %v\nwant %v", have.Clusters, want.Clusters)
+	}
+	if again := EncodePayload(nil, 9, got); !bytes.Equal(again, rec) {
+		t.Fatal("re-encoding a decoded record changed it")
+	}
+	if n := len(got.Trajs); n != 14 {
+		t.Fatalf("record carries %d trajectories, want the 14 alive in the window", n)
+	}
+}
+
+// TestAppendRefusesOversizedRecord: a frame replay would read as a torn
+// tail must never be written, or it would hide every later record.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	if err := checkRecordSize(maxRecordSize); err != nil {
+		t.Fatalf("limit-sized record refused: %v", err)
+	}
+	if err := checkRecordSize(maxRecordSize + 1); err == nil {
+		t.Fatal("oversized record accepted")
 	}
 }
