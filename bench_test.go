@@ -330,35 +330,25 @@ func BenchmarkEngineIngestStoreBaseline(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineIngestShards1(b *testing.B) { benchEngineIngest(b, 1, engine.ObjectHash{}) }
-func BenchmarkEngineIngestShards2(b *testing.B) { benchEngineIngest(b, 2, engine.ObjectHash{}) }
-func BenchmarkEngineIngestShards4(b *testing.B) { benchEngineIngest(b, 4, engine.ObjectHash{}) }
-func BenchmarkEngineIngestShards8(b *testing.B) { benchEngineIngest(b, 8, engine.ObjectHash{}) }
-
 // The grid variants measure spatial sharding without replication (halo 0,
 // lossy at cell boundaries) against the recall-preserving halo runs, at
 // every shard count — the halo-on/halo-off gap is the price of parity.
 // BENCH_ingest.json records this matrix.
-func BenchmarkEngineIngestShards1Grid(b *testing.B) { benchEngineIngestGrid(b, 1, 0) }
-func BenchmarkEngineIngestShards2Grid(b *testing.B) { benchEngineIngestGrid(b, 2, 0) }
-func BenchmarkEngineIngestShards4Grid(b *testing.B) { benchEngineIngestGrid(b, 4, 0) }
-func BenchmarkEngineIngestShards8Grid(b *testing.B) { benchEngineIngestGrid(b, 8, 0) }
+func BenchmarkEngineIngestShards1Grid(b *testing.B) { benchEngineIngest(b, 1, 0) }
+func BenchmarkEngineIngestShards2Grid(b *testing.B) { benchEngineIngest(b, 2, 0) }
+func BenchmarkEngineIngestShards4Grid(b *testing.B) { benchEngineIngest(b, 4, 0) }
+func BenchmarkEngineIngestShards8Grid(b *testing.B) { benchEngineIngest(b, 8, 0) }
 
-func BenchmarkEngineIngestShards1GridHalo(b *testing.B) { benchEngineIngestGrid(b, 1, 1200) }
-func BenchmarkEngineIngestShards2GridHalo(b *testing.B) { benchEngineIngestGrid(b, 2, 1200) }
-func BenchmarkEngineIngestShards4GridHalo(b *testing.B) { benchEngineIngestGrid(b, 4, 1200) }
-func BenchmarkEngineIngestShards8GridHalo(b *testing.B) { benchEngineIngestGrid(b, 8, 1200) }
+func BenchmarkEngineIngestShards1GridHalo(b *testing.B) { benchEngineIngest(b, 1, 1200) }
+func BenchmarkEngineIngestShards2GridHalo(b *testing.B) { benchEngineIngest(b, 2, 1200) }
+func BenchmarkEngineIngestShards4GridHalo(b *testing.B) { benchEngineIngest(b, 4, 1200) }
+func BenchmarkEngineIngestShards8GridHalo(b *testing.B) { benchEngineIngest(b, 8, 1200) }
 
-func benchEngineIngestGrid(b *testing.B, shards int, halo float64) {
-	benchEngineIngest(b, shards, engine.GridCell{CellSize: 3000, Halo: halo})
-}
-
-// benchEngineIngest measures wall-clock ingest of the whole batch stream.
-// The object-hash variants give even shard load, so the measured speed-up
-// is the sharding/concurrency win, not placement luck. Replication volume
-// is reported as clusters/op (snapshot clusters built) and clrep/op
+// benchEngineIngest measures wall-clock ingest of the whole batch stream
+// through 3 km grid cells with the given halo. Replication volume is
+// reported as clusters/op (snapshot clusters built) and clrep/op
 // (cluster-view replica deliveries).
-func benchEngineIngest(b *testing.B, shards int, part engine.Partitioner) {
+func benchEngineIngest(b *testing.B, shards int, halo float64) {
 	batches := benchEngineBatches()
 	var clusters, clRep uint64
 	b.ResetTimer()
@@ -367,7 +357,7 @@ func benchEngineIngest(b *testing.B, shards int, part engine.Partitioner) {
 			Pipeline:    benchEnginePipeline(),
 			Shards:      shards,
 			Workers:     shards,
-			Partitioner: part,
+			Partitioner: engine.GridCell{CellSize: 3000, Halo: halo},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -399,7 +389,7 @@ func BenchmarkEngineQuerySnapshotHalo(b *testing.B) {
 	benchEngineQuery(b, engine.GridCell{CellSize: 3000, Halo: 1200})
 }
 
-func benchEngineQuery(b *testing.B, part engine.Partitioner) {
+func benchEngineQuery(b *testing.B, part engine.GridCell) {
 	batches := benchEngineBatches()
 	eng, err := engine.New(engine.Config{
 		Pipeline:    benchEnginePipeline(),

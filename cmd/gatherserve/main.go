@@ -6,7 +6,7 @@
 //
 //	gatherserve -in traj.csv [-ticks 288] [-step 1] [-batch 24] [-interval 0]
 //	            [-shards 0] [-workers 0] [-queue 0]
-//	            [-partition grid] [-cell 3000] [-halo 1200]
+//	            [-cell 3000] [-halo 1200]
 //	            [-eps 200] [-minpts 5] [-mc 15] [-kc 20] [-delta 300]
 //	            [-kp 15] [-mp 10] [-searcher grid]
 //	            [-watermark 8] [-checkpoint state.ckpt] [-wal state.wal]
@@ -19,14 +19,12 @@
 //
 // The CSV is replayed in batches of -batch ticks, one every -interval
 // (immediately when zero), through the engine's bounded ingest queue:
-// one routing goroutine splits each batch and every shard goroutine
+// one routing goroutine DBSCAN-clusters each batch once globally
+// (-workers ticks at a time) and routes its clusters to the shards by
+// -cell grid cell, sharing clusters within -halo of a cell edge as views
+// with the adjacent shards (see internal/engine); every shard goroutine
 // buffers up to -queue/-shards tasks, so a backlogged engine blocks the
-// feed rather than dropping batches. With the default grid partitioner
-// and a positive -halo, each batch is DBSCAN-clustered once globally
-// (-workers ticks at a time) and the shards receive routed cluster
-// views (see internal/engine), so recall-preserving sharding costs a few
-// tens of percent of ingest throughput rather than a re-clustering per
-// replica.
+// feed rather than dropping batches.
 //
 // Every batch passes the watermark admission stage (internal/engine/admit)
 // before the engine: out-of-order batches within -watermark are
@@ -118,12 +116,11 @@ func main() {
 		batch    = flag.Int("batch", 24, "ticks per ingest batch")
 		interval = flag.Duration("interval", 0, "delay between batches (0 = replay at full speed)")
 
-		shards    = flag.Int("shards", 0, "engine shards (0 = one per CPU)")
-		workers   = flag.Int("workers", 0, "per-tick parallelism of the global clustering build (0 = one per shard)")
-		queue     = flag.Int("queue", 0, "ingest queue depth in shard tasks, split evenly across the shards (0 = 4×shards)")
-		partition = flag.String("partition", "grid", "shard routing: grid (spatial cell) or hash (object ID)")
-		cell      = flag.Float64("cell", 0, "grid partition cell size in metres (0 = 10×delta)")
-		halo      = flag.Float64("halo", -1, "grid partition halo margin in metres: each batch is clustered once globally and boundary clusters are shared as views with adjacent shards, with duplicates merged at query time (-1 = 4×delta, 0 = no replication)")
+		shards  = flag.Int("shards", 0, "engine shards (0 = one per CPU)")
+		workers = flag.Int("workers", 0, "per-tick parallelism of the global clustering build (0 = one per shard)")
+		queue   = flag.Int("queue", 0, "ingest queue depth in shard tasks, split evenly across the shards (0 = 4×shards)")
+		cell    = flag.Float64("cell", 0, "grid partition cell size in metres (0 = 10×delta)")
+		halo    = flag.Float64("halo", -1, "grid partition halo margin in metres: boundary clusters are shared as views with adjacent shards, with duplicates merged at query time (-1 = 4×delta, 0 = no replication)")
 
 		eps      = flag.Float64("eps", 200, "DBSCAN epsilon (metres)")
 		minpts   = flag.Int("minpts", 5, "DBSCAN density threshold m")
@@ -228,14 +225,7 @@ func main() {
 	case haloSize < 0:
 		fatal(fmt.Errorf("-halo must be ≥ 0 (or -1 for the 4×delta default), got %v", haloSize))
 	}
-	switch *partition {
-	case "grid":
-		cfg.Partitioner = gatherings.GridCellPartitioner{CellSize: cellSize, Halo: haloSize}
-	case "hash":
-		cfg.Partitioner = gatherings.ObjectHashPartitioner{}
-	default:
-		fatal(fmt.Errorf("unknown partition scheme %q", *partition))
-	}
+	cfg.Partitioner = gatherings.GridCellPartitioner{CellSize: cellSize, Halo: haloSize}
 
 	eng, err := gatherings.NewEngine(cfg)
 	if err != nil {
@@ -456,7 +446,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 
-	log.Printf("serving on %s (%d shards, %q partitioner)", *addr, cfg.Shards, *partition)
+	log.Printf("serving on %s (%d shards, %g m grid cells, %g m halo)", *addr, cfg.Shards, cellSize, haloSize)
 	select {
 	case err := <-serveErr:
 		fatal(err)

@@ -16,7 +16,7 @@ type (
 	// Engine is the concurrent streaming-discovery service.
 	Engine = engine.Engine
 	// EngineConfig configures sharding, the global build's parallelism,
-	// the bounded ingest queue and the partitioner.
+	// the bounded ingest queue and the grid-cell partitioner.
 	EngineConfig = engine.Config
 	// EngineQuery selects crowds and gatherings from an engine snapshot;
 	// the zero value matches everything.
@@ -26,17 +26,12 @@ type (
 	// TickWindow is an inclusive tick interval for EngineQuery.
 	TickWindow = engine.TickWindow
 
-	// Partitioner routes trajectories to engine shards.
-	Partitioner = engine.Partitioner
-	// ObjectHashPartitioner shards uniformly by object ID (tenant-style
-	// isolation; spatial density splits across shards).
-	ObjectHashPartitioner = engine.ObjectHash
 	// GridCellPartitioner shards by spatial cell, so co-located objects —
-	// the stuff of crowds — share a shard. With a positive Halo the engine
-	// clusters each batch once globally and routes per-tick cluster views:
-	// a cluster lives on the shard owning its centroid's cell and shards
-	// owning cells within Halo receive views of it, so groups straddling a
-	// cell boundary are discovered whole and deduplicated at query time.
+	// the stuff of crowds — share a shard. The engine clusters each batch
+	// once globally and routes per-tick cluster views: a cluster lives on
+	// the shard owning its centroid's cell and shards owning cells within
+	// Halo receive views of it, so groups straddling a cell boundary are
+	// discovered whole and deduplicated at query time.
 	GridCellPartitioner = engine.GridCell
 )
 

@@ -193,9 +193,9 @@ func (m *Map) OwnerIndex(p geo.Point) int {
 
 // homeNode routes one trajectory to its owning node: the cell of its
 // position at the batch start, falling back to the first sample and then
-// to an ID hash for trajectories with no usable position (mirroring
-// engine.GridCell.Shard, so the two layers route degenerate inputs the
-// same way).
+// to an ID hash for trajectories with no usable position. The engine
+// routes clusters, not trajectories, so this rule has no in-process
+// counterpart; only the cell hash is shared with engine.GridCell.
 func (m *Map) homeNode(tr *trajectory.Trajectory, domain trajectory.TimeDomain) int {
 	p, ok := tr.LocationAt(domain.Start)
 	if !ok {

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -103,7 +104,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-func testCrowdSet(t *testing.T) CrowdSet {
+func testCrowdSet(t testing.TB) CrowdSet {
 	t.Helper()
 	mk := func(tick trajectory.Tick, objs ...trajectory.ObjectID) *snapshot.Cluster {
 		pts := make([]geo.Point, len(objs))
@@ -328,4 +329,80 @@ func TestPeerGetFailsFastWhenOpen(t *testing.T) {
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Fatalf("open-breaker Get took %v, want immediate", d)
 	}
+}
+
+// corruptCrowdSet encodes testCrowdSet after applying corrupt to its wire
+// form, for tests that feed DecodeCrowdSet malformed peer answers.
+func corruptCrowdSet(t *testing.T, corrupt func(*wireCrowdSet)) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeCrowdSet(&buf, testCrowdSet(t)); err != nil {
+		t.Fatal(err)
+	}
+	var dto wireCrowdSet
+	if err := gob.NewDecoder(&buf).Decode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(&dto)
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// TestDecodeCrowdSetRejectsRaggedCluster: a peer answer whose cluster has
+// more objects than points must be an error, not a panic — the decoder
+// runs in the coordinator's per-peer goroutine, where a panic would kill
+// the process.
+func TestDecodeCrowdSetRejectsRaggedCluster(t *testing.T) {
+	buf := corruptCrowdSet(t, func(d *wireCrowdSet) {
+		d.Clusters[0].Objects = []trajectory.ObjectID{2, 1}
+		d.Clusters[0].Points = d.Clusters[0].Points[:1]
+	})
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("DecodeCrowdSet panicked: %v", r)
+		}
+	}()
+	if _, err := DecodeCrowdSet(buf); err == nil || !strings.Contains(err.Error(), "objects but") {
+		t.Fatalf("DecodeCrowdSet error %v, want a ragged-cluster error", err)
+	}
+}
+
+// FuzzDecodeCrowdSet asserts that the scatter-gather answer decoder never
+// panics on arbitrary bytes, and that any set it accepts re-encodes and
+// decodes to the same crowds and gatherings.
+func FuzzDecodeCrowdSet(f *testing.F) {
+	for _, set := range []CrowdSet{testCrowdSet(f), {Ticks: 7}} {
+		var buf bytes.Buffer
+		if err := EncodeCrowdSet(&buf, set); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		set, err := DecodeCrowdSet(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeCrowdSet(&buf, set); err != nil {
+			t.Fatalf("accepted set does not encode: %v", err)
+		}
+		again, err := DecodeCrowdSet(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded set does not decode: %v", err)
+		}
+		if again.Ticks != set.Ticks || len(again.Entries) != len(set.Entries) {
+			t.Fatalf("round trip changed the set: %d ticks/%d entries, want %d/%d",
+				again.Ticks, len(again.Entries), set.Ticks, len(set.Entries))
+		}
+		for i, en := range again.Entries {
+			if en.Crowd.Start != set.Entries[i].Crowd.Start || en.Crowd.Lifetime() != set.Entries[i].Crowd.Lifetime() ||
+				len(en.Gatherings) != len(set.Entries[i].Gatherings) {
+				t.Fatalf("round trip changed entry %d", i)
+			}
+		}
+	})
 }

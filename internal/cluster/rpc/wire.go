@@ -103,6 +103,9 @@ func DecodeCrowdSet(r io.Reader) (CrowdSet, error) {
 	}
 	clusters := make([]*snapshot.Cluster, len(dto.Clusters))
 	for i, c := range dto.Clusters {
+		if len(c.Objects) != len(c.Points) {
+			return CrowdSet{}, fmt.Errorf("rpc: cluster %d has %d objects but %d points", i, len(c.Objects), len(c.Points))
+		}
 		clusters[i] = snapshot.NewCluster(c.T, c.Objects, c.Points)
 	}
 	set := CrowdSet{Ticks: dto.Ticks}

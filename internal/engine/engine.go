@@ -4,45 +4,35 @@
 //
 // An Engine owns N incremental.Store shards, each driven by one goroutine
 // that drains its own buffered task channel. Append hands a batch to a
-// single routing goroutine over an unbuffered channel; the router splits
+// single routing goroutine over an unbuffered channel; the router turns
 // it into one task per shard and sends each to its shard's channel, so
 // channel FIFO order is the apply order Theorem 2 needs. A full shard
 // channel stalls the router, which stalls Append (backpressure);
-// TryAppend refuses instead. How a batch is split depends on the
-// Partitioner's routing mode:
+// TryAppend refuses instead.
 //
-//   - Cluster-once ingest (a ClusterRouter that Replicates — GridCell
-//     with a positive Halo, what DefaultEngineConfig and the gatherserve
-//     -halo default install). The router DBSCAN-clusters the batch
-//     exactly once, globally, with per-tick parallelism of
-//     Config.Workers — the same clusters a single store would build.
-//     Each snapshot cluster is then routed to the shard owning its
-//     centroid's cell, and every shard owning a cell within Halo of the
-//     cluster receives a view of the same *snapshot.Cluster. Shard
-//     goroutines only apply the pre-clustered per-shard CDBs under their
-//     write locks, so clustering cost does not scale with the
-//     replication factor (ClustersBuilt counts each cluster once;
-//     ClustersReplicated tracks the views). Crowds discovered
-//     redundantly along cell borders have pointer-identical clusters by
-//     construction, and the snapshot-time merge (merge.go) collapses
-//     duplicates, absorbs tick-cropped views and stitches fragments of
-//     moving crowds back together, so multi-shard recall matches a
-//     single incremental store.
+// Every batch is clustered exactly once (§III phase 1): the router
+// DBSCAN-clusters it globally, with per-tick parallelism of
+// Config.Workers — the same clusters a single store would build. With
+// one shard that cluster database goes to shard 0 whole. With more, each
+// snapshot cluster is routed by the GridCell partitioner to the shard
+// owning its centroid's cell, and every shard owning a cell within Halo
+// of the cluster receives a view of the same *snapshot.Cluster. Shard
+// goroutines only apply the per-shard cluster databases under their
+// write locks, so clustering cost does not scale with the replication
+// factor (ClustersBuilt counts each cluster once; ClustersReplicated
+// tracks the views). Crowds discovered redundantly along cell borders
+// have pointer-identical clusters by construction, and the snapshot-time
+// merge (merge.go) collapses duplicates, absorbs tick-cropped views and
+// stitches fragments of moving crowds back together, so multi-shard
+// recall matches a single incremental store.
 //
-//   - Single-shard routing (ObjectHash, or a zero-Halo GridCell). Each
-//     trajectory lands on exactly one shard, each shard goroutine
-//     clusters its own sub-batch, and no merge runs: the shards are
-//     independent discovery domains. Groups the partitioner scatters are
-//     lost; choose this mode for tenant isolation or raw throughput, not
-//     for recall-sensitive discovery.
-//
-// However a batch reaches a shard, the shard's incremental store extends
-// persistent state rather than rebuilding it: crowds are prefix-sharing
-// persistent structures (O(1) extension per cluster), each live tail
-// crowd's gathering detector grows by exactly the batch's ticks, and the
-// discovery sweep, DBSCAN and grid-index scratch are pooled — so steady-
-// state per-batch cost is proportional to the batch, not the stream age
-// (§III-C, Theorem 2; BenchmarkIncrementalAppend pins this flat).
+// Each shard's incremental store extends persistent state rather than
+// rebuilding it: crowds are prefix-sharing persistent structures (O(1)
+// extension per cluster), each live tail crowd's gathering detector grows
+// by exactly the batch's ticks, and the discovery sweep, DBSCAN and
+// grid-index scratch are pooled — so steady-state per-batch cost is
+// proportional to the batch, not the stream age (§III-C, Theorem 2;
+// BenchmarkIncrementalAppend pins this flat).
 //
 // Queries read the current closed crowds and gatherings under per-shard
 // read locks: each shard's answer is internally consistent; across shards
@@ -89,8 +79,9 @@ type Config struct {
 	// one task.
 	QueueDepth int
 
-	// Partitioner routes trajectories to shards. Nil means ObjectHash.
-	Partitioner Partitioner
+	// Partitioner routes each batch's snapshot clusters to shards by
+	// spatial cell. A zero CellSize means 10 × Pipeline.Delta.
+	Partitioner GridCell
 
 	// ApplyFault, when non-nil, is called before every shard apply, under
 	// the shard's write lock, with the shard index and the shard's apply
@@ -112,8 +103,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 4 * c.Shards
 	}
-	if c.Partitioner == nil {
-		c.Partitioner = ObjectHash{}
+	if c.Partitioner.CellSize == 0 {
+		c.Partitioner.CellSize = 10 * c.Pipeline.Delta
 	}
 	return c
 }
@@ -134,12 +125,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: QueueDepth %d cannot hold one batch of %d shard tasks",
 			c.QueueDepth, c.Shards)
 	}
-	if v, ok := c.Partitioner.(interface{ Validate() error }); ok {
-		if err := v.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Partitioner.Validate()
 }
 
 // Errors returned by the ingest side.
@@ -153,11 +139,10 @@ var (
 
 // task is one unit on the engine's channels. On the router's input it
 // carries a whole batch; on a shard's channel it carries that shard's
-// slice of one — a trajectory sub-batch the shard goroutine still has to
-// cluster (single-shard routing) or a pre-clustered per-shard CDB from the
-// cluster-once pipeline, which it only applies. A task with a barrier is
-// a Flush: the router forwards it to every shard, and each shard
-// goroutine marks it done once every earlier task of its own is applied.
+// per-shard CDB, which the shard goroutine only applies. A task with a
+// barrier is a Flush: the router forwards it to every shard, and each
+// shard goroutine marks it done once every earlier task of its own is
+// applied.
 type task struct {
 	batch   *trajectory.DB
 	cdb     *snapshot.CDB
@@ -174,13 +159,13 @@ type shard struct {
 	//gather:guardedby shard
 	store *incremental.Store
 	// quarantined marks a shard whose apply panicked: its store is no
-	// longer trusted, later sub-batches are discarded (its tick frontier
+	// longer trusted, later shard tasks are discarded (its tick frontier
 	// still advances), and snapshots skip it. A checkpoint restore
 	// replaces the store and clears the flag.
 	//gather:guardedby shard
 	quarantined bool
 	// appliedTicks mirrors store.Ticks() on the healthy path and keeps
-	// counting discarded sub-batches after quarantine, so the engine's
+	// counting discarded shard tasks after quarantine, so the engine's
 	// tick frontier never stalls on a poisoned shard.
 	//gather:guardedby shard
 	appliedTicks int
@@ -212,17 +197,11 @@ type Engine struct {
 	// gatherParams re-detects gatherings on crowds stitched from
 	// cross-shard fragments at Snapshot time.
 	gatherParams gathering.Params
-	// clusterRoute is set when the partitioner is a ClusterRouter that
-	// replicates and there is more than one shard: batches are then
-	// clustered once globally, the shards receive per-tick cluster views,
-	// and Snapshot merges their answers. Nil means single-shard routing,
-	// which skips the merge entirely.
-	clusterRoute ClusterRouter
 
-	// mergeMu guards the memoized cross-shard merge: the merged, sorted
-	// crowd list is recomputed only when a sub-batch has been applied
-	// since it was built (mergeVer tracks TasksApplied), so steady-state
-	// queries pay a filter over the cached list, not the O(k²) merge.
+	// mergeMu guards the memoized snapshot state: the merged, sorted crowd
+	// list is recomputed only when a shard task has been applied since it
+	// was built (mergeVer tracks TasksApplied), so steady-state queries
+	// pay a filter over the cached list, not the O(k²) merge.
 	//gather:lock merge
 	mergeMu sync.Mutex
 	//gather:guardedby merge
@@ -250,9 +229,6 @@ func New(cfg Config) (*Engine, error) {
 		in:     make(chan task),
 		done:   make(chan struct{}),
 	}
-	if r, ok := cfg.Partitioner.(ClusterRouter); ok && r.Replicates() && cfg.Shards > 1 {
-		e.clusterRoute = r
-	}
 	cp := crowd.Params{MC: cfg.Pipeline.MC, KC: cfg.Pipeline.KC, Delta: cfg.Pipeline.Delta}
 	gp := gathering.Params{KC: cfg.Pipeline.KC, KP: cfg.Pipeline.KP, MP: cfg.Pipeline.MP}
 	e.gatherParams = gp
@@ -279,8 +255,8 @@ func New(cfg Config) (*Engine, error) {
 // batch covers the next batch.Domain.N ticks of every shard's domain;
 // concurrent Append calls are taken one at a time, in the order the
 // router receives them. The engine keeps reading the batch after Append
-// returns (it is routed and applied asynchronously; with one shard it is
-// applied without copying), so callers must not mutate it.
+// returns (it is clustered and applied asynchronously), so callers must
+// not mutate it.
 //
 //gather:blocking
 func (e *Engine) Append(batch *trajectory.DB) error { return e.submit(batch, true) }
@@ -346,28 +322,20 @@ func (e *Engine) routeLoop() {
 	}
 }
 
-// route splits one task into its shard tasks and sends them in shard
-// order. A barrier, and the whole batch when there is one shard, go
-// through unchanged — one-shard ingest costs the single-store pipeline
-// plus the channel hops. The sends block while a shard's channel is full.
+// route turns one task into its shard tasks and sends them in shard
+// order: a barrier goes to every shard unchanged, a batch as the
+// per-shard CDBs of routeClusters. The sends block while a shard's
+// channel is full.
 //
 //gather:blocking
 func (e *Engine) route(t task) {
 	var cdbs []*snapshot.CDB
-	var subs []*trajectory.DB
-	switch {
-	case t.barrier != nil || len(e.shards) == 1:
-	case e.clusterRoute != nil:
+	if t.barrier == nil {
 		cdbs = e.routeClusters(t.batch)
-	default:
-		subs = e.split(t.batch)
 	}
 	for i, sh := range e.shards {
-		switch {
-		case cdbs != nil:
+		if cdbs != nil {
 			t = task{cdb: cdbs[i]}
-		case subs != nil:
-			t = task{batch: subs[i]}
 		}
 		sh.tasks <- t
 	}
@@ -384,48 +352,29 @@ func (e *Engine) shardLoop(i int, sh *shard) {
 			t.barrier.Done()
 			continue
 		}
-		e.apply(i, sh, seq, t)
+		e.apply(i, sh, seq, t.cdb)
 		seq++
 	}
 }
 
-// split partitions the batch's trajectories into one sub-batch per shard
-// (single-shard routing). Every shard gets a sub-batch — possibly with no
-// trajectories — because each store must still advance its time domain
-// by the batch's ticks. Sub-batches are pre-sized so steady-state
-// splitting rarely grows an append.
-func (e *Engine) split(batch *trajectory.DB) []*trajectory.DB {
-	n := len(e.shards)
-	subs := make([]*trajectory.DB, n)
-	per := len(batch.Trajs)/n + 1
-	for i := range subs {
-		subs[i] = &trajectory.DB{
-			Domain: batch.Domain,
-			Trajs:  make([]trajectory.Trajectory, 0, per),
-		}
-	}
-	for i := range batch.Trajs {
-		tr := &batch.Trajs[i]
-		s := normShard(e.cfg.Partitioner.Shard(tr, batch.Domain, n), n)
-		subs[s].Trajs = append(subs[s].Trajs, *tr)
-	}
-	return subs
-}
-
 // routeClusters is the cluster-once ingest stage: one global DBSCAN pass
 // over the batch (per-tick parallelism of Config.Workers, exactly the
-// clusters a single store would build), then a cluster-granularity
-// fan-out — each cluster goes to the shard owning its centroid, and
-// halo-adjacent shards receive a view of the same *snapshot.Cluster.
-// Duplicate crowd discoveries therefore have identical per-tick membership
-// by construction and the snapshot merge collapses them with
-// pointer-equality fast paths. ClustersBuilt counts the global pass once
-// per batch; ClustersReplicated counts the extra view deliveries.
+// clusters a single store would build), handed whole to a single shard
+// or, with more, fanned out at cluster granularity — each cluster goes to
+// the shard owning its centroid, and halo-adjacent shards receive a view
+// of the same *snapshot.Cluster. Duplicate crowd discoveries therefore
+// have identical per-tick membership by construction and the snapshot
+// merge collapses them with pointer-equality fast paths. ClustersBuilt
+// counts the global pass once per batch; ClustersReplicated counts the
+// extra view deliveries.
 func (e *Engine) routeClusters(batch *trajectory.DB) []*snapshot.CDB {
 	cdb := snapshot.Build(batch, e.cfg.Pipeline.SnapshotOptions(e.cfg.Workers))
 	e.counters.ClustersBuilt.Add(uint64(cdb.NumClusters()))
 
 	n := len(e.shards)
+	if n == 1 {
+		return []*snapshot.CDB{cdb}
+	}
 	out := make([]*snapshot.CDB, n)
 	for s := range out {
 		out[s] = &snapshot.CDB{
@@ -437,38 +386,19 @@ func (e *Engine) routeClusters(batch *trajectory.DB) []*snapshot.CDB {
 	replicated := 0
 	for t, cls := range cdb.Clusters {
 		for _, cl := range cls {
-			targets = e.clusterRoute.ClusterShards(centroid(cl), cl.MBR(), n, targets[:0])
-			delivered := 0
+			targets = e.cfg.Partitioner.ClusterShards(centroid(cl), cl.MBR(), n, targets)
 			for _, s := range targets {
-				s = normShard(s, n)
-				// Out-of-range ClusterShards values may fold onto a shard
-				// already holding this cluster; it would be that shard's
-				// last append, so one look suffices to dedupe.
-				if prev := out[s].Clusters[t]; len(prev) > 0 && prev[len(prev)-1] == cl {
-					continue
-				}
 				out[s].Clusters[t] = append(out[s].Clusters[t], cl)
-				delivered++
 			}
-			if delivered > 1 {
-				replicated += delivered - 1
-			}
+			replicated += len(targets) - 1
 		}
 	}
 	e.counters.ClustersReplicated.Add(uint64(replicated))
 	return out
 }
 
-// apply brings one shard task to its store. A task from the cluster-once
-// pipeline already carries its per-shard CDB; a raw sub-batch is
-// clustered here (outside any lock) first.
-func (e *Engine) apply(i int, sh *shard, seq uint64, t task) {
-	cdb := t.cdb
-	if cdb == nil {
-		cdb = core.BuildCDB(t.batch, e.cfg.Pipeline)
-		e.counters.ClustersBuilt.Add(uint64(cdb.NumClusters()))
-	}
-
+// apply brings one shard task's CDB to the shard's store.
+func (e *Engine) apply(i int, sh *shard, seq uint64, cdb *snapshot.CDB) {
 	sh.mu.Lock()
 	if !sh.quarantined {
 		e.applyStore(sh, i, seq, cdb)
@@ -484,10 +414,10 @@ func (e *Engine) apply(i int, sh *shard, seq uint64, t task) {
 	e.unapplied.Add(-1)
 }
 
-// applyStore feeds one sub-batch to the shard's store, converting a panic
-// — an injected fault or real corruption — into quarantine: the store may
-// be half-mutated, so it is retired rather than trusted. Called with the
-// shard's write lock held.
+// applyStore feeds one shard task's CDB to the shard's store, converting
+// a panic — an injected fault or real corruption — into quarantine: the
+// store may be half-mutated, so it is retired rather than trusted. Called
+// with the shard's write lock held.
 func (e *Engine) applyStore(sh *shard, shardIdx int, seq uint64, cdb *snapshot.CDB) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -649,74 +579,25 @@ func (r *Result) AllGatherings() []*gathering.Gathering {
 // Snapshot answers a query against the current state. Each shard is read
 // under its read lock, so the answer is consistent per shard; shards are
 // visited in order and may sit at different ingest frontiers while
-// batches are in flight (Flush first for a global barrier). Under
-// cluster-once routing the per-shard answers are merged first: duplicate
+// batches are in flight (Flush first for a global barrier). With more
+// than one shard the per-shard answers are merged first: duplicate
 // discoveries of one boundary crowd collapse onto its canonical owner and
-// cross-shard fragments are stitched whole (see merge.go). The surviving crowds are sorted deterministically and
-// only then truncated to Query.Limit. The returned crowds are shallow
-// copies detached from the ingest path; clusters and gatherings are
-// immutable and shared.
+// cross-shard fragments are stitched whole (see merge.go). The merge must
+// see every crowd — a filtered-out canonical copy must still absorb its
+// surviving duplicates — so the filters apply to the memoized, sorted
+// crowd list, and only then is it truncated to Query.Limit. The returned
+// crowds are shallow copies detached from the ingest path; clusters and
+// gatherings are immutable and shared.
 func (e *Engine) Snapshot(q Query) *Result {
-	var matched []shardCrowd
-	var minTicks int
-	if e.clusterRoute != nil {
-		// Cluster-once routing: filter the memoized merged state. The
-		// merge must see every crowd — a filtered-out canonical copy must
-		// still absorb its surviving duplicates — so filters apply to its
-		// already-sorted output.
-		entries, ticks := e.mergedState()
-		minTicks = ticks
-		for _, en := range entries {
-			if q.GatheringsOnly && len(en.gathers) == 0 {
-				continue
-			}
-			if !q.matches(en.crowd) {
-				continue
-			}
-			matched = append(matched, en)
+	entries, ticks := e.mergedState()
+	res := &Result{Ticks: ticks}
+	for _, en := range entries {
+		if q.Limit > 0 && len(res.Crowds) == q.Limit {
+			break
 		}
-	} else {
-		// Single-shard routing: no duplicates can exist, so matches are
-		// collected directly under the read locks — the store's cached
-		// crowds are detached handles, immutable across later applies.
-		minTicks = -1
-		for si, sh := range e.shards {
-			sh.mu.RLock()
-			if sh.quarantined {
-				// A poisoned store's answers are not trusted; its frontier
-				// keeps advancing via appliedTicks, so it is skipped whole.
-				sh.mu.RUnlock()
-				continue
-			}
-			if t := sh.store.Ticks(); minTicks < 0 || t < minTicks {
-				minTicks = t
-			}
-			crowds := sh.store.Crowds()
-			gathers := sh.store.Gatherings()
-			for i, cr := range crowds {
-				if q.GatheringsOnly && len(gathers[i]) == 0 {
-					continue
-				}
-				if !q.matches(cr) {
-					continue
-				}
-				matched = append(matched, shardCrowd{shard: si, crowd: cr, gathers: gathers[i]})
-			}
-			sh.mu.RUnlock()
+		if q.GatheringsOnly && len(en.gathers) == 0 || !q.matches(en.crowd) {
+			continue
 		}
-		if minTicks < 0 {
-			minTicks = 0
-		}
-		sort.Slice(matched, func(i, j int) bool {
-			return compareCrowds(matched[i].crowd, matched[j].crowd) < 0
-		})
-	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
-	}
-
-	res := &Result{Ticks: minTicks}
-	for _, en := range matched {
 		res.Crowds = append(res.Crowds, en.crowd)
 		res.Gatherings = append(res.Gatherings, en.gathers)
 	}
@@ -725,10 +606,13 @@ func (e *Engine) Snapshot(q Query) *Result {
 }
 
 // mergedState returns the deduplicated, stitched, sorted cross-shard crowd
-// list and its tick frontier, memoized until the next sub-batch apply. The
-// CrowdsDeduped/CrowdsStitched counters therefore advance once per state
-// change, tracking replication activity rather than query rate. Returned
-// entries are immutable and shared between queries.
+// list and its tick frontier, memoized until the next shard task apply.
+// Quarantined shards are skipped whole: a poisoned store's answers are not
+// trusted, and its frontier keeps advancing via appliedTicks. The merge
+// runs only with more than one shard, and CrowdsDeduped/CrowdsStitched
+// advance once per state change, tracking replication activity rather
+// than query rate. Returned entries are immutable and shared between
+// queries.
 func (e *Engine) mergedState() ([]shardCrowd, int) {
 	// Read the apply version before collecting: if an apply lands during
 	// the computation the version check below fails and the result is
@@ -764,12 +648,14 @@ func (e *Engine) mergedState() ([]shardCrowd, int) {
 		minTicks = 0
 	}
 
-	n := len(e.shards)
-	entries, st := mergeShards(entries, func(p geo.Point) int {
-		return normShard(e.clusterRoute.OwnerShard(p, n), n)
-	}, e.gatherParams)
-	e.counters.CrowdsDeduped.Add(uint64(st.deduped))
-	e.counters.CrowdsStitched.Add(uint64(st.stitched))
+	if n := len(e.shards); n > 1 {
+		var st mergeStats
+		entries, st = mergeShards(entries, func(p geo.Point) int {
+			return e.cfg.Partitioner.OwnerShard(p, n)
+		}, e.gatherParams)
+		e.counters.CrowdsDeduped.Add(uint64(st.deduped))
+		e.counters.CrowdsStitched.Add(uint64(st.stitched))
+	}
 	sort.Slice(entries, func(i, j int) bool {
 		return compareCrowds(entries[i].crowd, entries[j].crowd) < 0
 	})

@@ -99,47 +99,6 @@ func TestSingleShardMatchesStore(t *testing.T) {
 	}
 }
 
-// TestShardRoutingDeterminism checks that both partitioners are pure:
-// repeated calls agree, and GridCell keeps co-located objects together.
-func TestShardRoutingDeterminism(t *testing.T) {
-	db := parkedDB([]geo.Point{{X: 1000, Y: 1000}, {X: 50000, Y: 50000}}, 10, 4)
-	dom := db.Domain
-	for _, p := range []Partitioner{ObjectHash{}, GridCell{CellSize: 5000}} {
-		seen := make(map[trajectory.ObjectID]int)
-		for round := 0; round < 3; round++ {
-			for i := range db.Trajs {
-				tr := &db.Trajs[i]
-				s := p.Shard(tr, dom, 8)
-				if s < 0 || s >= 8 {
-					t.Fatalf("%s: shard %d out of range", p.Name(), s)
-				}
-				if prev, ok := seen[tr.ID]; ok && prev != s {
-					t.Fatalf("%s: object %d routed to shard %d then %d", p.Name(), tr.ID, prev, s)
-				}
-				seen[tr.ID] = s
-			}
-		}
-	}
-
-	// GridCell must agree for all objects parked at one site.
-	g := GridCell{CellSize: 5000}
-	first := g.Shard(&db.Trajs[0], dom, 8)
-	for i := 1; i < 10; i++ {
-		if s := g.Shard(&db.Trajs[i], dom, 8); s != first {
-			t.Fatalf("gridcell split a site across shards: %d vs %d", s, first)
-		}
-	}
-	// ObjectHash must actually spread objects (not collapse to one shard).
-	h := ObjectHash{}
-	shards := make(map[int]bool)
-	for i := range db.Trajs {
-		shards[h.Shard(&db.Trajs[i], dom, 8)] = true
-	}
-	if len(shards) < 2 {
-		t.Fatalf("objecthash sent all %d objects to one shard", len(db.Trajs))
-	}
-}
-
 // TestConcurrentAppendQuery hammers a multi-shard engine with appends and
 // snapshot queries from many goroutines at once; run with -race.
 func TestConcurrentAppendQuery(t *testing.T) {
@@ -342,11 +301,18 @@ func TestQueryFilters(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsBadPartitioner checks partitioner validation.
+// TestConfigRejectsBadPartitioner checks partitioner validation: negative
+// cell sizes and halo margins are rejected, and a zero cell size resolves
+// to its 10×δ default.
 func TestConfigRejectsBadPartitioner(t *testing.T) {
-	_, err := New(Config{Pipeline: testPipeline(), Partitioner: GridCell{}})
-	if err == nil {
-		t.Fatal("GridCell with zero CellSize accepted")
+	for _, g := range []GridCell{{CellSize: -1}, {CellSize: 3000, Halo: -1}} {
+		if _, err := New(Config{Pipeline: testPipeline(), Partitioner: g}); err == nil {
+			t.Errorf("GridCell %+v accepted", g)
+		}
+	}
+	cfg := Config{Pipeline: testPipeline()}.withDefaults()
+	if want := 10 * cfg.Pipeline.Delta; cfg.Partitioner.CellSize != want {
+		t.Errorf("zero CellSize resolved to %v, want 10×δ = %v", cfg.Partitioner.CellSize, want)
 	}
 }
 

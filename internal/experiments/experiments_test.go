@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/crowd"
 	"repro/internal/gathering"
@@ -99,14 +100,17 @@ func TestFig6TableStructure(t *testing.T) {
 	}
 }
 
-// TestFig6SchemeOrdering checks the paper's headline index result —
-// runtime(GRID) < runtime(IR) < runtime(SR) — on a workload dense enough
-// that the quadratic Hausdorff refinement paid by the R-tree schemes
-// matters (the SmallScale tables have clusters of a few dozen points,
-// where fixed per-tick overhead dominates and the ordering is noise).
+// TestFig6SchemeOrdering checks the paper's argument behind its headline
+// index result — runtime(GRID) < runtime(IR) < runtime(SR) — as work
+// rather than wall-clock time: on a workload dense enough that the
+// quadratic Hausdorff refinement matters, SR's plain δ-window hands more
+// candidates to refinement than IR's dside pruning and GRID's affect
+// region, while all three schemes find the same matches. The counters are
+// exact and seed-determined, so the assertion holds on any host; the
+// timings are only logged.
 func TestFig6SchemeOrdering(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runtime comparison in -short mode")
+		t.Skip("dense 1500-taxi workload in -short mode")
 	}
 	g := gen.Default()
 	g.NumTaxis = 1500
@@ -120,25 +124,29 @@ func TestFig6SchemeOrdering(t *testing.T) {
 	cdb := buildCDB(db, cfg)
 	p := crowd.Params{MC: cfg.MC, KC: cfg.KC, Delta: cfg.Delta}
 
-	// Warm up, then take the best of 3 runs per scheme to de-noise.
-	best := map[string]float64{}
-	for _, s := range []string{"sr", "ir", "grid"} {
-		CrowdDiscoveryTime(cdb, p, s)
-		m := 1e18
-		for i := 0; i < 3; i++ {
-			if v := CrowdDiscoveryTime(cdb, p, s).Seconds(); v < m {
-				m = v
-			}
-		}
-		best[s] = m
+	sr := &crowd.SRSearcher{Delta: p.Delta}
+	ir := &crowd.IRSearcher{Delta: p.Delta}
+	gr := &crowd.GridSearcher{Delta: p.Delta}
+	for _, s := range []struct {
+		name string
+		s    crowd.Searcher
+	}{{"SR", sr}, {"IR", ir}, {"GRID", gr}} {
+		start := time.Now()
+		crowd.Discover(cdb, p, s.s)
+		t.Logf("%s: %.2fms", s.name, float64(time.Since(start).Microseconds())/1e3)
 	}
-	if best["grid"] >= best["sr"] {
-		t.Errorf("GRID (%.2fms) not faster than SR (%.2fms)",
-			best["grid"]*1e3, best["sr"]*1e3)
+	gr.FlushStats()
+	t.Logf("candidates SR=%d IR=%d GRID=%d; results SR=%d IR=%d GRID=%d",
+		sr.Candidates, ir.Candidates, gr.Candidates, sr.Results, ir.Results, gr.Results)
+
+	if sr.Candidates <= ir.Candidates {
+		t.Errorf("IR refined %d candidates, not fewer than SR's %d", ir.Candidates, sr.Candidates)
 	}
-	if best["ir"] >= best["sr"] {
-		t.Errorf("IR (%.2fms) not faster than SR (%.2fms)",
-			best["ir"]*1e3, best["sr"]*1e3)
+	if sr.Candidates <= gr.Candidates {
+		t.Errorf("GRID refined %d candidates, not fewer than SR's %d", gr.Candidates, sr.Candidates)
+	}
+	if sr.Results != ir.Results || sr.Results != gr.Results {
+		t.Errorf("schemes disagree on matches: SR=%d IR=%d GRID=%d", sr.Results, ir.Results, gr.Results)
 	}
 }
 

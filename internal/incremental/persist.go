@@ -128,6 +128,10 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 	if dto.Version != persistVersion {
 		return nil, fmt.Errorf("incremental: unsupported store version %d", dto.Version)
 	}
+	if len(dto.InteriorGs) != len(dto.Interior) || len(dto.TailGs) != len(dto.Tail) {
+		return nil, fmt.Errorf("incremental: %d/%d gathering lists for %d interior/%d tail crowds",
+			len(dto.InteriorGs), len(dto.TailGs), len(dto.Interior), len(dto.Tail))
+	}
 	s, err := New(dto.CrowdParams, dto.GatherParams, newSearcher)
 	if err != nil {
 		return nil, err
@@ -139,26 +143,34 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 	for t, cs := range dto.Ticks {
 		s.cdb.Clusters[t] = make([]*snapshot.Cluster, len(cs))
 		for i, c := range cs {
+			if len(c.Objects) != len(c.Points) {
+				return nil, fmt.Errorf("incremental: cluster %d at tick %d has %d objects but %d points",
+					i, t, len(c.Objects), len(c.Points))
+			}
 			s.cdb.Clusters[t][i] = snapshot.NewCluster(c.T, c.Objects, c.Points)
 		}
 	}
 	decodeCrowd := func(d crowdDTO) (*crowd.Crowd, error) {
 		cls := make([]*snapshot.Cluster, len(d.Refs))
 		for i, ref := range d.Refs {
-			if int(ref.Tick) >= len(s.cdb.Clusters) ||
-				int(ref.Index) >= len(s.cdb.Clusters[ref.Tick]) {
+			if ref.Tick < 0 || int(ref.Tick) >= len(s.cdb.Clusters) ||
+				ref.Index < 0 || int(ref.Index) >= len(s.cdb.Clusters[ref.Tick]) {
 				return nil, fmt.Errorf("incremental: dangling cluster ref %+v", ref)
 			}
 			cls[i] = s.cdb.Clusters[ref.Tick][ref.Index]
 		}
 		return crowd.New(d.Start, cls), nil
 	}
-	decodeGathers := func(ds []gatherDTO, cr *crowd.Crowd) []*gathering.Gathering {
+	decodeGathers := func(ds []gatherDTO, cr *crowd.Crowd) ([]*gathering.Gathering, error) {
 		if ds == nil {
-			return nil
+			return nil, nil
 		}
 		out := make([]*gathering.Gathering, len(ds))
 		for i, d := range ds {
+			if d.Lo < 0 || d.Hi > cr.Lifetime() || d.Lo >= d.Hi {
+				return nil, fmt.Errorf("incremental: gathering range [%d,%d) outside crowd of %d clusters",
+					d.Lo, d.Hi, cr.Lifetime())
+			}
 			out[i] = &gathering.Gathering{
 				Crowd:         cr.Sub(d.Lo, d.Hi),
 				Lo:            d.Lo,
@@ -166,7 +178,7 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 				Participators: d.Participators,
 			}
 		}
-		return out
+		return out, nil
 	}
 
 	for i, d := range dto.Interior {
@@ -174,8 +186,12 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
+		gs, err := decodeGathers(dto.InteriorGs[i], cr)
+		if err != nil {
+			return nil, err
+		}
 		s.interior = append(s.interior, cr)
-		s.interiorGathers = append(s.interiorGathers, decodeGathers(dto.InteriorGs[i], cr))
+		s.interiorGathers = append(s.interiorGathers, gs)
 	}
 	for i, d := range dto.Tail {
 		cr, err := decodeCrowd(d)
@@ -184,7 +200,9 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 		}
 		s.tail = append(s.tail, cr)
 		if dto.TailGs[i] != nil {
-			s.tailGathers[cr] = decodeGathers(dto.TailGs[i], cr)
+			if s.tailGathers[cr], err = decodeGathers(dto.TailGs[i], cr); err != nil {
+				return nil, err
+			}
 		}
 	}
 	// Detectors are not serialised: the next Append rebuilds one per

@@ -15,12 +15,12 @@ type EngineCounters struct {
 	// Ingest side.
 	BatchesEnqueued atomic.Uint64 // Append/TryAppend calls accepted
 	BatchesRejected atomic.Uint64 // TryAppend calls refused by a busy router
-	TasksApplied    atomic.Uint64 // per-shard sub-batches applied to a store
+	TasksApplied    atomic.Uint64 // per-shard cluster databases applied to a store
 	TicksIngested   atomic.Uint64 // ticks appended (counted once per batch)
-	ClustersBuilt   atomic.Uint64 // snapshot clusters produced while ingesting
+	ClustersBuilt   atomic.Uint64 // snapshot clusters built by the global per-batch DBSCAN pass, each once
 	// ClustersReplicated counts cluster views delivered to shards beyond the
-	// owner by the cluster-once ingest pipeline. Unlike ClustersBuilt it
-	// scales with the replication factor; their ratio is the halo overhead.
+	// owner (always zero with one shard). Unlike ClustersBuilt it scales
+	// with the replication factor; their ratio is the halo overhead.
 	ClustersReplicated atomic.Uint64
 
 	// Query side.
@@ -28,9 +28,9 @@ type EngineCounters struct {
 	CrowdsReturned     atomic.Uint64 // crowds returned across all queries
 	GatheringsReturned atomic.Uint64 // gatherings returned across all queries
 	// CrowdsDeduped and CrowdsStitched advance when the cross-shard merge
-	// recomputes — once per applied sub-batch, not per query (the merged
-	// state is memoized between applies) — so they track replication
-	// activity, not query rate.
+	// recomputes — at most once per applied shard task, not per query (the
+	// merged state is memoized between applies), and never with one shard
+	// — so they track replication activity, not query rate.
 	CrowdsDeduped  atomic.Uint64 // duplicate/partial boundary-crowd copies dropped by the snapshot merge
 	CrowdsStitched atomic.Uint64 // crowd fragments fused into cross-shard crowds by the snapshot merge
 
