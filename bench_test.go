@@ -500,6 +500,18 @@ func BenchmarkSnapshotClusteringParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotClusteringDense is phase 1 on the dense engine-bench
+// day (1500 taxis, clusters of hundreds of points), sequentially: the
+// per-tick DBSCAN cost the serving path pays inside Engine.Append.
+func BenchmarkSnapshotClusteringDense(b *testing.B) {
+	benchSetup()
+	opts := snapshot.Options{DBSCAN: dbscan.Params{Eps: 200, MinPts: 5}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshot.Build(denseDB, opts)
+	}
+}
+
 // BenchmarkRangeSearch* isolate one range search per scheme, removing
 // Algorithm 1's bookkeeping from the Fig. 6 comparison.
 func BenchmarkRangeSearchSR(b *testing.B)   { benchRangeSearch(b, "sr") }

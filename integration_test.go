@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	gatherings "repro"
-	"repro/internal/dbscan"
 	"repro/internal/geojson"
-	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/trajectory"
 )
@@ -125,38 +123,4 @@ func TestEndToEndRawDataPipeline(t *testing.T) {
 	if doc["type"] != "FeatureCollection" {
 		t.Fatal("bad GeoJSON")
 	}
-}
-
-// TestPrefilteredPipelineMatchesDirect runs the full discovery on a CDB
-// built with the CuTS-style prefilter and checks the final gatherings are
-// identical to the direct build.
-func TestPrefilteredPipelineMatchesDirect(t *testing.T) {
-	db := testWorkload()
-	cfg := testConfig()
-
-	direct, err := gatherings.Discover(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := snapshot.BuildPrefiltered(db, snapshot.PrefilterOptions{
-		Options: snapshot.Options{
-			DBSCAN: dbscanParams(cfg),
-		},
-		Window: 24,
-	})
-	preRes, err := gatherings.DiscoverCDB(pre, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preRes.Crowds) != len(direct.Crowds) {
-		t.Fatalf("crowds: %d vs %d", len(preRes.Crowds), len(direct.Crowds))
-	}
-	if len(preRes.AllGatherings()) != len(direct.AllGatherings()) {
-		t.Fatalf("gatherings: %d vs %d",
-			len(preRes.AllGatherings()), len(direct.AllGatherings()))
-	}
-}
-
-func dbscanParams(cfg gatherings.Config) dbscan.Params {
-	return dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts}
 }

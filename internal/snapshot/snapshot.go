@@ -123,8 +123,8 @@ type Options struct {
 // returning the cluster database. Ticks are independent, so with
 // Options.Parallelism > 1 they are processed by a worker pool. Each worker
 // owns one buildScratch, so the interpolation buffer and the DBSCAN
-// working memory (grid, labels, queues) are reused across all the ticks it
-// handles — only the emitted clusters allocate.
+// working memory (sort buffers, cell table, labels, stack) are reused
+// across all the ticks it handles — only the emitted clusters allocate.
 func Build(db *trajectory.DB, opt Options) *CDB {
 	out := &CDB{
 		Domain:   db.Domain,
