@@ -4,17 +4,40 @@
 // # Layout
 //
 // Neighbourhood queries are served by a sorted ε-grid, rebuilt per call
-// without hashing. Every point is mapped to a square cell of side at
-// least ε and the cell's (row, column) is packed into one integer key in
-// row-major order, each row padded by one empty column on either side.
-// An LSD radix sort (8 bits a pass) orders the points by key in O(n) per
-// pass, and the points are copied in that order. One linear merge pass
-// over the occupied cells then gives every cell three contiguous runs of
-// the sorted copy: the points of cells x−1..x+1 in rows y−1, y and y+1.
-// Those columns are adjacent keys, so the three runs are exactly the
+// without hashing. Every point is mapped to a square ε-cell of side at
+// least ε, and each ε-cell is split 2×2 into sub-cells of half its side.
+// The cell's (row, column) is packed into one integer key in row-major
+// order, each row padded by one empty column on either side, and the two
+// lowest key bits name the sub-cell. An LSD radix sort orders the points
+// by key in O(n) per pass, and the points are copied in that order, so
+// every ε-cell and every sub-cell is a contiguous run of the sorted copy.
+// One linear merge pass over the occupied ε-cells then gives every cell
+// three contiguous runs: the points of cells x−1..x+1 in rows y, y+1 and
+// y−1. Those columns are adjacent keys, so the three runs are exactly the
 // cell's 3×3 neighbourhood, and a neighbour query is three contiguous
-// scans. Clustering n points costs O(n·k) for k candidates per query
-// instead of the naive O(n²).
+// scans.
+//
+// Clustering works on units, not points. A unit is a sub-cell when
+// sub-cells are cliques (below), else a single point:
+//
+//   - Core points. A unit holding at least MinPts points makes all of
+//     them core with no distance test. Every other point counts its
+//     ε-neighbours over the three runs and stops at MinPts; a point that
+//     stays below MinPts is not core and keeps its complete neighbour
+//     list.
+//   - Components. A union-find over the units holding core points joins
+//     two units at the first pair of their core points found within ε.
+//     Each pair of units is looked at once, from the unit with the lower
+//     key, and units whose sub-cells are three or more sub-cells apart on
+//     either axis are never compared.
+//   - Labels. Components are numbered by their lowest-input-index core
+//     point; a border point takes the lowest-numbered component among the
+//     core points of its neighbour list.
+//
+// Inside a jam most points sit in sub-cells of at least MinPts points, so
+// they cost no distance test at all, and two crowded sub-cells usually
+// join at the first pair tested. Clustering n points costs O(n·k) for k candidates per
+// query instead of the naive O(n²).
 //
 // # Exactness
 //
@@ -26,24 +49,38 @@
 //     answers it only when it is more than 2⁻³⁰ (relative) away from ε²,
 //     far beyond the rounding of either computation. The cell side is
 //     ε·(1+2⁻¹⁶), coarsened when needed so that no axis has more than
-//     2³⁰ cells; with that margin no pair within ε, rounding included,
-//     lies more than one cell apart on either axis. Points with a
-//     coordinate that is not finite or exceeds 2⁵⁰⁰ in magnitude, and
-//     all points when ε is infinite, do not enter the grid: they are
-//     tested against every point.
-//   - Labels depend on those sets and on the input order only, never on
-//     the order in which a query enumerates neighbours. Points are
-//     visited in input order, and every core point before the first
-//     unvisited core point of a core component belongs to an earlier
-//     cluster, so clusters are numbered by the lowest-index core point of
-//     each component. A cluster takes in its whole density-reachable set
-//     before the next one starts, so a border point reached by several
-//     clusters keeps the lowest-numbered one.
-//   - Work skipped is work that changes no label. The expansion pushes a
-//     point only the first time it is reached, and it does not query a
-//     point whose 3×3 cells (and the points outside the grid) hold no
-//     point outside a cluster: whatever that query returned is already
-//     labelled, whether the point is a core point or not.
+//     2³⁰ cells. A point's scaled offset f = (x−min)/side gives both its
+//     ε-cell ⌊f⌋ and its sub-cell ⌊2f⌋ (2f is exact), so two points more
+//     than one ε-cell or more than two sub-cells apart on an axis have
+//     scaled offsets more than 1 apart: with the cell margin, no pair
+//     within ε, rounding included, lies that far apart. Points with a
+//     coordinate that is not finite or exceeds 2⁵⁰⁰ in magnitude, and all
+//     points when ε is infinite, do not enter the grid: each is a unit of
+//     its own and is tested against every point.
+//   - Sub-cells are cliques. Two points of one sub-cell differ by less
+//     than half a side, plus rounding far below 2⁻²⁰ of it, on each axis,
+//     so they lie within 0.71·ε and every point of a sub-cell is within ε
+//     of every other. That needs the side to be ε·(1+2⁻¹⁶) and ε to be a
+//     normal float. A coarsened grid's sub-cell can be wider than ε, and
+//     next to a subnormal ε the rounding is no longer small: there every
+//     point is a unit of its own. That is the same code with a finer unit,
+//     not a fallback: a unit of one point is core by count only when
+//     MinPts ≤ 1, which its own zero distance confirms.
+//   - Core points and components are the textbook ones. A point is core
+//     exactly when at least MinPts points lie within ε of it, counted
+//     either by its clique or by the distance test. Core points within ε
+//     of each other are in one unit or in two units the union-find joins,
+//     since all core pairs of two units are examined until one is within
+//     ε. So the components are the density-connected sets of core points.
+//   - Labels depend on those sets and on the input order only. The
+//     textbook algorithm visits points in input order and expands a
+//     cluster over its whole component before the next one starts, so its
+//     clusters are numbered by the lowest-index core point of each
+//     component, and a border point reached by several clusters keeps the
+//     first, that is the lowest-numbered one. A non-core point has fewer
+//     than MinPts neighbours, all on its list, so the lowest component
+//     among its core neighbours is exactly that cluster, and a point with
+//     no core neighbour is noise.
 package dbscan
 
 import (
@@ -65,9 +102,6 @@ type Params struct {
 const Noise = -1
 
 const (
-	// unvisited marks a point no query has touched yet; visited points
-	// hold Noise or their cluster.
-	unvisited = -2
 	// maxGridCoord bounds the coordinates the grid takes: below it cell
 	// arithmetic and squared distances cannot overflow.
 	maxGridCoord = 0x1p500
@@ -80,26 +114,37 @@ const (
 	// d2Margin is the relative band around ε² inside which the squared
 	// distance defers to math.Hypot.
 	d2Margin = 0x1p-30
+	// minNormal is the smallest normal float64; a smaller ε makes
+	// sub-cells too coarse to be cliques.
+	minNormal = 0x1p-1022
 )
 
 // run is a half-open range [lo, hi) of cells.
 type run struct{ lo, hi int32 }
 
-// cell is one occupied grid cell: its packed key, the sorted position of
-// its first point, how many of its points no cluster holds yet, and the
-// runs of cells covering its 3×3 neighbourhood, one per row y−1, y, y+1.
-// A run's points are the sorted positions from its first cell's start to
-// its end cell's start.
+// cell is one occupied ε-cell: the sorted position of its first point,
+// its first unit, and the runs of
+// cells covering its 3×3 neighbourhood, one per row y, y+1, y−1. A run's
+// points are the sorted positions from its first cell's start to its end
+// cell's start, and its units likewise.
 type cell struct {
-	key   uint64
 	start int32
-	open  int32
+	unit  int32
 	rows  [3]run
 }
 
+// unit is a sub-cell that is a clique, or a single point: its full key
+// (zero outside the grid), the sorted position of its first point and its
+// ε-cell. Its points run to the next unit's start.
+type unit struct {
+	key   uint64
+	start int32
+	cell  int32
+}
+
 // Scratch holds the working memory of DBSCAN runs — the sort buffers,
-// the cell-ordered points and cell table, the per-point state and the
-// expansion stack — so repeated calls (one per snapshot tick) reuse
+// the cell-ordered points, the cell and unit tables, the union-find and
+// the neighbour lists — so repeated calls (one per snapshot tick) reuse
 // buffers instead of reallocating them. The zero value is ready to use.
 // A Scratch is not safe for concurrent use; give each goroutine its own.
 type Scratch struct {
@@ -107,22 +152,28 @@ type Scratch struct {
 	ord, ordTmp   []int32 // input index of each sorted position
 	rank          []int32 // sorted position of each input index
 	pts           []geo.Point
-	cellOf        []int32 // cell of each sorted grid position
-	cells         []cell  // occupied cells in key order, then a sentinel
+	cells         []cell   // occupied ε-cells in key order, then a sentinel
+	ckeys         []uint64 // their keys, sub-cell bits dropped
+	units         []unit   // grid units in key order, far points, a sentinel
 
-	state  []int32 // unvisited, Noise or cluster, by sorted position
-	stack  []int32
+	// core is the unit of each sorted position, or −1 when the point is
+	// not core; a non-core point q's neighbours are neigh[off[q]:off[q+1]].
+	core   []int32
+	off    []int32
 	neigh  []int32
+	parent []int32 // union-find over units; −1 for units without a core point
+	comp   []int32 // cluster number of each root unit
 	labels []int
 
-	// Per-call query parameters: the first grid points' count (the rest
-	// are tested against everything), ε, and the squared-distance band.
+	// Per-call query parameters: the first grid points' and units' counts
+	// (the rest are tested against everything), ε, the squared-distance
+	// band and the key's row width.
 	grid  int32
+	gridU int32
 	eps   float64
 	d2In  float64
 	d2Out float64
-	// farOpen counts the points outside the grid no cluster holds yet.
-	farOpen int32
+	w     uint64
 }
 
 // Cluster runs DBSCAN over pts and returns a label per point: 0..k-1 for
@@ -144,94 +195,176 @@ func (s *Scratch) Cluster(pts []geo.Point, p Params) []int {
 		return labels
 	}
 	s.layout(pts, p.Eps)
+	s.findCores(min(p.MinPts, n+1)) // beyond n no point is core
+	s.joinUnits()
 
-	s.state = grow(s.state, n)
-	state := s.state
-	for i := range state {
-		state[i] = unvisited
+	// Number the components by their lowest-index core point, then give
+	// every other point the lowest component among its core neighbours.
+	parent, comp, core := s.parent, s.comp, s.core
+	for u, r := range parent {
+		if r >= 0 {
+			parent[u] = parent[r] // roots sit below their members
+		}
+		comp[u] = Noise
 	}
-	var (
-		next  int32 // next cluster id
-		stack = s.stack[:0]
-		nb    = s.neigh[:0]
-	)
-	for _, q := range s.rank {
-		if state[q] != unvisited {
-			continue
-		}
-		state[q] = Noise
-		nb = s.neighbors(q, nb[:0])
-		if len(nb) < p.MinPts {
-			continue // not a core point; may become a border point later
-		}
-		// Start a new cluster and expand it depth-first over the
-		// density-reachable set. A point is pushed at most once, when it
-		// is first reached; a visited noise point is only relabelled.
-		c := next
-		next++
-		s.claim(q, c)
-		for {
-			for _, j := range nb {
-				if state[j] < 0 {
-					if state[j] == unvisited {
-						stack = append(stack, j)
-					}
-					s.claim(j, c)
-				}
+	next := int32(0)
+	for i, q := range s.rank {
+		if u := core[q]; u >= 0 {
+			r := parent[u]
+			if comp[r] < 0 {
+				comp[r] = next
+				next++
 			}
-			if len(stack) == 0 {
-				break
-			}
-			j := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			nb = nb[:0]
-			if s.settled(j) {
-				continue // expanding j could relabel nothing
-			}
-			nb = s.neighbors(j, nb)
-			if len(nb) < p.MinPts {
-				nb = nb[:0] // j is a border point: its neighbours stay out
-			}
+			labels[i] = int(comp[r])
 		}
 	}
 	for q, i := range s.ord {
-		labels[i] = int(state[q])
+		if core[q] >= 0 {
+			continue
+		}
+		l := int32(Noise)
+		for _, j := range s.neigh[s.off[q]:s.off[q+1]] {
+			if u := core[j]; u >= 0 {
+				if c := comp[parent[u]]; l < 0 || c < l {
+					l = c
+				}
+			}
+		}
+		labels[i] = int(l)
 	}
-	s.stack, s.neigh = stack, nb
 	return labels
 }
 
-// claim puts the point at sorted position j, which no cluster holds yet,
-// into cluster c.
-func (s *Scratch) claim(j, c int32) {
-	s.state[j] = c
-	if j < s.grid {
-		s.cells[s.cellOf[j]].open--
-	} else {
-		s.farOpen--
+// findCores decides every point's core status. The points of a grid unit
+// holding at least minPts of them are core outright; every other point
+// lists its neighbours until it has minPts of them. A point that reaches
+// minPts is core and its list is dropped; one that does not keeps it.
+func (s *Scratch) findCores(minPts int) {
+	n := len(s.pts)
+	nu := len(s.units) - 1
+	s.core, s.off = grow(s.core, n), grow(s.off, n+1)
+	s.parent, s.comp = grow(s.parent, nu), grow(s.comp, nu)
+	core, off, parent := s.core, s.off, s.parent
+	nb := s.neigh[:0]
+	off[0] = 0
+	for u := range nu {
+		un := s.units[u]
+		lo, hi := un.start, s.units[u+1].start
+		parent[u] = -1
+		if int32(u) < s.gridU && int(hi-lo) >= minPts {
+			parent[u] = int32(u)
+			for q := lo; q < hi; q++ {
+				core[q] = int32(u)
+				off[q+1] = int32(len(nb))
+			}
+			continue
+		}
+		for q := lo; q < hi; q++ {
+			at := len(nb)
+			nb = s.neighbors(q, un.cell, nb, at+minPts)
+			core[q] = -1
+			if len(nb)-at >= minPts {
+				nb = nb[:at]
+				core[q] = int32(u)
+				parent[u] = int32(u)
+			}
+			off[q+1] = int32(len(nb))
+		}
+	}
+	s.neigh = nb
+}
+
+// joinUnits unions every two core-holding units with a pair of core
+// points within ε. A grid unit compares itself with the later units of
+// its own row's run and with the units of the next row's run, which sees
+// every pair of neighbouring grid units once, and with every point
+// outside the grid.
+func (s *Scratch) joinUnits() {
+	nu := int32(len(s.units) - 1)
+	for u := range nu {
+		if s.parent[u] < 0 {
+			continue
+		}
+		if u >= s.gridU {
+			for v := u + 1; v < nu; v++ {
+				s.join(u, v)
+			}
+			continue
+		}
+		ku := s.units[u].key
+		c := &s.cells[s.units[u].cell]
+		for r, rn := range c.rows[:2] {
+			lo, hi := s.cells[rn.lo].unit, s.cells[rn.hi].unit
+			if r == 0 {
+				lo = u + 1
+			}
+			for v := lo; v < hi; v++ {
+				if s.parent[v] >= 0 && s.near(ku, s.units[v].key, r) {
+					s.join(u, v)
+				}
+			}
+		}
+		for v := s.gridU; v < nu; v++ {
+			s.join(u, v)
+		}
 	}
 }
 
-// settled reports whether every point a query from sorted position j
-// could return is already in a cluster. Expanding such a point changes no
-// label, whether it is a core point or not, so its query is skipped.
-func (s *Scratch) settled(j int32) bool {
-	if j >= s.grid || s.farOpen > 0 {
-		return false
+// near reports whether the sub-cells of keys ku and kv, kv's ε-cell being
+// in the run of row y+r around ku's, lie within two sub-cells on both
+// axes. Sub-cells further apart hold no pair within ε.
+func (s *Scratch) near(ku, kv uint64, r int) bool {
+	dc := int64(kv>>2 - ku>>2 - uint64(r)*s.w) // ε-cell column offset, −1..1
+	dx := 2*dc + int64(kv&1) - int64(ku&1)
+	dy := 2*int64(r) + int64(kv>>1&1) - int64(ku>>1&1)
+	return dx > -3 && dx < 3 && dy < 3
+}
+
+// join unions units u and v, both holding core points, when they are in
+// different components and some core point of u is within ε of some core
+// point of v. The root with the higher index is linked below the lower, so
+// every unit's parent index is at most its own.
+func (s *Scratch) join(u, v int32) {
+	ru, rv := s.find(u), s.find(v)
+	if ru == rv || rv < 0 || !s.touch(u, v) {
+		return
 	}
-	for _, r := range s.cells[s.cellOf[j]].rows {
-		for c := r.lo; c < r.hi; c++ {
-			if s.cells[c].open > 0 {
-				return false
+	s.parent[max(ru, rv)] = min(ru, rv)
+}
+
+// find returns the root of unit u's component, or −1 when u holds no core
+// point, halving the path on the way.
+func (s *Scratch) find(u int32) int32 {
+	p := s.parent
+	for p[u] >= 0 && p[u] != u {
+		p[u] = p[p[u]]
+		u = p[u]
+	}
+	return p[u]
+}
+
+// touch reports whether some core point of unit u lies within ε of some
+// core point of unit v.
+func (s *Scratch) touch(u, v int32) bool {
+	vlo, vhi := s.units[v].start, s.units[v+1].start
+	for a := s.units[u].start; a < s.units[u+1].start; a++ {
+		if s.core[a] < 0 {
+			continue
+		}
+		p := s.pts[a]
+		for b := vlo; b < vhi; b++ {
+			if s.core[b] >= 0 && s.within(p, s.pts[b]) {
+				return true
 			}
 		}
 	}
-	return true
+	return false
 }
 
-// layout sorts pts into cell order and builds the cell table. Grid points
-// come first, ordered by cell key; points the grid cannot take follow.
-// Every buffer is reused, so steady-state layout allocates nothing.
+// layout sorts pts into key order and builds the cell and unit tables.
+// Grid points come first, ordered by key; points the grid cannot take
+// follow. Every buffer is reused, so steady-state layout allocates
+// nothing.
 func (s *Scratch) layout(pts []geo.Point, eps float64) {
 	n := len(pts)
 	s.eps = eps
@@ -241,7 +374,7 @@ func (s *Scratch) layout(pts []geo.Point, eps float64) {
 	}
 	s.keys, s.keysTmp = grow(s.keys, n), grow(s.keysTmp, n)
 	s.ord, s.ordTmp = grow(s.ord, n), grow(s.ordTmp, n)
-	s.rank, s.pts, s.cellOf = grow(s.rank, n), grow(s.pts, n), grow(s.cellOf, n)
+	s.rank, s.pts = grow(s.rank, n), grow(s.pts, n)
 
 	// The grid's bounding box, over the points it can take.
 	minX, minY := math.Inf(1), math.Inf(1)
@@ -253,34 +386,35 @@ func (s *Scratch) layout(pts []geo.Point, eps float64) {
 			minY, maxY = min(minY, p.Y), max(maxY, p.Y)
 		}
 	}
-	side := max(eps*sideMargin, (maxX-minX)/maxCells, (maxY-minY)/maxCells)
+	side := eps * sideMargin
+	coarse := max((maxX-minX)/maxCells, (maxY-minY)/maxCells)
+	cliques := eps >= minNormal && side >= coarse
+	side = max(side, coarse)
 
-	// Cell indices of grid points, packed (row, column) for now; the
-	// rest fill the sorted order from the back, where their order does
-	// not matter.
+	// Row-major ε-cell keys with a free column on either side of every row
+	// and a free row above the first, so the neighbours' keys never wrap,
+	// then the sub-cell's row and column bits from ⌊2f⌋. The sub-cell index
+	// grows with the coordinate, so the box gives the widest row. The
+	// rest fill the sorted order from the back, where their order does not
+	// matter.
+	w := uint64(3)
+	if maxX >= minX {
+		w += uint64((maxX-minX)/side*2) >> 1
+	}
 	g, far := 0, n
-	var maxCX uint64
+	var maxKey uint64
 	for i, p := range pts {
 		if !fits || !inGrid(p) {
 			far--
 			s.ord[far] = int32(i)
 			continue
 		}
-		cx, cy := uint64((p.X-minX)/side), uint64((p.Y-minY)/side)
-		maxCX = max(maxCX, cx)
-		s.keys[g] = cy<<32 | cx
+		sx, sy := uint64((p.X-minX)/side*2), uint64((p.Y-minY)/side*2)
+		k := ((sy>>1+1)*w+sx>>1+1)<<2 | (sy&1)<<1 | sx&1
+		maxKey = max(maxKey, k)
+		s.keys[g] = k
 		s.ord[g] = int32(i)
 		g++
-	}
-
-	// Row-major keys with a free column on either side of every row and a
-	// free row above the first, so the neighbours' keys never wrap.
-	w := maxCX + 3
-	var maxKey uint64
-	for q, k := range s.keys[:g] {
-		k = (k>>32+1)*w + k&(1<<32-1) + 1
-		s.keys[q] = k
-		maxKey = max(maxKey, k)
 	}
 	s.radixSort(g, bits.Len64(maxKey))
 
@@ -288,7 +422,8 @@ func (s *Scratch) layout(pts []geo.Point, eps float64) {
 		s.rank[i] = int32(q)
 		s.pts[q] = pts[i]
 	}
-	s.buildCells(g, w)
+	s.w = w
+	s.buildCells(g, cliques)
 }
 
 // inGrid reports whether the grid can take p: both coordinates finite and
@@ -326,74 +461,134 @@ func (s *Scratch) radixSort(g, width int) {
 	}
 }
 
-// buildCells groups the g sorted grid points into cells, then gives every
-// cell its three neighbourhood runs in one merge pass: as cell keys grow,
-// the first and one-past-last cells of each neighbouring row only move
-// forward.
-func (s *Scratch) buildCells(g int, w uint64) {
-	s.grid, s.farOpen = int32(g), int32(len(s.pts)-g)
-	cells := s.cells[:0]
+// buildCells groups the g sorted grid points into ε-cells and units — one
+// per sub-cell when sub-cells are cliques, else one per point — and
+// appends a unit per point outside the grid. Then it gives every cell its
+// three neighbourhood runs.
+func (s *Scratch) buildCells(g int, cliques bool) {
+	n := len(s.pts)
+	s.grid = int32(g)
+	s.cells, s.ckeys, s.units = grow(s.cells, g+1), grow(s.ckeys, g+1), grow(s.units, n+1)
+	cells, ckeys, units := s.cells, s.ckeys, s.units
+	m, nu := 0, 0
+	prev := uint64(0) // no key is 0: the first row and column are free
 	for q, k := range s.keys[:g] {
-		if len(cells) == 0 || cells[len(cells)-1].key != k {
-			cells = append(cells, cell{key: k, start: int32(q)})
+		if k == prev && cliques {
+			continue
 		}
-		cells[len(cells)-1].open++
-		s.cellOf[q] = int32(len(cells) - 1)
+		if k>>2 != prev>>2 {
+			ckeys[m] = k >> 2
+			cells[m] = cell{start: int32(q), unit: int32(nu)}
+			m++
+		}
+		units[nu] = unit{key: k, start: int32(q), cell: int32(m - 1)}
+		nu++
+		prev = k
 	}
-	m := len(cells)
+	s.gridU = int32(nu)
+	for q := g; q < n; q++ {
+		units[nu] = unit{start: int32(q), cell: -1}
+		nu++
+	}
+	units[nu] = unit{start: int32(n)}
 	// The sentinel's key exceeds every probe, so the scans below stop on
 	// it without a bounds test.
-	cells = append(cells, cell{key: math.MaxUint64, start: int32(g)})
-	var lo, hi [3]int
+	ckeys[m] = math.MaxUint64
+	cells[m] = cell{start: int32(g), unit: s.gridU}
+	s.cells, s.ckeys, s.units = cells[:m+1], ckeys[:m+1], units[:nu+1]
+
 	for c := 0; c < m; c++ {
-		k := cells[c].key
-		for r := range lo {
-			mid := k + uint64(r)*w - w // the same column in row y−1, y, y+1
-			for cells[lo[r]].key < mid-1 {
-				lo[r]++
-			}
-			hi[r] = max(hi[r], lo[r])
-			for cells[hi[r]].key <= mid+1 {
-				hi[r]++
-			}
-			cells[c].rows[r] = run{int32(lo[r]), int32(hi[r])}
+		k := ckeys[c]
+		lo, hi := c, c+1
+		if c > 0 && ckeys[c-1] == k-1 {
+			lo--
 		}
+		if ckeys[c+1] == k+1 {
+			hi++
+		}
+		cells[c].rows[0] = run{int32(lo), int32(hi)}
 	}
-	s.cells = cells
+	s.rowRuns(1, s.w-1)
+	s.rowRuns(2, -s.w-1)
 }
 
-// neighbors appends to dst the sorted positions of all points within ε of
-// the point at sorted position q (including q itself, unless a NaN makes
-// its distance undefined) and returns dst.
+// rowRuns sets run r of every cell to the cells whose keys lie in
+// [key+off, key+off+2], the cell's three neighbours in another row. The
+// first of them come from one merge of the keys with themselves shifted by
+// off, stepped without data-dependent branches; at most three follow.
 //
 //gather:hotpath
-func (s *Scratch) neighbors(q int32, dst []int32) []int32 {
-	p := s.pts[q]
-	rest := int32(0)
+func (s *Scratch) rowRuns(r int, off uint64) {
+	keys, cells := s.ckeys, s.cells
+	m := len(keys) - 1
+	i := 0
+	for c := 0; c < m; {
+		step := b2i(keys[i] < keys[c]+off)
+		cells[c].rows[r].lo = int32(i)
+		i += step
+		c += 1 - step
+	}
+	for c := range cells[:m] {
+		end := keys[c] + off + 2
+		hi := int(cells[c].rows[r].lo)
+		hi += b2i(keys[hi] <= end)
+		hi += b2i(keys[hi] <= end)
+		hi += b2i(keys[hi] <= end)
+		cells[c].rows[r].hi = int32(hi)
+	}
+}
+
+// neighbors appends to dst the sorted positions of the points within ε of
+// the point at sorted position q, of ε-cell c (including q itself, unless
+// a NaN makes its distance undefined), stopping once dst has limit
+// entries, and returns dst. The squared distance decides unless it falls
+// in the band around ε² (or is NaN), as in within.
+//
+//gather:hotpath
+func (s *Scratch) neighbors(q, c int32, dst []int32, limit int) []int32 {
+	n := int32(len(s.pts))
+	var spans [4]run // sorted positions: three grid runs, then far points
+	k := 0
 	if q < s.grid {
-		for _, r := range s.cells[s.cellOf[q]].rows {
-			dst = s.scan(p, s.cells[r.lo].start, s.cells[r.hi].start, dst)
+		for _, r := range s.cells[c].rows {
+			spans[k] = run{s.cells[r.lo].start, s.cells[r.hi].start}
+			k++
 		}
-		rest = s.grid
+		spans[k] = run{s.grid, n}
+	} else {
+		spans[k] = run{0, n}
 	}
-	return s.scan(p, rest, int32(len(s.pts)), dst)
-}
-
-// scan appends the positions in [lo, hi) within ε of p. The squared
-// distance decides unless it falls in the band around ε² (or is NaN),
-// where math.Hypot, the reference metric, decides.
-//
-//gather:hotpath
-func (s *Scratch) scan(p geo.Point, lo, hi int32, dst []int32) []int32 {
-	in, out := s.d2In, s.d2Out
-	for j, o := range s.pts[lo:hi] {
-		dx, dy := p.X-o.X, p.Y-o.Y
-		d2 := dx*dx + dy*dy
-		if d2 <= in || !(d2 > out) && math.Hypot(dx, dy) <= s.eps {
-			dst = append(dst, lo+int32(j))
+	p, in, out := s.pts[q], s.d2In, s.d2Out
+	for _, sp := range spans[:k+1] {
+		for j, o := range s.pts[sp.lo:sp.hi] {
+			dx, dy := p.X-o.X, p.Y-o.Y
+			d2 := dx*dx + dy*dy
+			if d2 <= in || !(d2 > out) && math.Hypot(dx, dy) <= s.eps {
+				dst = append(dst, sp.lo+int32(j))
+				if len(dst) >= limit {
+					return dst
+				}
+			}
 		}
 	}
 	return dst
+}
+
+// within reports whether a and b lie within ε. The squared distance
+// decides unless it falls in the band around ε² (or is NaN), where
+// math.Hypot, the reference metric, decides.
+func (s *Scratch) within(a, b geo.Point) bool {
+	dx, dy := a.X-b.X, a.Y-b.Y
+	d2 := dx*dx + dy*dy
+	return d2 <= s.d2In || !(d2 > s.d2Out) && math.Hypot(dx, dy) <= s.eps
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // grow returns buf resized to n, reallocating only when its capacity is

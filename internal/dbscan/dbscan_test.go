@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -329,9 +330,12 @@ func TestClusterMatchesNaiveDenseTicks(t *testing.T) {
 }
 
 // TestClusterCellWrap covers inputs whose cell indices lie on both sides
-// of the int32 range and coordinates that are not finite.
+// of the int32 range or reach the 2³⁰ cap, coordinates that are not
+// finite, points on and across sub-cell boundaries, and the regimes where
+// sub-cells are not cliques.
 func TestClusterCellWrap(t *testing.T) {
 	const w = 1 << 31 // first cell index past the int32 range at ε = 1
+	const h = (1 + 0x1p-16) / 2
 	inf, nan := math.Inf(1), math.NaN()
 	cases := []struct {
 		name string
@@ -351,11 +355,32 @@ func TestClusterCellWrap(t *testing.T) {
 		{"inf-eps", []geo.Point{{X: inf, Y: 0}, {X: 0, Y: 0}, {X: 1e308, Y: -1e308}, {X: nan, Y: inf}, {X: nan, Y: 0}}, Params{Eps: inf, MinPts: 2}},
 		{"huge-eps", []geo.Point{{X: 1e308, Y: 0}, {X: -1e308, Y: 0}, {X: 0, Y: 1e308}}, Params{Eps: 1.5e308, MinPts: 2}},
 		{"tiny-eps", []geo.Point{{X: 0, Y: 0}, {X: 5e-324, Y: 0}, {X: 1e-323, Y: 0}, {X: 0, Y: 5e-324}}, Params{Eps: 5e-324, MinPts: 2}},
+		// The far corner coarsens the grid to a row and a column index of
+		// exactly 2³⁰, the widest the key packs, beside three points within ε.
+		{"row-and-column-2^30", []geo.Point{{X: 0, Y: 0}, {X: 0x1p40, Y: 0x1p40}, {X: 0x1p40 - 0.5, Y: 0x1p40}, {X: 0x1p40, Y: 0x1p40 - 0.5}}, Params{Eps: 1, MinPts: 3}},
+		// Coarse sub-cells are 512 wide at ε = 1: three points in one must
+		// not be core by count.
+		{"coarse-sub-cell-not-clique", []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 200, Y: 0}, {X: 0x1p40, Y: 0}}, Params{Eps: 1, MinPts: 3}},
+		// At ε = 1 the side is 1+2⁻¹⁶, so h is a sub-cell's side: points on
+		// a sub-cell boundary, just inside it, and a pair exactly one
+		// sub-cell diagonal apart (√2·h ≈ 0.707).
+		{"on-sub-cell-boundary", []geo.Point{{X: 0, Y: 0}, {X: h, Y: 0}, {X: math.Nextafter(h, 0), Y: 0}, {X: 2 * h, Y: 0}, {X: h, Y: h}, {X: 3 * h, Y: 2 * h}}, Params{Eps: 1, MinPts: 3}},
+		{"sub-cell-diagonal", []geo.Point{{X: 0, Y: 0}, {X: h, Y: h}, {X: 2 * h, Y: 2 * h}, {X: 3 * h, Y: 3 * h}}, Params{Eps: 1, MinPts: 2}},
+		{"inside-sub-cell-diagonal", []geo.Point{{X: 0, Y: 0}, {X: math.Nextafter(h, 0), Y: math.Nextafter(h, 0)}, {X: 0, Y: math.Nextafter(h, 0)}}, Params{Eps: 1, MinPts: 3}},
+		// A subnormal ε: MinPts points share one sub-cell, which the
+		// kernel must not take for a clique there; each counts neighbours.
+		{"subnormal-eps-one-sub-cell", []geo.Point{{X: 0, Y: 0}, {X: 5e-324, Y: 0}, {X: 0, Y: 5e-324}, {X: 5e-324, Y: 5e-324}}, Params{Eps: 1.5e-323, MinPts: 4}},
 	}
 	var s Scratch
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			requireNaiveLabels(t, &s, tc.pts, tc.p)
+			if strings.HasPrefix(tc.name, "coarse") || strings.HasPrefix(tc.name, "subnormal") {
+				// Outside the clique regime every point is a unit of its own.
+				if units := len(s.units) - 1; units != len(tc.pts) {
+					t.Fatalf("%d units for %d points: the clique shortcut can fire", units, len(tc.pts))
+				}
+			}
 		})
 	}
 	// The wrap case clusters all three points, not just matches naive.
@@ -414,18 +439,46 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 
 // TestScratchClusterAllocatesNothing pins the steady state: once a
 // Scratch has clustered an input of a given size, clustering it again
-// allocates nothing.
+// allocates nothing. The blobs exercise neighbour scans; the jam — 60
+// points within a few sub-cells, border points around it and noise —
+// also holds the union-find, the unit table and the neighbour lists to it.
 func TestScratchClusterAllocatesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	pts := make([]geo.Point, 2000)
-	for i := range pts {
-		pts[i] = geo.Point{X: float64(r.Intn(20))*300 + r.NormFloat64()*80, Y: float64(r.Intn(20))*300 + r.NormFloat64()*80}
+	blobs := make([]geo.Point, 2000)
+	for i := range blobs {
+		blobs[i] = geo.Point{X: float64(r.Intn(20))*300 + r.NormFloat64()*80, Y: float64(r.Intn(20))*300 + r.NormFloat64()*80}
+	}
+	var jam []geo.Point
+	for i := 0; i < 60; i++ { // a 6×10 lattice, 1 apart
+		jam = append(jam, geo.Point{X: 1000 + float64(i%6), Y: 1000 + float64(i/6)})
+	}
+	// Borders 199.99 out from the middle of each side: three lattice
+	// points within ε, so four with themselves.
+	jam = append(jam, geo.Point{X: 1204.99, Y: 1004}, geo.Point{X: 800.01, Y: 1004},
+		geo.Point{X: 1002, Y: 1208.99}, geo.Point{X: 1002, Y: 800.01})
+	for i := 0; i < 20; i++ { // noise
+		jam = append(jam, geo.Point{X: r.Float64() * 5000, Y: 3000 + r.Float64()*5000})
 	}
 	p := Params{Eps: 200, MinPts: 5}
-	var s Scratch
-	s.Cluster(pts, p)
-	if n := testing.AllocsPerRun(20, func() { s.Cluster(pts, p) }); n != 0 {
-		t.Fatalf("warmed Scratch.Cluster allocates %.1f times per call, want 0", n)
+	for name, pts := range map[string][]geo.Point{"blobs": blobs, "jam": jam} {
+		var s Scratch
+		labels := s.Cluster(pts, p)
+		if name == "jam" {
+			var dense, border, noise bool
+			for u := range s.units[:len(s.units)-1] {
+				dense = dense || s.units[u+1].start-s.units[u].start >= int32(p.MinPts)
+			}
+			for q, i := range s.ord {
+				border = border || s.core[q] < 0 && labels[i] >= 0
+				noise = noise || labels[i] == Noise
+			}
+			if !dense || !border || !noise {
+				t.Fatalf("jam input has a dense unit %v, a border point %v, noise %v; want all three", dense, border, noise)
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() { s.Cluster(pts, p) }); n != 0 {
+			t.Fatalf("%s: warmed Scratch.Cluster allocates %.1f times per call, want 0", name, n)
+		}
 	}
 }
 

@@ -122,9 +122,11 @@ type Options struct {
 // Build interpolates db onto its time domain and clusters every tick,
 // returning the cluster database. Ticks are independent, so with
 // Options.Parallelism > 1 they are processed by a worker pool. Each worker
-// owns one buildScratch, so the interpolation buffer and the DBSCAN
-// working memory (sort buffers, cell table, labels, stack) are reused
-// across all the ticks it handles — only the emitted clusters allocate.
+// owns one buildScratch, so the interpolation cursor and buffer and the
+// DBSCAN working memory (sort buffers, cell and unit tables, labels) are
+// reused across all the ticks it handles — only the emitted clusters
+// allocate. Ticks are handed out in increasing order, so every worker's
+// cursor only steps forward after its first tick.
 func Build(db *trajectory.DB, opt Options) *CDB {
 	out := &CDB{
 		Domain:   db.Domain,
@@ -163,6 +165,7 @@ func Build(db *trajectory.DB, opt Options) *CDB {
 
 // buildScratch is one worker's reusable tick-clustering state.
 type buildScratch struct {
+	cursor trajectory.Cursor
 	snap   []trajectory.ObjPoint
 	pts    []geo.Point
 	counts []int32
@@ -176,7 +179,7 @@ type buildScratch struct {
 //
 //gather:hotpath
 func (sc *buildScratch) clusterTick(db *trajectory.DB, t trajectory.Tick, opt Options) []*Cluster {
-	sc.snap = db.Snapshot(t, sc.snap)
+	sc.snap = sc.cursor.Snapshot(db, t, sc.snap)
 	snap := sc.snap
 	if len(snap) == 0 {
 		return nil

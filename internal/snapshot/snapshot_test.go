@@ -200,3 +200,64 @@ func TestBuildClustersAreMaximalAndDisjoint(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildMatchesLocationAt requires Build's clusters — whose positions
+// come from each worker's forward interpolation cursor — to equal the
+// clusters of DB.Snapshot's LocationAt positions, point for point, at every
+// tick of Batches views that start mid-trajectory, sequentially and with
+// four workers. The objects are sampled irregularly, some twice at one
+// timestamp, and live over part of the domain, so ticks fall on samples,
+// between them and beyond both lifespan edges.
+func TestBuildMatchesLocationAt(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	db := &trajectory.DB{Domain: trajectory.TimeDomain{Start: -2, Step: 0.5, N: 80}}
+	for id := 0; id < 60; id++ {
+		tr := trajectory.Trajectory{ID: trajectory.ObjectID(id)}
+		tm := float64(r.Intn(20)) - 4
+		cx, cy := float64(id%3)*100, float64(id%2)*100
+		for k := 10 + r.Intn(40); k > 0; k-- {
+			tr.Samples = append(tr.Samples, trajectory.Sample{Time: tm, P: pt(cx+r.Float64()*30, cy+r.Float64()*30)})
+			tm += []float64{0, 0.25, 0.5, 0.75, 2}[r.Intn(5)]
+		}
+		db.Trajs = append(db.Trajs, tr)
+	}
+	p := dbscan.Params{Eps: 8, MinPts: 3}
+	var snap []trajectory.ObjPoint
+	for _, view := range db.Batches(7) {
+		for _, par := range []int{1, 4} {
+			cdb := Build(view, Options{DBSCAN: p, Parallelism: par})
+			for tick := 0; tick < view.Domain.N; tick++ {
+				snap = view.Snapshot(trajectory.Tick(tick), snap)
+				pts := make([]geo.Point, len(snap))
+				for i, op := range snap {
+					pts[i] = op.P
+				}
+				labels := dbscan.Cluster(pts, p)
+				var want []*Cluster
+				for c := 0; ; c++ {
+					var objs []trajectory.ObjectID
+					var ps []geo.Point
+					for i, l := range labels {
+						if l == c {
+							objs, ps = append(objs, snap[i].ID), append(ps, snap[i].P)
+						}
+					}
+					if objs == nil {
+						break
+					}
+					want = append(want, NewCluster(trajectory.Tick(tick), objs, ps))
+				}
+				got := cdb.Clusters[tick]
+				if len(got) != len(want) {
+					t.Fatalf("view from %v, parallelism %d, tick %d: %d clusters, want %d", view.Domain.Start, par, tick, len(got), len(want))
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i].Objects, want[i].Objects) || !reflect.DeepEqual(got[i].Points, want[i].Points) {
+						t.Fatalf("view from %v, parallelism %d, tick %d cluster %d: %v at %v, want %v at %v",
+							view.Domain.Start, par, tick, i, got[i].Objects, got[i].Points, want[i].Objects, want[i].Points)
+					}
+				}
+			}
+		}
+	}
+}

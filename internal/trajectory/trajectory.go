@@ -63,24 +63,31 @@ func (tr *Trajectory) SortSamples() {
 // time t. ok is false when t is outside the trajectory's lifespan — the
 // paper does not extrapolate beyond a trajectory's endpoints.
 func (tr *Trajectory) LocationAt(t float64) (geo.Point, bool) {
+	if !tr.alive(t) {
+		return geo.Point{}, false
+	}
+	return interpolate(tr.Samples, searchTime(tr.Samples, t), t), true
+}
+
+// alive reports whether t lies within the trajectory's lifespan.
+func (tr *Trajectory) alive(t float64) bool {
 	n := len(tr.Samples)
-	if n == 0 {
-		return geo.Point{}, false
-	}
-	if t < tr.Samples[0].Time || t > tr.Samples[n-1].Time {
-		return geo.Point{}, false
-	}
-	i := searchTime(tr.Samples, t)
-	if i < n && tr.Samples[i].Time == t {
-		return tr.Samples[i].P, true
+	return n > 0 && t >= tr.Samples[0].Time && t <= tr.Samples[n-1].Time
+}
+
+// interpolate returns the location at time t, within the lifespan of ss,
+// given i = searchTime(ss, t).
+func interpolate(ss []Sample, i int, t float64) geo.Point {
+	if i < len(ss) && ss[i].Time == t {
+		return ss[i].P
 	}
 	// t lies strictly between samples i-1 and i: interpolate linearly.
-	a, b := tr.Samples[i-1], tr.Samples[i]
+	a, b := ss[i-1], ss[i]
 	span := b.Time - a.Time
 	if span == 0 {
-		return a.P, true
+		return a.P
 	}
-	return a.P.Lerp(b.P, (t-a.Time)/span), true
+	return a.P.Lerp(b.P, (t-a.Time)/span)
 }
 
 // Window returns the samples that fix LocationAt(t) for every t in
@@ -240,6 +247,52 @@ func (db *DB) Snapshot(i Tick, dst []ObjPoint) []ObjPoint {
 		if p, ok := tr.LocationAt(t); ok {
 			dst = append(dst, ObjPoint{ID: tr.ID, P: p})
 		}
+	}
+	return dst
+}
+
+// Cursor is a forward interpolation cursor: it remembers, per trajectory,
+// where the last time it located fell among the samples, so snapshots
+// taken at non-decreasing ticks step forward from there instead of
+// binary-searching every trajectory at every tick. The zero value is
+// ready to use. Positions never depend on the cursor's state, only the
+// cost of finding them does: a snapshot at an earlier tick, or of another
+// database, binary-searches again. A Cursor is not safe for concurrent use.
+type Cursor struct {
+	next []int32 // per trajectory: 1 + the last searchTime result, 0 when unknown
+}
+
+// maxStep bounds the samples a cursor steps over one at a time before it
+// binary-searches the rest.
+const maxStep = 4
+
+// Snapshot is db.Snapshot(i, dst): the same locations, ok flags and order,
+// exactly LocationAt's under its precondition of time-sorted samples.
+func (c *Cursor) Snapshot(db *DB, i Tick, dst []ObjPoint) []ObjPoint {
+	t := db.Domain.TimeOf(i)
+	if len(c.next) < len(db.Trajs) {
+		c.next = make([]int32, len(db.Trajs))
+	}
+	dst = dst[:0]
+	for j := range db.Trajs {
+		tr := &db.Trajs[j]
+		if !tr.alive(t) {
+			continue
+		}
+		ss := tr.Samples
+		k := int(c.next[j]) - 1
+		if k < 0 || k > len(ss) || k > 0 && ss[k-1].Time >= t {
+			k = searchTime(ss, t)
+		} else {
+			// Every sample before k is earlier than t: step forward.
+			for end := min(k+maxStep, len(ss)); k < end && ss[k].Time < t; k++ {
+			}
+			if k < len(ss) && ss[k].Time < t {
+				k += searchTime(ss[k:], t)
+			}
+		}
+		c.next[j] = int32(k + 1)
+		dst = append(dst, ObjPoint{ID: tr.ID, P: interpolate(ss, k, t)})
 	}
 	return dst
 }

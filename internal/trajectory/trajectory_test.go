@@ -414,3 +414,80 @@ func TestWindowBounds(t *testing.T) {
 		t.Errorf("empty trajectory Window = %v, want nil", got)
 	}
 }
+
+// randomSortedDB returns up to 12 irregularly sampled trajectories with
+// time-sorted samples (gaps of 0 duplicate a timestamp; some trajectories
+// have 0 or 1 samples) on a domain whose ticks land on samples, between
+// them and past both ends of the lifespans.
+func randomSortedDB(r *rand.Rand) *DB {
+	gaps := []float64{0, 0.25, 0.5, 1, 1.5, 3, 7}
+	db := &DB{Domain: TimeDomain{
+		Start: float64(r.Intn(30)-20) / 2,
+		Step:  []float64{0.25, 0.5, 1, 1.5}[r.Intn(4)],
+		N:     r.Intn(60),
+	}}
+	for id := r.Intn(13); id > 0; id-- {
+		tr := Trajectory{ID: ObjectID(id)}
+		tm := float64(r.Intn(30)-10) / 2
+		for k := r.Intn(21); k > 0; k-- {
+			tr.Samples = append(tr.Samples, s(tm, r.Float64()*100, r.Float64()*100))
+			tm += gaps[r.Intn(len(gaps))]
+		}
+		db.Trajs = append(db.Trajs, tr)
+	}
+	return db
+}
+
+// requireCursorMatches fails unless a Cursor reproduces DB.Snapshot — the
+// LocationAt positions and ok flags, in trajectory order — at every tick
+// of every per-tick Batches view of db: with a fresh cursor per view, as
+// snapshot.Build gives each worker, with one cursor carried across the
+// views, and with one walking the whole domain backwards, where it must
+// search again at every tick.
+func requireCursorMatches(t testing.TB, db *DB, per int) {
+	t.Helper()
+	var carried, back Cursor
+	var want, got []ObjPoint
+	check := func(c *Cursor, view *DB, i Tick, how string) {
+		t.Helper()
+		want = view.Snapshot(i, want)
+		got = c.Snapshot(view, i, got)
+		if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("%s cursor, view from %v, tick %d (time %v): got %v, want %v\ntrajectories %v",
+				how, view.Domain.Start, i, view.Domain.TimeOf(i), got, want, db.Trajs)
+		}
+	}
+	for _, view := range db.Batches(per) {
+		var fresh Cursor
+		for i := 0; i < view.Domain.N; i++ {
+			check(&fresh, view, Tick(i), "fresh")
+			check(&carried, view, Tick(i), "carried")
+		}
+	}
+	for i := db.Domain.N - 1; i >= 0; i-- {
+		check(&back, db, Tick(i), "backward")
+	}
+}
+
+// TestCursorMatchesLocationAt is the forward cursor's contract in the
+// style of TestWindowPreservesLocationAt: random trajectories with
+// duplicate timestamps and 0 or 1 samples, ticks exactly at and beyond the
+// lifespan edges, and Batches views that start mid-trajectory.
+func TestCursorMatchesLocationAt(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		db := randomSortedDB(r)
+		requireCursorMatches(t, db, 1+r.Intn(8))
+	}
+	// Edges by hand: ticks at the first sample, on a duplicated timestamp,
+	// at the last sample and one step past each end.
+	db := &DB{
+		Trajs:  []Trajectory{traj(1, s(1, 0, 0), s(2, 4, 0), s(2, 6, 0), s(2, 8, 0), s(4, 0, 8))},
+		Domain: TimeDomain{Start: 0, Step: 1, N: 6},
+	}
+	requireCursorMatches(t, db, 2)
+	var c Cursor
+	if got := c.Snapshot(db, 2, nil); len(got) != 1 || got[0].P != (geo.Point{X: 4, Y: 0}) {
+		t.Fatalf("duplicate timestamp at tick 2: got %v, want the first sample's (4, 0)", got)
+	}
+}
