@@ -1,35 +1,25 @@
-// Command gatherlint is the repo's invariant checker: a multichecker
+// Command gatherlint is the repo's invariant checker: a vet tool
 // carrying the seven analyzers that keep gathering discovery correct
 // under sharing — sharedmut, detachcheck, lockcheck, lockorder,
 // leakcheck, hotalloc and racecheck (see docs/INVARIANTS.md).
 //
-// It runs two ways:
+// It runs under go vet:
 //
-//	go vet -vettool=$(pwd)/bin/gatherlint ./...        # unitchecker protocol
-//	gatherlint [-json] [-tags list] [-baseline file] ./...   # standalone
+//	go build -o bin/gatherlint ./cmd/gatherlint
+//	go vet -vettool=$(pwd)/bin/gatherlint ./...
+//	go vet -vettool=$(pwd)/bin/gatherlint -tags probe ./...   # tag-gated files
 //
-// In vettool mode go vet drives it once per package with a vet.cfg
-// describing the type-checked unit (export data of every dependency
-// included), and //gather:* annotations plus per-function summary facts
-// (locks acquired, calls made while holding them, field accesses with
-// their must-hold sets, allocation sites, goroutine termination,
-// attached-crowd flow) travel between packages as fact files. Standalone
-// mode resolves the same information itself through `go list -export
-// -deps`, type-checking the whole in-module import graph in dependency
-// order; the go list child honours GOFLAGS from the environment, and
-// -tags adds build tags the same way `go build -tags` would, so
-// tag-gated files are analysed under the constraints they compile
-// under. Both are built on the standard library alone: the container
-// this repo grows in has no module proxy, so the x/tools unitchecker
-// cannot be imported — its protocol is reimplemented in vetcfg.go /
-// standalone.go.
-//
-// With -json (standalone mode only) the findings — including any
-// machine-applicable suggested fixes — and every //lint:allow waiver
-// are written to stdout as one JSON report for CI artifacts. With
-// -baseline the report of a previous -json run is treated as accepted
-// debt: only diagnostics not present in the baseline count toward the
-// exit status (CI fails on new findings, not inherited ones).
+// go vet drives it once per package — test variants included, so
+// _test.go files are analysed too — with a vet.cfg describing the
+// type-checked unit (export data of every dependency included), and
+// //gather:* annotations plus per-function summary facts (locks
+// acquired, calls made while holding them, field accesses with their
+// must-hold sets, allocation sites, goroutine termination,
+// attached-crowd flow) travel between packages as fact files. Build
+// tags, GOFLAGS and the package patterns are go vet's business; the
+// tool has no flags of its own. It is built on the standard library
+// alone, so the x/tools unitchecker protocol is reimplemented in
+// vetcfg.go rather than imported.
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics found.
 package main
@@ -62,49 +52,19 @@ var analyzers = []*framework.Analyzer{
 
 func main() {
 	args := os.Args[1:]
-	jsonOut := false
-	tags, baseline := "", ""
-flags:
-	for len(args) > 0 {
-		switch {
-		case args[0] == "-json":
-			jsonOut = true
-			args = args[1:]
-		case args[0] == "-tags" && len(args) > 1:
-			tags = args[1]
-			args = args[2:]
-		case strings.HasPrefix(args[0], "-tags="):
-			tags = strings.TrimPrefix(args[0], "-tags=")
-			args = args[1:]
-		case args[0] == "-baseline" && len(args) > 1:
-			baseline = args[1]
-			args = args[2:]
-		case strings.HasPrefix(args[0], "-baseline="):
-			baseline = strings.TrimPrefix(args[0], "-baseline=")
-			args = args[1:]
-		default:
-			break flags
-		}
-	}
-	if len(args) == 0 {
-		usage()
-		os.Exit(1)
-	}
 	switch {
-	case strings.HasPrefix(args[0], "-V"):
+	case len(args) == 1 && strings.HasPrefix(args[0], "-V"):
 		// go vet fingerprints the tool for its action cache.
 		printVersion()
-	case args[0] == "-flags":
+	case len(args) == 1 && args[0] == "-flags":
 		// go vet probes for tool-specific flags; gatherlint has none.
 		fmt.Println("[]")
-	case args[0] == "help" || args[0] == "-h" || args[0] == "--help":
-		usage()
-	case strings.HasSuffix(args[0], ".cfg"):
-		// Unitchecker mode: one vet.cfg per package, exit 2 on findings.
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
+		// One vet.cfg per package, exit 2 on findings.
 		os.Exit(runVetCfg(args[0]))
 	default:
-		// Standalone mode over package patterns.
-		os.Exit(runStandalone(args, jsonOut, tags, baseline))
+		usage()
+		os.Exit(1)
 	}
 }
 
@@ -117,19 +77,8 @@ hot-path invariants:
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
 	fmt.Fprintf(os.Stderr, `
-usage:
-  gatherlint [-json] [-tags list] [-baseline file] ./...   standalone
-  go vet -vettool=/path/to/gatherlint ./...   as a vet tool (CI mode)
-
--json writes findings (with machine-applicable suggested fixes where
-the analyzer computed one) and //lint:allow waivers to stdout as a
-JSON report instead of vet-style text.
-
--tags adds build tags to the go list package resolution, like
-`+"`go build -tags`"+`; GOFLAGS from the environment is honoured too.
-
--baseline treats the diagnostics of a previous -json report as
-accepted: only new findings affect the exit status.
+usage (as a vet tool; gatherlint has no flags of its own):
+  go vet -vettool=/path/to/gatherlint [-tags list] ./...
 
 Findings are suppressed line-by-line with
   //lint:allow <analyzer> <reason why this is safe>

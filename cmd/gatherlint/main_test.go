@@ -2,10 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -72,107 +72,210 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
-// TestStandaloneFindsViolations checks the go-list driver end to end: a
-// throwaway module with a sharedmut violation must produce a diagnostic
-// and exit status 2.
-func TestStandaloneFindsViolations(t *testing.T) {
+// TestVettoolFindsViolations drives the built tool through go vet over a
+// throwaway module with three sharedmut violations: a write in a
+// dependent package, one in a _test.go file (go vet analyses each
+// package's test variant too), and one in a `//go:build probe` file
+// whose code only typechecks against another probe-gated file, so it is
+// seen only under `go vet -tags probe`.
+func TestVettoolFindsViolations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns go list and the typechecker; skipped with -short")
+		t.Skip("builds the tool and runs go vet; skipped with -short")
 	}
 	tool := buildTool(t)
 
 	dir := t.TempDir()
-	write := func(name, src string) {
-		t.Helper()
-		writeTree(t, dir, map[string]string{name: src})
-	}
-	write("go.mod", "module lintprobe\n\ngo 1.22\n")
-	write("imm/imm.go", `package imm
+	writeTree(t, dir, map[string]string{
+		"go.mod": "module lintprobe\n\ngo 1.22\n",
+		"imm/imm.go": `package imm
 
 //gather:immutable
 type Shared struct{ N int }
-`)
-	write("use/use.go", `package use
+`,
+		"use/use.go": `package use
 
 import "lintprobe/imm"
 
 func Mutate(s *imm.Shared) { s.N = 1 }
-`)
+`,
+		"use/use_test.go": `package use
 
+import (
+	"testing"
+
+	"lintprobe/imm"
+)
+
+func TestMutate(t *testing.T) {
+	s := &imm.Shared{}
+	s.N = 3
+}
+`,
+		"use/probe.go": `//go:build probe
+
+package use
+
+import "lintprobe/imm"
+
+func MutateProbe(s *imm.Shared) { s.N = probeVal }
+`,
+		"use/probeval.go": `//go:build probe
+
+package use
+
+var probeVal = 2
+`,
+	})
+
+	vet := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		cmd := exec.Command("go", append([]string{"vet", "-vettool=" + tool}, append(args, "./...")...)...)
+		cmd.Dir = dir
+		cmd.Stdout = &out
+		cmd.Stderr = &out
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("go vet %v succeeded, want sharedmut findings\n%s", args, out.String())
+		}
+		return out.String()
+	}
+	finding := func(out, file string) bool {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, file+":") && strings.Contains(line, "[sharedmut]") &&
+				strings.Contains(line, "write to field N of immutable lintprobe/imm.Shared") {
+				return true
+			}
+		}
+		return false
+	}
+
+	out := vet()
+	for _, file := range []string{"use.go", "use_test.go"} {
+		if !finding(out, file) {
+			t.Errorf("go vet: missing sharedmut finding in %s\n%s", file, out)
+		}
+	}
+	if finding(out, "probe.go") {
+		t.Errorf("go vet without tags reported the probe-gated file\n%s", out)
+	}
+
+	out = vet("-tags", "probe")
+	for _, file := range []string{"use.go", "use_test.go", "probe.go"} {
+		if !finding(out, file) {
+			t.Errorf("go vet -tags probe: missing sharedmut finding in %s\n%s", file, out)
+		}
+	}
+}
+
+// runVet runs `go vet -vettool=tool [args] ./...` in dir with env added to
+// the environment, and returns its exit status and combined output.
+func runVet(t *testing.T, tool, dir string, env []string, args ...string) (int, string) {
+	t.Helper()
 	var out bytes.Buffer
-	cmd := exec.Command(tool, "./...")
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + tool}, append(args, "./...")...)...)
 	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), env...)
 	cmd.Stdout = &out
 	cmd.Stderr = &out
 	err := cmd.Run()
+	if err == nil {
+		return 0, out.String()
+	}
 	exit, ok := err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 2 {
-		t.Fatalf("gatherlint ./... : err = %v, want exit status 2\n%s", err, out.String())
+	if !ok {
+		t.Fatalf("go vet %v: %v\n%s", args, err, out.String())
 	}
-	if !bytes.Contains(out.Bytes(), []byte("[sharedmut]")) ||
-		!bytes.Contains(out.Bytes(), []byte("write to field N of immutable lintprobe/imm.Shared")) {
-		t.Errorf("missing sharedmut diagnostic in output:\n%s", out.String())
-	}
+	return exit.ExitCode(), out.String()
+}
 
-	// -json mode over the same module: the finding becomes a structured
-	// record on stdout, and the waived lock edge shows up under waivers
-	// with its reason.
-	write("use/waived.go", `package use
+// TestStandaloneFindsViolations checks the finding and waiver contract
+// on a standalone module outside this repository: a sharedmut violation
+// and an unwaived lockcheck send fail the run, a send waived with
+// //lint:allow and a reason is silent, and a waiver without a reason is
+// itself reported.
+func TestStandaloneFindsViolations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the tool and runs go vet; skipped with -short")
+	}
+	tool := buildTool(t)
+
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{
+		"go.mod": "module lintprobe\n\ngo 1.22\n",
+		"imm/imm.go": `package imm
+
+//gather:immutable
+type Shared struct{ N int }
+`,
+		"use/use.go": `package use
+
+import "lintprobe/imm"
+
+func Mutate(s *imm.Shared) { s.N = 1 }
+`,
+		"use/locked.go": `package use
 
 import "sync"
 
 var mu sync.Mutex
 var ch = make(chan int, 1)
 
-func send() {
+func sendWaived() {
 	mu.Lock()
 	defer mu.Unlock()
 	ch <- 1 //lint:allow lockcheck buffered probe channel, the send cannot block
 }
-`)
-	var jout, jerr bytes.Buffer
-	jcmd := exec.Command(tool, "-json", "./...")
-	jcmd.Dir = dir
-	jcmd.Stdout = &jout
-	jcmd.Stderr = &jerr
-	err = jcmd.Run()
-	exit, ok = err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 2 {
-		t.Fatalf("gatherlint -json ./... : err = %v, want exit status 2\n%s%s", err, jout.String(), jerr.String())
+
+func sendBare() {
+	mu.Lock()
+	defer mu.Unlock()
+	ch <- 2 //lint:allow lockcheck
+}
+
+func sendUnwaived() {
+	mu.Lock()
+	defer mu.Unlock()
+	ch <- 3
+}
+`,
+	})
+
+	code, out := runVet(t, tool, dir, nil)
+	if code == 0 {
+		t.Fatalf("go vet succeeded, want findings\n%s", out)
 	}
-	var rep jsonReport
-	if err := json.Unmarshal(jout.Bytes(), &rep); err != nil {
-		t.Fatalf("parsing -json output: %v\n%s", err, jout.String())
+	if !strings.Contains(out, "use.go:5:") || !strings.Contains(out, "[sharedmut]") ||
+		!strings.Contains(out, "write to field N of immutable lintprobe/imm.Shared") {
+		t.Errorf("missing sharedmut finding in use.go\n%s", out)
 	}
-	foundDiag := false
-	for _, d := range rep.Diagnostics {
-		if d.Analyzer == "sharedmut" && d.Line == 5 && filepath.Base(d.File) == "use.go" {
-			foundDiag = true
+	lockLines := map[int]int{}
+	for _, line := range strings.Split(out, "\n") {
+		for _, n := range []int{11, 17, 23} {
+			if strings.Contains(line, "locked.go:"+strconv.Itoa(n)+":") {
+				lockLines[n]++
+			}
 		}
 	}
-	if !foundDiag {
-		t.Errorf("missing sharedmut record in JSON report: %+v", rep.Diagnostics)
+	if lockLines[11] != 0 {
+		t.Errorf("waived send on locked.go:11 was reported\n%s", out)
 	}
-	foundWaiver := false
-	for _, w := range rep.Waivers {
-		if w.Analyzer == "lockcheck" && w.Reason == "buffered probe channel, the send cannot block" {
-			foundWaiver = true
-		}
+	if lockLines[17] == 0 || !strings.Contains(out, "//lint:allow needs an analyzer name and a reason") {
+		t.Errorf("reasonless waiver on locked.go:17 was not reported\n%s", out)
 	}
-	if !foundWaiver {
-		t.Errorf("missing lockcheck waiver record in JSON report: %+v", rep.Waivers)
+	if lockLines[23] == 0 || !strings.Contains(out, "[lockcheck]") {
+		t.Errorf("unwaived send on locked.go:23 was not reported\n%s", out)
 	}
 }
 
-// TestStandaloneBuildTags checks that the standalone driver resolves
-// build constraints the way `go build` would: a `//go:build probe` file
-// whose code only typechecks against another probe-gated file is
-// ignored without the tag, analysed (and its violation reported) with
-// `-tags probe`, and equally with `GOFLAGS=-tags=probe` from the
-// environment.
+// TestStandaloneBuildTags checks that build constraints reach the
+// analyzers the way they reach `go build`, on a standalone module: a
+// `//go:build probe` file whose code only typechecks against another
+// probe-gated file is ignored without the tag (the module vets clean),
+// and analysed, with its violation reported, under `go vet -tags probe`
+// and equally with GOFLAGS=-tags=probe from the environment.
 func TestStandaloneBuildTags(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns go list and the typechecker; skipped with -short")
+		t.Skip("builds the tool and runs go vet; skipped with -short")
 	}
 	tool := buildTool(t)
 
@@ -191,9 +294,6 @@ import "tagprobe/imm"
 // Read-only without the probe tag: nothing to report.
 func Peek(s *imm.Shared) int { return s.N }
 `,
-		// The two probe files only typecheck together: a driver that
-		// ignored build constraints would either fail on the dangling
-		// probeVal reference or never see the violation.
 		"use/probe.go": `//go:build probe
 
 package use
@@ -210,132 +310,15 @@ var probeVal = 2
 `,
 	})
 
-	run := func(env []string, args ...string) (int, string) {
-		t.Helper()
-		var out bytes.Buffer
-		cmd := exec.Command(tool, args...)
-		cmd.Dir = dir
-		cmd.Env = append(os.Environ(), env...)
-		cmd.Stdout = &out
-		cmd.Stderr = &out
-		err := cmd.Run()
-		if err == nil {
-			return 0, out.String()
-		}
-		exit, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("gatherlint %v: %v\n%s", args, err, out.String())
-		}
-		return exit.ExitCode(), out.String()
-	}
-
-	if code, out := run(nil, "./..."); code != 0 {
+	if code, out := runVet(t, tool, dir, nil); code != 0 {
 		t.Errorf("without tags: exit %d, want 0 (probe files excluded)\n%s", code, out)
 	}
-	if code, out := run(nil, "-tags", "probe", "./..."); code != 2 ||
-		!strings.Contains(out, "[sharedmut]") {
-		t.Errorf("-tags probe: exit %d, want 2 with a sharedmut finding\n%s", code, out)
+	if code, out := runVet(t, tool, dir, nil, "-tags", "probe"); code == 0 ||
+		!strings.Contains(out, "probe.go:7:") || !strings.Contains(out, "[sharedmut]") {
+		t.Errorf("-tags probe: exit %d, want a sharedmut finding in probe.go\n%s", code, out)
 	}
-	if code, out := run([]string{"GOFLAGS=-tags=probe"}, "./..."); code != 2 ||
-		!strings.Contains(out, "[sharedmut]") {
-		t.Errorf("GOFLAGS=-tags=probe: exit %d, want 2 with a sharedmut finding\n%s", code, out)
-	}
-}
-
-// TestStandaloneBaseline checks the accepted-debt flow: a -json report
-// committed as baseline absorbs the findings it lists (exit 0, records
-// marked baselined), while a new finding — even one identical to a
-// baselined one, once the baseline's count for the key is spent —
-// still fails the run.
-func TestStandaloneBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go list and the typechecker; skipped with -short")
-	}
-	tool := buildTool(t)
-
-	dir := t.TempDir()
-	writeTree(t, dir, map[string]string{
-		"go.mod": "module baseprobe\n\ngo 1.22\n",
-		"imm/imm.go": `package imm
-
-//gather:immutable
-type Shared struct{ N int }
-`,
-		"use/use.go": `package use
-
-import "baseprobe/imm"
-
-func Mutate(s *imm.Shared) { s.N = 1 }
-`,
-	})
-
-	runJSON := func(args ...string) (int, jsonReport, string) {
-		t.Helper()
-		var out, errb bytes.Buffer
-		cmd := exec.Command(tool, append([]string{"-json"}, args...)...)
-		cmd.Dir = dir
-		cmd.Stdout = &out
-		cmd.Stderr = &errb
-		err := cmd.Run()
-		code := 0
-		if err != nil {
-			exit, ok := err.(*exec.ExitError)
-			if !ok {
-				t.Fatalf("gatherlint -json %v: %v\n%s", args, err, errb.String())
-			}
-			code = exit.ExitCode()
-		}
-		var rep jsonReport
-		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-			t.Fatalf("parsing -json output: %v\n%s", err, out.String())
-		}
-		return code, rep, errb.String()
-	}
-
-	code, rep, _ := runJSON("./...")
-	if code != 2 || len(rep.Diagnostics) != 1 {
-		t.Fatalf("initial run: exit %d with %d diagnostics, want 2 with 1", code, len(rep.Diagnostics))
-	}
-	baseline := filepath.Join(dir, "baseline.json")
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(baseline, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same tree against its own report: everything inherited, exit 0.
-	code, rep, _ = runJSON("-baseline", baseline, "./...")
-	if code != 0 {
-		t.Errorf("baselined run: exit %d, want 0", code)
-	}
-	if len(rep.Diagnostics) != 1 || !rep.Diagnostics[0].Baselined {
-		t.Errorf("baselined run: diagnostics = %+v, want the one finding marked baselined", rep.Diagnostics)
-	}
-
-	// A second identical violation in the same file exhausts the
-	// baseline's count for the key: the extra finding is new.
-	writeTree(t, dir, map[string]string{"use/use.go": `package use
-
-import "baseprobe/imm"
-
-func Mutate(s *imm.Shared) { s.N = 1 }
-
-func MutateAgain(s *imm.Shared) { s.N = 1 }
-`})
-	code, rep, _ = runJSON("-baseline", baseline, "./...")
-	if code != 2 {
-		t.Errorf("run with a new finding: exit %d, want 2", code)
-	}
-	newCount := 0
-	for _, d := range rep.Diagnostics {
-		if !d.Baselined {
-			newCount++
-		}
-	}
-	if len(rep.Diagnostics) != 2 || newCount != 1 {
-		t.Errorf("run with a new finding: %d diagnostics (%d new), want 2 with exactly 1 new: %+v",
-			len(rep.Diagnostics), newCount, rep.Diagnostics)
+	if code, out := runVet(t, tool, dir, []string{"GOFLAGS=-tags=probe"}); code == 0 ||
+		!strings.Contains(out, "probe.go:7:") || !strings.Contains(out, "[sharedmut]") {
+		t.Errorf("GOFLAGS=-tags=probe: exit %d, want a sharedmut finding in probe.go\n%s", code, out)
 	}
 }

@@ -75,38 +75,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportfFix records a diagnostic at pos carrying a machine-applicable
-// suggested fix (surfaced by the -json report mode).
-func (p *Pass) ReportfFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
-}
-
 // A Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-	// Fix, when non-nil, is a machine-applicable repair for the finding.
-	Fix *SuggestedFix
-}
-
-// A SuggestedFix is a set of edits that repairs the finding. Edits are
-// non-overlapping; an edit with Pos == End is an insertion.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// A TextEdit replaces [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
 }
 
 // Annotations are the //gather:* markers of a package set. Keys are
@@ -574,28 +547,6 @@ func (s *Suppressions) Apply(diags []Diagnostic) []Diagnostic {
 		}
 	}
 	return kept
-}
-
-// A Waiver is one //lint:allow comment, exported for report generation
-// (the -json diagnostics mode lists every waiver with its reason).
-type Waiver struct {
-	Pos      token.Pos
-	Analyzer string
-	Reason   string
-}
-
-// List returns every scanned waiver sorted by position.
-func (s *Suppressions) List() []Waiver {
-	var out []Waiver
-	for _, lines := range s.byLoc {
-		for _, sups := range lines {
-			for _, sup := range sups {
-				out = append(out, Waiver{Pos: sup.pos, Analyzer: sup.analyzer, Reason: sup.reason})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	return out
 }
 
 func (s *Suppressions) matches(file string, line int, analyzer string) bool {

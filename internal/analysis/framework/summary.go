@@ -53,12 +53,6 @@ type AllocSite struct {
 	// the framework) but are dropped from exported facts, so a
 	// dependency's reasoned waiver silences dependent reports too.
 	Waived bool `json:"-"`
-	// FixEnd/FixText describe a machine-applicable repair of the site —
-	// replace source [Pos, FixEnd) with FixText (today: presizing an
-	// unsized make(map)). Local-only: positions are meaningless in
-	// another process.
-	FixEnd  token.Pos `json:"-"`
-	FixText string    `json:"-"`
 }
 
 // A CallSite is one static call edge out of a function.
@@ -529,13 +523,6 @@ func (sc *sumCtx) collectAllocs(fd *ast.FuncDecl, s *FuncSummary) {
 					if _, okb := obj.(*types.Builtin); okb && id.Name == "make" {
 						if unsizedMakeMap(sc.info, x) {
 							record(x.Pos(), "makemap", "")
-							// Machine-applicable repair: presize the map.
-							// 16 is a placeholder hint for the author to
-							// tune; any non-zero hint skips the first
-							// growth doublings.
-							site := &s.Allocs[len(s.Allocs)-1]
-							site.FixEnd = x.End()
-							site.FixText = fmt.Sprintf("make(%s, 16)", types.ExprString(x.Args[0]))
 						}
 					}
 				}

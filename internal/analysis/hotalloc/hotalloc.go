@@ -87,7 +87,7 @@ func reportOwnSites(pass *framework.Pass, s *framework.FuncSummary) {
 		case "maplit":
 			pass.Reportf(a.Pos, "map literal in hot path %s allocates; hoist the map or index arrays instead", name)
 		case "makemap":
-			pass.ReportfFix(a.Pos, makemapFix(a), "make(map) without a size hint in hot path %s; presize it or hoist it to reusable scratch state", name)
+			pass.Reportf(a.Pos, "make(map) without a size hint in hot path %s; presize it or hoist it to reusable scratch state", name)
 		case "closure":
 			pass.Reportf(a.Pos, "function literal in hot path %s allocates a closure; hoist it or restructure", name)
 		case "fmt":
@@ -124,7 +124,7 @@ func closeOver(pass *framework.Pass, caller *framework.FuncSummary, root string,
 		}
 		for _, a := range callee.Allocs {
 			if local {
-				pass.ReportfFix(a.Pos, makemapFix(a), "%s in %s, reachable from hot path %s; fix it there or annotate the function //gather:hotpath",
+				pass.Reportf(a.Pos, "%s in %s, reachable from hot path %s; fix it there or annotate the function //gather:hotpath",
 					kindMsg(a), shortName(callee.Key), shortName(root))
 			} else {
 				pass.Reportf(nextAnchor, "call into %s reaches %s (%s) on hot path %s; fix the callee or take this call off the hot path",
@@ -132,24 +132,6 @@ func closeOver(pass *framework.Pass, caller *framework.FuncSummary, root string,
 			}
 		}
 		closeOver(pass, callee, root, nextAnchor, visited)
-	}
-}
-
-// makemapFix wraps an unsized-make(map) site's recorded repair (replace
-// the call with a presized make) as a suggested fix; nil for every
-// other site kind and for fact-decoded sites, whose positions do not
-// resolve in this process.
-func makemapFix(a framework.AllocSite) *framework.SuggestedFix {
-	if a.Kind != "makemap" || a.FixText == "" || !a.Pos.IsValid() || !a.FixEnd.IsValid() {
-		return nil
-	}
-	return &framework.SuggestedFix{
-		Message: "presize the map (tune the hint to the expected population)",
-		Edits: []framework.TextEdit{{
-			Pos:     a.Pos,
-			End:     a.FixEnd,
-			NewText: a.FixText,
-		}},
 	}
 }
 

@@ -40,13 +40,10 @@
 //     missing lock could have been taken.
 //
 // Accesses in _test.go files are ignored: tests own their fixtures and
-// exercise internals single-goroutine. Violations of an annotated guard
-// carry a machine-applicable suggested fix (lock/defer-unlock around
-// the enclosing function body), surfaced by gatherlint -json.
+// exercise internals single-goroutine.
 package racecheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -322,72 +319,10 @@ func (rc *checker) checkAnnotated() {
 					shortField(fa.Field), guard)
 				continue
 			}
-			fix := rc.guardFix(fa.Pos, fa.Field, guard, fa.Write)
-			rc.pass.ReportfFix(fa.Pos, fix, "unguarded %s of %s: the field is declared //gather:guardedby %s, which is not held here",
+			rc.pass.Reportf(fa.Pos, "unguarded %s of %s: the field is declared //gather:guardedby %s, which is not held here",
 				verb, shortField(fa.Field), guard)
 		}
 	}
-}
-
-// guardFix builds the lock/defer-unlock insertion repairing an
-// unguarded access: acquire the guard's mutex field at the top of the
-// enclosing function (or literal) body. Nil when the mutex field does
-// not live on the accessed struct or the access node cannot be found.
-func (rc *checker) guardFix(pos token.Pos, field, guard string, write bool) *framework.SuggestedFix {
-	sel := rc.selectorAt(pos, field)
-	if sel == nil {
-		return nil
-	}
-	recvKey := field[:strings.LastIndex(field, ".")]
-	muField := ""
-	for k, v := range rc.pass.Ann.Locks {
-		if v != guard || !strings.HasPrefix(k, recvKey+".") {
-			continue
-		}
-		if name := k[len(recvKey)+1:]; !strings.Contains(name, ".") {
-			muField = name
-		}
-	}
-	if muField == "" {
-		return nil // the guard lives on another struct: no mechanical repair
-	}
-	body := rc.enclosingBody(pos)
-	if body == nil {
-		return nil
-	}
-	lock, unlock := "Lock", "Unlock"
-	if !write && rc.mutexIsRW(sel, muField) {
-		lock, unlock = "RLock", "RUnlock"
-	}
-	base := types.ExprString(sel.X)
-	return &framework.SuggestedFix{
-		Message: fmt.Sprintf("acquire %s around the enclosing function body", guard),
-		Edits: []framework.TextEdit{{
-			Pos: body.Lbrace + 1,
-			End: body.Lbrace + 1,
-			NewText: fmt.Sprintf("\n\t%s.%s.%s()\n\tdefer %s.%s.%s()",
-				base, muField, lock, base, muField, unlock),
-		}},
-	}
-}
-
-// mutexIsRW reports whether muField on sel's receiver struct is a
-// sync.RWMutex, so a read access can suggest RLock.
-func (rc *checker) mutexIsRW(sel *ast.SelectorExpr, muField string) bool {
-	selInfo := rc.pass.TypesInfo.Selections[sel]
-	if selInfo == nil {
-		return false
-	}
-	st, ok := framework.Deref(selInfo.Recv()).Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if f := st.Field(i); f.Name() == muField {
-			return framework.TypeKey(f.Type()) == "sync.RWMutex"
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------
@@ -543,55 +478,6 @@ func (rc *checker) foreignWalk(site callSite, callee *framework.FuncSummary,
 
 // ---------------------------------------------------------------------
 // Position helpers.
-
-// selectorAt finds the qualifying selector expression at pos whose
-// field name matches the access key (nested chains share a start
-// position: e.s.f and its prefix e.s both begin at `e`).
-func (rc *checker) selectorAt(pos token.Pos, field string) *ast.SelectorExpr {
-	name := field[strings.LastIndex(field, ".")+1:]
-	var found *ast.SelectorExpr
-	for _, file := range rc.pass.Files {
-		if pos < file.Pos() || pos > file.End() {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if found != nil {
-				return false
-			}
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Pos() == pos && sel.Sel.Name == name {
-				found = sel
-			}
-			return true
-		})
-	}
-	return found
-}
-
-// enclosingBody returns the innermost function (or literal) body
-// containing pos.
-func (rc *checker) enclosingBody(pos token.Pos) *ast.BlockStmt {
-	var body *ast.BlockStmt
-	for _, file := range rc.pass.Files {
-		if pos < file.Pos() || pos > file.End() {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if n == nil || pos < n.Pos() || pos >= n.End() {
-				return false
-			}
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				if x.Body != nil {
-					body = x.Body
-				}
-			case *ast.FuncLit:
-				body = x.Body
-			}
-			return true
-		})
-	}
-	return body
-}
 
 // inFuncLit reports whether pos sits inside a function literal — where
 // call-site lock inheritance never applies.

@@ -60,10 +60,18 @@ func Perturb(batches []*trajectory.DB, cfg Config) []Event {
 	}
 
 	// Reorder: a selected event slips 1..MaxDelay positions behind its
-	// successors (rotate it rightwards).
+	// successors (rotate it rightwards). An event moves at most once —
+	// the loop meets a rotated event again at its new position, and a
+	// second slip would carry it past MaxDelay — but its draws are still
+	// taken, so the duplicate and drop draws below stay aligned.
+	moved := make([]bool, len(evs))
 	for i := 0; i < len(evs); i++ {
 		if rng.Float64() < cfg.ReorderProb {
 			j := i + 1 + rng.Intn(maxDelay)
+			if moved[evs[i].Seq] {
+				continue
+			}
+			moved[evs[i].Seq] = true
 			if j >= len(evs) {
 				j = len(evs) - 1
 			}

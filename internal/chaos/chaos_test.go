@@ -59,6 +59,35 @@ func TestPerturbLosslessWithoutDrops(t *testing.T) {
 	}
 }
 
+// TestPerturbDelayBound sweeps seeds with reordering alone and checks
+// the MaxDelay contract: no event is delivered more than MaxDelay
+// positions after its sequence number.
+func TestPerturbDelayBound(t *testing.T) {
+	for _, n := range []int{40, 200} {
+		batches := testBatches(n)
+		for _, cfg := range []Config{
+			{ReorderProb: 0.2, MaxDelay: 4},
+			{ReorderProb: 0.5, MaxDelay: 3},
+			{ReorderProb: 0.9, MaxDelay: 1},
+			{ReorderProb: 1, MaxDelay: 8},
+		} {
+			for seed := int64(0); seed < 300; seed++ {
+				cfg.Seed = seed
+				evs := Perturb(batches, cfg)
+				if len(evs) != n {
+					t.Fatalf("n=%d %+v: %d events delivered, want %d", n, cfg, len(evs), n)
+				}
+				for i, ev := range evs {
+					if slip := i - int(ev.Seq); slip > cfg.MaxDelay {
+						t.Fatalf("n=%d %+v: seq %d delivered at %d, %d positions late (MaxDelay %d)",
+							n, cfg, ev.Seq, i, slip, cfg.MaxDelay)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPerturbDropsEverything(t *testing.T) {
 	evs := Perturb(testBatches(20), Config{Seed: 1, DropProb: 1})
 	if len(evs) != 0 {

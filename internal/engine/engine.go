@@ -198,9 +198,14 @@ type Engine struct {
 	// cross-shard fragments at Snapshot time.
 	gatherParams gathering.Params
 
+	// loads counts completed LoadState calls: a restore replaces the
+	// shard stores without applying a task, so it bumps the state
+	// version on its own.
+	loads atomic.Uint64
+
 	// mergeMu guards the memoized snapshot state: the merged, sorted crowd
-	// list is recomputed only when a shard task has been applied since it
-	// was built (mergeVer tracks TasksApplied), so steady-state queries
+	// list is recomputed only when the shard stores have changed since it
+	// was built (mergeVer tracks stateVersion), so steady-state queries
 	// pay a filter over the cached list, not the O(k²) merge.
 	//gather:lock merge
 	mergeMu sync.Mutex
@@ -614,10 +619,10 @@ func (e *Engine) Snapshot(q Query) *Result {
 // than query rate. Returned entries are immutable and shared between
 // queries.
 func (e *Engine) mergedState() ([]shardCrowd, int) {
-	// Read the apply version before collecting: if an apply lands during
-	// the computation the version check below fails and the result is
-	// served uncached (it is still a valid snapshot).
-	ver := e.counters.TasksApplied.Load()
+	// Read the state version before collecting: if an apply or a restore
+	// lands during the computation the version check below fails and the
+	// result is served uncached (it is still a valid snapshot).
+	ver := e.stateVersion()
 	e.mergeMu.Lock()
 	if e.mergeValid && e.mergeVer == ver {
 		ents, ticks := e.mergeCache, e.mergeTicks
@@ -660,13 +665,19 @@ func (e *Engine) mergedState() ([]shardCrowd, int) {
 		return compareCrowds(entries[i].crowd, entries[j].crowd) < 0
 	})
 
-	if e.counters.TasksApplied.Load() == ver {
+	if e.stateVersion() == ver {
 		e.mergeMu.Lock()
 		e.mergeCache, e.mergeTicks = entries, minTicks
 		e.mergeVer, e.mergeValid = ver, true
 		e.mergeMu.Unlock()
 	}
 	return entries, minTicks
+}
+
+// stateVersion changes whenever a shard store does: on every applied
+// shard task and on every LoadState.
+func (e *Engine) stateVersion() uint64 {
+	return e.counters.TasksApplied.Load() + e.loads.Load()
 }
 
 // finishSnapshot updates the query-side counters and returns res.

@@ -98,6 +98,7 @@ func (e *Engine) LoadState(r io.Reader) error {
 		sh.ticks.Store(int64(sh.appliedTicks))
 		sh.mu.Unlock()
 	}
+	e.loads.Add(1)
 	e.advanceFrontier()
 	return nil
 }

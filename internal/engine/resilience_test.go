@@ -352,3 +352,44 @@ func TestLoadStateMismatches(t *testing.T) {
 		t.Fatalf("params mismatch: err = %v, want a thresholds complaint", err)
 	}
 }
+
+// TestLoadStateRefreshesSnapshot: a query answered before LoadState must
+// not be served again after it. The memoized merge is keyed on applied
+// shard tasks, and a restore installs new stores without applying any.
+func TestLoadStateRefreshesSnapshot(t *testing.T) {
+	pipe := testPipeline()
+	mk := func() *Engine {
+		e, err := New(Config{Pipeline: pipe, Shards: 2, Partitioner: GridCell{CellSize: 3000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
+	}
+	src := mk()
+	if err := src.Append(parkedDB([]geo.Point{{X: 1000, Y: 1000}}, 8, 12)); err != nil {
+		t.Fatal(err)
+	}
+	src.Flush()
+	var buf bytes.Buffer
+	if err := src.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := gatheringSigs(src.Snapshot(Query{}).AllGatherings())
+	if len(want) == 0 {
+		t.Fatal("source engine found no gathering; the test needs one")
+	}
+
+	e := mk()
+	if got := e.Snapshot(Query{}); len(got.Crowds) != 0 {
+		t.Fatalf("fresh engine answered %d crowds", len(got.Crowds))
+	}
+	if err := e.LoadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	res := e.Snapshot(Query{})
+	if res.Ticks != src.Ticks() {
+		t.Errorf("restored snapshot at %d ticks, want %d", res.Ticks, src.Ticks())
+	}
+	compareSigSets(t, gatheringSigs(res.AllGatherings()), want)
+}
