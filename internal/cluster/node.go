@@ -53,8 +53,6 @@ type NodeConfig struct {
 	ForwardDeadline  time.Duration
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	QueueDepth       int
-	Hedge            time.Duration
 	Seed             int64
 	Logf             func(format string, args ...any)
 }
@@ -117,8 +115,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			BreakerCooldown:  cfg.BreakerCooldown,
 			AttemptTimeout:   cfg.AttemptTimeout,
 			ForwardDeadline:  cfg.ForwardDeadline,
-			QueueDepth:       cfg.QueueDepth,
-			Hedge:            cfg.Hedge,
 			Seed:             cfg.Seed,
 			Logf:             cfg.Logf,
 		})

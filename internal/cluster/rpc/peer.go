@@ -35,6 +35,11 @@ const (
 // refusing requests.
 var ErrBreakerOpen = errors.New("rpc: circuit breaker open")
 
+// queueDepth is a peer's forward queue capacity. When the queue is full
+// Forward blocks: backpressure reaches the ingest loop rather than
+// growing memory without bound.
+const queueDepth = 256
+
 // PeerConfig configures one Peer. Zero durations and counts take the
 // documented defaults.
 type PeerConfig struct {
@@ -48,9 +53,7 @@ type PeerConfig struct {
 	// MapVersion is the local membership-map version; both sides must
 	// agree or the receiver answers 409 and the item is dropped.
 	MapVersion int
-	// Client is the HTTP client to use; nil gets a private one.
-	Client *http.Client
-	// Counters receives forward/breaker/hedge counts; nil counts into a
+	// Counters receives forward and breaker counts; nil counts into a
 	// private sink.
 	Counters *stats.ClusterCounters
 	// BreakerThreshold consecutive failures open the circuit breaker;
@@ -64,13 +67,6 @@ type PeerConfig struct {
 	// ForwardsDropped and logged, never silent.
 	AttemptTimeout  time.Duration
 	ForwardDeadline time.Duration
-	// QueueDepth is the forward queue capacity (default 256). When the
-	// queue is full Forward blocks: backpressure reaches the ingest loop
-	// rather than growing memory without bound.
-	QueueDepth int
-	// Hedge, when positive, launches a second identical Get request if the
-	// first has not answered within this delay; the first success wins.
-	Hedge time.Duration
 	// Seed seeds the retry-jitter generator (testability; 0 is fine).
 	Seed int64
 	// Logf receives drop and breaker-transition messages; nil discards.
@@ -84,7 +80,7 @@ type forwardItem struct {
 
 // Peer is the client side of one remote node: an ordered forwarding queue
 // drained by a single goroutine with retry, backoff and a circuit
-// breaker, plus hedged reads for the scatter-gather query path.
+// breaker, plus single-attempt reads for the scatter-gather query path.
 //
 // Forward delivery is strictly in sequence order per peer — a later item
 // is not attempted until the earlier one is delivered or dropped — which
@@ -105,9 +101,6 @@ type Peer struct {
 
 // NewPeer starts the peer's forwarder goroutine.
 func NewPeer(cfg PeerConfig) *Peer {
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
 	if cfg.Counters == nil {
 		cfg.Counters = &stats.ClusterCounters{}
 	}
@@ -117,18 +110,15 @@ func NewPeer(cfg PeerConfig) *Peer {
 	if cfg.ForwardDeadline <= 0 {
 		cfg.ForwardDeadline = 30 * time.Second
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	p := &Peer{
 		cfg:      cfg,
-		client:   cfg.Client,
+		client:   &http.Client{},
 		counters: cfg.Counters,
 		breaker:  NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Counters),
-		q:        make(chan forwardItem, cfg.QueueDepth),
+		q:        make(chan forwardItem, queueDepth),
 		done:     make(chan struct{}),
 	}
 	go p.forward()
@@ -152,9 +142,6 @@ func (p *Peer) Close() {
 
 // State exposes the breaker position for /stats and /healthz.
 func (p *Peer) State() BreakerState { return p.breaker.State() }
-
-// ID returns the remote node's ID.
-func (p *Peer) ID() string { return p.cfg.ID }
 
 // forward drains the queue in order, delivering each item with retries
 // until success, permanent rejection, or the forward deadline.
@@ -227,69 +214,18 @@ func (p *Peer) post(it forwardItem) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// Get fetches pathAndQuery from the peer, optionally hedged: when
-// PeerConfig.Hedge is positive and the first request has not answered
-// within that delay, a second identical request launches and the first
-// success wins (tail-latency insurance for scatter-gather reads — one
-// slow replica must not pin the whole query on its timeout). Fails fast
-// with ErrBreakerOpen while the breaker refuses the peer.
+// Get fetches pathAndQuery from the peer in one attempt under the
+// attempt timeout, reporting the outcome to the breaker. Fails fast with
+// ErrBreakerOpen while the breaker refuses the peer.
 func (p *Peer) Get(ctx context.Context, pathAndQuery string) ([]byte, error) {
 	if !p.breaker.Allow() {
 		return nil, fmt.Errorf("peer %s: %w", p.cfg.ID, ErrBreakerOpen)
 	}
 	actx, cancel := context.WithTimeout(ctx, p.cfg.AttemptTimeout)
 	defer cancel()
-
-	type result struct {
-		body  []byte
-		err   error
-		hedge bool
-	}
-	results := make(chan result, 2) // both senders can always finish
-	launch := func(hedge bool) {
-		go func() {
-			body, err := p.get(actx, pathAndQuery)
-			results <- result{body: body, err: err, hedge: hedge}
-		}()
-	}
-	launch(false)
-	pending := 1
-
-	var hedgeAt <-chan time.Time
-	if p.cfg.Hedge > 0 {
-		t := time.NewTimer(p.cfg.Hedge)
-		defer t.Stop()
-		hedgeAt = t.C
-	}
-
-	var firstErr error
-	for {
-		select {
-		case <-hedgeAt:
-			hedgeAt = nil
-			p.counters.HedgesLaunched.Add(1)
-			launch(true)
-			pending++
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				if r.hedge {
-					p.counters.HedgeWins.Add(1)
-				}
-				p.breaker.Report(true)
-				return r.body, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if pending == 0 {
-				// Even with the hedge timer still unfired: hedging an
-				// already-failed request would just repeat the failure.
-				p.breaker.Report(false)
-				return nil, firstErr
-			}
-		}
-	}
+	body, err := p.get(actx, pathAndQuery)
+	p.breaker.Report(err == nil)
+	return body, err
 }
 
 // get performs one GET attempt.

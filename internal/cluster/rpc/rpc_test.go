@@ -270,41 +270,6 @@ func TestPeerForwardDeadline(t *testing.T) {
 	}
 }
 
-// TestPeerGetHedging: when the first request stalls, the hedge launches
-// after the hedge delay and its answer wins.
-func TestPeerGetHedging(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			<-release // first request stalls until the test ends
-		}
-		w.Write([]byte("fast"))
-	}))
-	defer srv.Close()
-	defer close(release)
-
-	c := &stats.ClusterCounters{}
-	p := NewPeer(PeerConfig{
-		ID: "b", Addr: strings.TrimPrefix(srv.URL, "http://"),
-		Counters:       c,
-		AttemptTimeout: 10 * time.Second,
-		Hedge:          30 * time.Millisecond,
-	})
-	defer p.Close()
-
-	body, err := p.Get(context.Background(), "/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != "fast" {
-		t.Fatalf("body %q", body)
-	}
-	if c.HedgesLaunched.Load() != 1 || c.HedgeWins.Load() != 1 {
-		t.Fatalf("hedges launched %d won %d, want 1/1", c.HedgesLaunched.Load(), c.HedgeWins.Load())
-	}
-}
-
 // TestPeerGetFailsFastWhenOpen: once the breaker opens, Get refuses
 // immediately instead of waiting out another timeout.
 func TestPeerGetFailsFastWhenOpen(t *testing.T) {

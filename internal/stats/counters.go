@@ -164,7 +164,7 @@ func (s ResilienceCounterSnapshot) Fprint(w io.Writer) {
 }
 
 // ClusterCounters are the live counters of the multi-node layer: what the
-// forwarding data plane sent, retried, hedged and gave up on, what the
+// forwarding data plane sent, retried and gave up on, what the
 // breaker did to failing peers, and how often reads had to degrade to
 // partial answers. All fields are atomic, as with the other counter sets.
 //
@@ -192,8 +192,6 @@ type ClusterCounters struct {
 	// Scatter-gather read side.
 	QueriesPartial   atomic.Uint64 // scatter-gather answers missing at least one peer
 	PeersUnreachable atomic.Uint64 // per-query count of peers that contributed nothing
-	HedgesLaunched   atomic.Uint64 // hedge requests fired after the hedge delay
-	HedgeWins        atomic.Uint64 // hedge requests that answered before the primary
 }
 
 // ClusterCounterSnapshot is a point-in-time copy of ClusterCounters.
@@ -208,8 +206,6 @@ type ClusterCounterSnapshot struct {
 	BreakerCloses    uint64
 	QueriesPartial   uint64
 	PeersUnreachable uint64
-	HedgesLaunched   uint64
-	HedgeWins        uint64
 }
 
 // Snapshot reads every counter once (per-field atomic, as with the other
@@ -226,8 +222,6 @@ func (c *ClusterCounters) Snapshot() ClusterCounterSnapshot {
 		BreakerCloses:    c.BreakerCloses.Load(),
 		QueriesPartial:   c.QueriesPartial.Load(),
 		PeersUnreachable: c.PeersUnreachable.Load(),
-		HedgesLaunched:   c.HedgesLaunched.Load(),
-		HedgeWins:        c.HedgeWins.Load(),
 	}
 }
 
@@ -244,6 +238,4 @@ func (s ClusterCounterSnapshot) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "breaker closes:      %d\n", s.BreakerCloses)
 	fmt.Fprintf(w, "queries partial:     %d\n", s.QueriesPartial)
 	fmt.Fprintf(w, "peers unreachable:   %d\n", s.PeersUnreachable)
-	fmt.Fprintf(w, "hedges launched:     %d\n", s.HedgesLaunched)
-	fmt.Fprintf(w, "hedge wins:          %d\n", s.HedgeWins)
 }
