@@ -1,7 +1,10 @@
 // Command gatherlint is the repo's invariant checker: a vet tool
-// carrying the seven analyzers that keep gathering discovery correct
-// under sharing — sharedmut, detachcheck, lockcheck, lockorder,
-// leakcheck, hotalloc and racecheck (see docs/INVARIANTS.md).
+// carrying the three analyzers whose invariants no stock tool sees —
+// hotalloc (no avoidable allocation on a //gather:hotpath), sharedmut
+// (no write to a //gather:immutable type outside its package) and
+// detachcheck (no attached tail crowd escaping without Detached()).
+// Lock discipline, lock order and goroutine lifetimes are left to
+// go test -race and the Close-barrier tests (see docs/INVARIANTS.md).
 //
 // It runs under go vet:
 //
@@ -12,14 +15,13 @@
 // go vet drives it once per package — test variants included, so
 // _test.go files are analysed too — with a vet.cfg describing the
 // type-checked unit (export data of every dependency included), and
-// //gather:* annotations plus per-function summary facts (locks
-// acquired, calls made while holding them, field accesses with their
-// must-hold sets, allocation sites, goroutine termination,
-// attached-crowd flow) travel between packages as fact files. Build
-// tags, GOFLAGS and the package patterns are go vet's business; the
-// tool has no flags of its own. It is built on the standard library
-// alone, so the x/tools unitchecker protocol is reimplemented in
-// vetcfg.go rather than imported.
+// //gather:* annotations plus per-function summary facts (static calls,
+// allocation sites, non-escaping function parameters, attached-crowd
+// flow) travel between packages as fact files. Build tags, GOFLAGS and
+// the package patterns are go vet's business; the tool has no flags of
+// its own. It is built on the standard library alone, so the x/tools
+// unitchecker protocol is reimplemented in vetcfg.go rather than
+// imported.
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics found.
 package main
@@ -32,10 +34,6 @@ import (
 	"repro/internal/analysis/detachcheck"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/leakcheck"
-	"repro/internal/analysis/lockcheck"
-	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/racecheck"
 	"repro/internal/analysis/sharedmut"
 )
 
@@ -43,11 +41,7 @@ import (
 var analyzers = []*framework.Analyzer{
 	sharedmut.Analyzer,
 	detachcheck.Analyzer,
-	lockcheck.Analyzer,
-	lockorder.Analyzer,
-	leakcheck.Analyzer,
 	hotalloc.Analyzer,
-	racecheck.Analyzer,
 }
 
 func main() {
@@ -69,8 +63,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `gatherlint enforces the gathering engine's sharing, locking and
-hot-path invariants:
+	fmt.Fprintf(os.Stderr, `gatherlint enforces the gathering engine's sharing and hot-path
+invariants:
 
 `)
 	for _, a := range analyzers {

@@ -190,9 +190,9 @@ func runVet(t *testing.T, tool, dir string, env []string, args ...string) (int, 
 
 // TestStandaloneFindsViolations checks the finding and waiver contract
 // on a standalone module outside this repository: a sharedmut violation
-// and an unwaived lockcheck send fail the run, a send waived with
-// //lint:allow and a reason is silent, and a waiver without a reason is
-// itself reported.
+// and an unwaived hotalloc make(map) fail the run, a make(map) waived
+// with //lint:allow and a reason is silent, and a waiver without a
+// reason is itself reported.
 func TestStandaloneFindsViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool and runs go vet; skipped with -short")
@@ -213,29 +213,21 @@ import "lintprobe/imm"
 
 func Mutate(s *imm.Shared) { s.N = 1 }
 `,
-		"use/locked.go": `package use
+		"use/hot.go": `package use
 
-import "sync"
-
-var mu sync.Mutex
-var ch = make(chan int, 1)
-
-func sendWaived() {
-	mu.Lock()
-	defer mu.Unlock()
-	ch <- 1 //lint:allow lockcheck buffered probe channel, the send cannot block
+//gather:hotpath
+func makeWaived() map[int]int {
+	return make(map[int]int) //lint:allow hotalloc probe map, built once per run
 }
 
-func sendBare() {
-	mu.Lock()
-	defer mu.Unlock()
-	ch <- 2 //lint:allow lockcheck
+//gather:hotpath
+func makeBare() map[int]int {
+	return make(map[int]int) //lint:allow hotalloc
 }
 
-func sendUnwaived() {
-	mu.Lock()
-	defer mu.Unlock()
-	ch <- 3
+//gather:hotpath
+func makeUnwaived() map[int]int {
+	return make(map[int]int)
 }
 `,
 	})
@@ -248,22 +240,22 @@ func sendUnwaived() {
 		!strings.Contains(out, "write to field N of immutable lintprobe/imm.Shared") {
 		t.Errorf("missing sharedmut finding in use.go\n%s", out)
 	}
-	lockLines := map[int]int{}
+	hotLines := map[int]int{}
 	for _, line := range strings.Split(out, "\n") {
-		for _, n := range []int{11, 17, 23} {
-			if strings.Contains(line, "locked.go:"+strconv.Itoa(n)+":") {
-				lockLines[n]++
+		for _, n := range []int{5, 10, 15} {
+			if strings.Contains(line, "hot.go:"+strconv.Itoa(n)+":") {
+				hotLines[n]++
 			}
 		}
 	}
-	if lockLines[11] != 0 {
-		t.Errorf("waived send on locked.go:11 was reported\n%s", out)
+	if hotLines[5] != 0 {
+		t.Errorf("waived make(map) on hot.go:5 was reported\n%s", out)
 	}
-	if lockLines[17] == 0 || !strings.Contains(out, "//lint:allow needs an analyzer name and a reason") {
-		t.Errorf("reasonless waiver on locked.go:17 was not reported\n%s", out)
+	if hotLines[10] == 0 || !strings.Contains(out, "//lint:allow needs an analyzer name and a reason") {
+		t.Errorf("reasonless waiver on hot.go:10 was not reported\n%s", out)
 	}
-	if lockLines[23] == 0 || !strings.Contains(out, "[lockcheck]") {
-		t.Errorf("unwaived send on locked.go:23 was not reported\n%s", out)
+	if hotLines[15] == 0 || !strings.Contains(out, "[hotalloc] make(map) without a size hint in hot path makeUnwaived") {
+		t.Errorf("unwaived make(map) on hot.go:15 was not reported\n%s", out)
 	}
 }
 

@@ -109,13 +109,13 @@ func runVetCfg(cfgPath string) int {
 		framework.MergeSummaries(depSums, ds)
 	}
 
+	// A package's exported facts fold its dependencies', preserving the
+	// no-graph-walk invariant for dependents: callers pass depSums merged
+	// into whatever the package adds.
 	writeFacts := func(sums map[string]*framework.FuncSummary) bool {
 		if cfg.VetxOutput == "" {
 			return true
 		}
-		// A package's exported facts fold its dependencies', preserving
-		// the no-graph-walk invariant for dependents.
-		framework.MergeSummaries(sums, depSums)
 		facts, err := framework.EncodeFacts(ann, sums)
 		if err == nil {
 			err = os.WriteFile(cfg.VetxOutput, facts, 0o666)
@@ -127,12 +127,12 @@ func runVetCfg(cfgPath string) int {
 		return true
 	}
 
-	// Out-of-module units (the standard library, in this container) carry
-	// no //gather:lock or hotpath roots and their summaries would dominate
-	// every fact file; their annotations (none today) still flow,
-	// summaries do not. go vet only sets ModulePath for module units.
+	// Out-of-module units (the standard library) carry no hotpath roots
+	// and their summaries would dominate every fact file; their
+	// annotations (none today) still flow, summaries do not. go vet only
+	// sets ModulePath for module units.
 	if cfg.Standard[pkgPath] || cfg.ModulePath == "" {
-		if !writeFacts(map[string]*framework.FuncSummary{}) {
+		if !writeFacts(depSums) {
 			return 1
 		}
 		return 0
@@ -159,30 +159,21 @@ func runVetCfg(cfgPath string) int {
 	pkg, err := tconf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			writeFacts(map[string]*framework.FuncSummary{})
+			writeFacts(depSums)
 			return 0
 		}
 		fmt.Fprintf(os.Stderr, "gatherlint: typechecking %s: %v\n", pkgPath, err)
 		return 1
 	}
 
-	ownSums := framework.ComputeSummaries(fset, files, pkg, info, ann, depSums)
-	exported := map[string]*framework.FuncSummary{}
-	for k, s := range ownSums {
-		exported[k] = s
-	}
-	if !writeFacts(exported) {
+	sums := framework.ComputeSummaries(fset, files, pkg, info, ann, depSums)
+	framework.MergeSummaries(sums, depSums)
+	if !writeFacts(sums) {
 		return 1
 	}
 	if cfg.VetxOnly {
 		return 0
 	}
-
-	sums := map[string]*framework.FuncSummary{}
-	for k, s := range ownSums {
-		sums[k] = s
-	}
-	framework.MergeSummaries(sums, depSums)
 	diags, err := framework.RunAnalyzers(fset, files, pkg, info, ann, sums, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gatherlint: %v\n", err)

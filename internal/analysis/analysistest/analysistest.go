@@ -21,8 +21,8 @@
 // and round-tripped through framework.EncodeFacts/DecodeFacts before a
 // dependent package sees them. A fixture package therefore observes its
 // dependencies only through serialised facts — the same visibility an
-// analyzer has under go vet — which is what lets the lockorder fixture
-// seed half a lock cycle in one package and catch it from another.
+// analyzer has under go vet — which is what lets the hotalloc fixture
+// charge a dependency's allocation sites to a hot path in another package.
 package analysistest
 
 import (

@@ -16,9 +16,9 @@
 //   - //gather:* source annotations (Annotations, ScanFile): machine-read
 //     markers that declare the engine's invariants next to the code that
 //     owns them — immutable shared types, attached (non-Detached) crowd
-//     sources, blocking calls, allocation-free hot paths. Annotations
-//     travel between packages as Facts (JSON), the vetx fact files of the
-//     go vet -vettool protocol.
+//     sources, allocation-free hot paths. Annotations travel between
+//     packages as Facts (JSON), the vetx fact files of the go vet
+//     -vettool protocol.
 //
 //   - //lint:allow suppressions (Suppressions): a flagged line may carry
 //     an explicit, reasoned waiver. A waiver without a reason is itself a
@@ -88,7 +88,6 @@ type Diagnostic struct {
 //	immutable type:  "<pkgpath>.<Type>"
 //	attached field:  "<pkgpath>.<Type>.<Field>"
 //	attached func:   "<pkgpath>.<Func>" or "<pkgpath>.<Type>.<Method>"
-//	blocking func:   same as attached func
 //	hotpath func:    same as attached func
 type Annotations struct {
 	// Immutable types must not have their fields written outside the
@@ -98,22 +97,9 @@ type Annotations struct {
 	// fields holding attached values, and functions returning them
 	// (enforced by detachcheck).
 	Attached map[string]bool
-	// Blocking marks functions that may park the calling goroutine
-	// (consumed by lockcheck).
-	Blocking map[string]bool
 	// Hotpath marks functions that must not introduce avoidable
 	// allocations (enforced by hotalloc).
 	Hotpath map[string]bool
-	// Locks names mutex fields for lock-order analysis: the key is the
-	// field path "<pkgpath>.<Type>.<Field>", the value the canonical lock
-	// name declared with //gather:lock <name> (consumed by lockorder).
-	Locks map[string]string
-	// GuardedBy maps a field path "<pkgpath>.<Type>.<Field>" to the name
-	// of the //gather:lock that must be held to touch it, declared with
-	// //gather:guardedby <lock> (enforced by racecheck). The guard may
-	// live in another package: a field guarded by a lock its own package
-	// cannot see is checked at the call sites of the packages that can.
-	GuardedBy map[string]string
 }
 
 // NewAnnotations returns an empty annotation set.
@@ -121,10 +107,7 @@ func NewAnnotations() *Annotations {
 	return &Annotations{
 		Immutable: map[string]bool{},
 		Attached:  map[string]bool{},
-		Blocking:  map[string]bool{},
 		Hotpath:   map[string]bool{},
-		Locks:     map[string]string{},
-		GuardedBy: map[string]string{},
 	}
 }
 
@@ -139,25 +122,14 @@ func (a *Annotations) Merge(other *Annotations) {
 	for k := range other.Attached {
 		a.Attached[k] = true
 	}
-	for k := range other.Blocking {
-		a.Blocking[k] = true
-	}
 	for k := range other.Hotpath {
 		a.Hotpath[k] = true
-	}
-	for k, v := range other.Locks {
-		a.Locks[k] = v
-	}
-	for k, v := range other.GuardedBy {
-		a.GuardedBy[k] = v
 	}
 }
 
 // Empty reports whether a carries no annotations.
 func (a *Annotations) Empty() bool {
-	return len(a.Immutable) == 0 && len(a.Attached) == 0 &&
-		len(a.Blocking) == 0 && len(a.Hotpath) == 0 && len(a.Locks) == 0 &&
-		len(a.GuardedBy) == 0
+	return len(a.Immutable) == 0 && len(a.Attached) == 0 && len(a.Hotpath) == 0
 }
 
 // The annotation directives. Like //go:build directives they must start
@@ -165,10 +137,7 @@ func (a *Annotations) Empty() bool {
 const (
 	dirImmutable = "//gather:immutable"
 	dirAttached  = "//gather:attached"
-	dirBlocking  = "//gather:blocking"
 	dirHotpath   = "//gather:hotpath"
-	dirLock      = "//gather:lock"
-	dirGuardedBy = "//gather:guardedby"
 )
 
 // hasDirective reports whether the comment group contains the directive
@@ -185,26 +154,6 @@ func hasDirective(cg *ast.CommentGroup, dir string) bool {
 		}
 	}
 	return false
-}
-
-// directiveArg returns the first word following the directive in the
-// comment group ("//gather:lock enq — serialises admission" yields
-// "enq"), or "" when the directive is absent or bare.
-func directiveArg(cg *ast.CommentGroup, dir string) string {
-	if cg == nil {
-		return ""
-	}
-	for _, c := range cg.List {
-		rest, ok := strings.CutPrefix(c.Text, dir)
-		if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-			continue
-		}
-		fields := strings.Fields(rest)
-		if len(fields) > 0 {
-			return fields[0]
-		}
-	}
-	return ""
 }
 
 // ScanFile collects the //gather:* annotations declared in file into a.
@@ -237,33 +186,12 @@ func (a *Annotations) ScanFile(pkgpath string, file *ast.File) {
 							a.Attached[typeKey+"."+name.Name] = true
 						}
 					}
-					lockName := directiveArg(f.Doc, dirLock)
-					if lockName == "" {
-						lockName = directiveArg(f.Comment, dirLock)
-					}
-					if lockName != "" {
-						for _, name := range f.Names {
-							a.Locks[typeKey+"."+name.Name] = lockName
-						}
-					}
-					guard := directiveArg(f.Doc, dirGuardedBy)
-					if guard == "" {
-						guard = directiveArg(f.Comment, dirGuardedBy)
-					}
-					if guard != "" {
-						for _, name := range f.Names {
-							a.GuardedBy[typeKey+"."+name.Name] = guard
-						}
-					}
 				}
 			}
 		case *ast.FuncDecl:
 			key := FuncDeclKey(pkgpath, d)
 			if hasDirective(d.Doc, dirAttached) {
 				a.Attached[key] = true
-			}
-			if hasDirective(d.Doc, dirBlocking) {
-				a.Blocking[key] = true
 			}
 			if hasDirective(d.Doc, dirHotpath) {
 				a.Hotpath[key] = true
@@ -343,12 +271,9 @@ func Deref(t types.Type) types.Type {
 // A package's facts are the union of its own and its dependencies', so
 // transitivity needs no graph walk at load time.
 type Facts struct {
-	Immutable []string          `json:"immutable,omitempty"`
-	Attached  []string          `json:"attached,omitempty"`
-	Blocking  []string          `json:"blocking,omitempty"`
-	Hotpath   []string          `json:"hotpath,omitempty"`
-	Locks     map[string]string `json:"locks,omitempty"`
-	GuardedBy map[string]string `json:"guardedBy,omitempty"`
+	Immutable []string `json:"immutable,omitempty"`
+	Attached  []string `json:"attached,omitempty"`
+	Hotpath   []string `json:"hotpath,omitempty"`
 	// Summaries carries one FuncSummary per function, keyed like
 	// function annotations. Waived allocation sites are dropped before
 	// encoding: a dependency's waiver must silence dependent reports too.
@@ -361,15 +286,8 @@ func EncodeFacts(a *Annotations, sums map[string]*FuncSummary) ([]byte, error) {
 	f := Facts{
 		Immutable: sortedKeys(a.Immutable),
 		Attached:  sortedKeys(a.Attached),
-		Blocking:  sortedKeys(a.Blocking),
 		Hotpath:   sortedKeys(a.Hotpath),
 		Summaries: exportSummaries(sums),
-	}
-	if len(a.Locks) > 0 {
-		f.Locks = a.Locks
-	}
-	if len(a.GuardedBy) > 0 {
-		f.GuardedBy = a.GuardedBy
 	}
 	return json.Marshal(f)
 }
@@ -394,17 +312,8 @@ func DecodeFacts(data []byte) (*Annotations, map[string]*FuncSummary, error) {
 	for _, k := range f.Attached {
 		a.Attached[k] = true
 	}
-	for _, k := range f.Blocking {
-		a.Blocking[k] = true
-	}
 	for _, k := range f.Hotpath {
 		a.Hotpath[k] = true
-	}
-	for k, v := range f.Locks {
-		a.Locks[k] = v
-	}
-	for k, v := range f.GuardedBy {
-		a.GuardedBy[k] = v
 	}
 	for k, s := range f.Summaries {
 		if s != nil {

@@ -22,16 +22,7 @@ type Result struct {
 	// Tail stays attached.
 	//gather:attached
 	Tail []int
-
-	// mu serialises everything below.
-	//gather:lock result — canonical name for lock-order analysis
-	mu struct{}
 }
-
-// Append parks the caller.
-//
-//gather:blocking
-func (e *Engine) Append(v int) {}
 
 //gather:hotpath
 func (b *buf) extend(xs []int) {}
@@ -42,7 +33,6 @@ func Probe() {}
 //gather:attached
 func (s *Store) tailCrowds() []int { return nil }
 
-type Engine struct{}
 type buf struct{}
 type Store struct{}
 
@@ -76,20 +66,12 @@ func TestScanFile(t *testing.T) {
 	if !reflect.DeepEqual(a.Attached, wantAttached) {
 		t.Errorf("Attached = %v, want %v", a.Attached, wantAttached)
 	}
-	wantBlocking := map[string]bool{"example/p.Engine.Append": true}
-	if !reflect.DeepEqual(a.Blocking, wantBlocking) {
-		t.Errorf("Blocking = %v, want %v", a.Blocking, wantBlocking)
-	}
 	wantHotpath := map[string]bool{
 		"example/p.buf.extend": true,
 		"example/p.Probe":      true,
 	}
 	if !reflect.DeepEqual(a.Hotpath, wantHotpath) {
 		t.Errorf("Hotpath = %v, want %v", a.Hotpath, wantHotpath)
-	}
-	wantLocks := map[string]string{"example/p.Result.mu": "result"}
-	if !reflect.DeepEqual(a.Locks, wantLocks) {
-		t.Errorf("Locks = %v, want %v", a.Locks, wantLocks)
 	}
 }
 

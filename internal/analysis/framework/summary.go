@@ -1,32 +1,23 @@
 // Summary facts: the interprocedural layer of gatherlint.
 //
-// The PR 6 analyzers were purely lexical — every judgement stopped at the
-// function boundary. This file computes, for every function of a package,
-// a FuncSummary over the typed AST: the functions it calls, the
-// allocation-introducing constructs in its body, the locks it acquires
-// (with the lock-order edges that implies), the calls it makes while
-// holding locks, whether its function-typed parameters escape, whether it
-// can terminate, and how attached-crowd taint flows through its
-// parameters and returns.
+// This file computes, for every function of a package, a FuncSummary
+// over the typed AST: the functions it calls, the allocation-introducing
+// constructs in its body, whether its function-typed parameters escape,
+// and how attached-crowd taint flows through its parameters and returns.
 //
 // Summaries travel between packages inside the same JSON vetx fact files
 // as the //gather:* annotations, in the direction the vet protocol
 // supports: callee to caller (a package sees the summaries of its
 // dependencies). The analyzers compose them:
 //
-//   - lockorder derives a module-global lock-acquisition-order graph from
-//     Edges + CallsHolding × transitive Acquires and reports cycles;
-//   - leakcheck consults Forever / WGDone / RangesChans / ClosesChans for
-//     goroutines that launch named functions;
 //   - hotalloc walks Calls to close //gather:hotpath roots over the call
 //     graph and charges foreign callees' Allocs to the local call site;
 //   - detachcheck extends its taint with ReturnsAttached / ParamToReturn
 //     / ParamSinks, so attachment flows through helper calls.
 //
-// Everything is an over-approximation, in line with the rest of
-// gatherlint: lock sets come from the CFG must-hold dataflow (cfg.go),
-// the rest from lexical structure — precise enough to be quiet on this
-// repo, simple enough to audit.
+// Everything is an over-approximation from lexical structure, in line
+// with the rest of gatherlint: precise enough to be quiet on this repo,
+// simple enough to audit.
 package framework
 
 import (
@@ -35,7 +26,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strings"
 )
 
 // An AllocSite is one allocation-introducing construct in a function
@@ -62,52 +52,6 @@ type CallSite struct {
 	Pos    token.Pos `json:"-"`
 }
 
-// A LockSite is one lock acquisition (Lock or RLock) of a named lock
-// identity inside a function body.
-type LockSite struct {
-	Lock string    `json:"lock"`
-	Loc  string    `json:"loc,omitempty"`
-	Pos  token.Pos `json:"-"`
-}
-
-// A LockEdge records that To was acquired while From was held, inside Fn
-// at Loc — one arc of the global lock-acquisition-order graph.
-type LockEdge struct {
-	From string    `json:"from"`
-	To   string    `json:"to"`
-	Fn   string    `json:"fn"`
-	Loc  string    `json:"loc,omitempty"`
-	Pos  token.Pos `json:"-"`
-}
-
-// A HeldCall is a call made while locks were held; lockorder joins it
-// with the callee's transitive acquisitions to derive cross-function
-// lock-order edges.
-type HeldCall struct {
-	Callee string    `json:"callee"`
-	Held   []string  `json:"held"`
-	Loc    string    `json:"loc,omitempty"`
-	Pos    token.Pos `json:"-"`
-}
-
-// A FieldAccess is one read or write of a field belonging to a
-// lock-owning struct (a struct declaring a //gather:lock or a
-// //gather:guardedby field), with the must-hold lock set at the access.
-// Held uses the LockSet.Annotated rendering: a plain name is an
-// exclusive hold, a ":r" suffix a read hold. racecheck checks these
-// against the field's guard — in the owning package directly, and at
-// the departing call site for cross-package accesses.
-type FieldAccess struct {
-	Field string    `json:"field"`
-	Write bool      `json:"write,omitempty"`
-	Held  []string  `json:"held,omitempty"`
-	Loc   string    `json:"loc,omitempty"`
-	Pos   token.Pos `json:"-"`
-	// Waived marks an access carrying a //lint:allow racecheck waiver;
-	// like waived alloc sites it is dropped from exported facts.
-	Waived bool `json:"-"`
-}
-
 // A FuncSummary is the interprocedural fact computed for one function,
 // keyed like function annotations ("<pkgpath>.<Func>" or
 // "<pkgpath>.<Type>.<Method>").
@@ -123,35 +67,11 @@ type FuncSummary struct {
 	// the same set hotalloc's lexical checks recognise.
 	Allocs []AllocSite `json:"allocs,omitempty"`
 
-	// Acquires lists the named locks the body itself locks (directly;
-	// transitive closure is computed by lockorder over Calls).
-	Acquires []LockSite `json:"acquires,omitempty"`
-	// Edges are the intra-function lock-order arcs (B locked under A).
-	Edges []LockEdge `json:"edges,omitempty"`
-	// CallsHolding are calls made with at least one lock held.
-	CallsHolding []HeldCall `json:"callsHolding,omitempty"`
-	// FieldAccesses are the body's reads/writes of lock-owning struct
-	// fields with the must-hold set at each site (consumed by racecheck).
-	FieldAccesses []FieldAccess `json:"fieldAccesses,omitempty"`
-
 	// NoEscapeParams indexes function-typed parameters that are only
 	// ever called (or passed on to parameters that are themselves
 	// non-escaping): a function literal argument for such a parameter
 	// does not outlive the call, so the compiler keeps it off the heap.
 	NoEscapeParams []int `json:"noEscapeParams,omitempty"`
-
-	// Forever marks a body containing an infinite for-loop with no
-	// reachable exit (no return, no break out, no panic): a goroutine
-	// running it never terminates.
-	Forever bool `json:"forever,omitempty"`
-	// WGDone marks a body that calls (*sync.WaitGroup).Done, possibly
-	// deferred or wrapped in a literal.
-	WGDone bool `json:"wgDone,omitempty"`
-	// RangesChans lists field/package-level channels the body ranges
-	// over with no other exit: the loop ends only when they are closed.
-	RangesChans []string `json:"rangesChans,omitempty"`
-	// ClosesChans lists field/package-level channels the body closes.
-	ClosesChans []string `json:"closesChans,omitempty"`
 
 	// ReturnsAttached marks a function some return value of which
 	// carries //gather:attached taint.
@@ -182,30 +102,9 @@ func exportSummaries(sums map[string]*FuncSummary) map[string]*FuncSummary {
 			a.Pos = token.NoPos
 			c.Allocs = append(c.Allocs, a)
 		}
-		scrub := func(p *token.Pos) { *p = token.NoPos }
 		c.Calls = append([]CallSite(nil), s.Calls...)
 		for i := range c.Calls {
-			scrub(&c.Calls[i].Pos)
-		}
-		c.Acquires = append([]LockSite(nil), s.Acquires...)
-		for i := range c.Acquires {
-			scrub(&c.Acquires[i].Pos)
-		}
-		c.Edges = append([]LockEdge(nil), s.Edges...)
-		for i := range c.Edges {
-			scrub(&c.Edges[i].Pos)
-		}
-		c.CallsHolding = append([]HeldCall(nil), s.CallsHolding...)
-		for i := range c.CallsHolding {
-			scrub(&c.CallsHolding[i].Pos)
-		}
-		c.FieldAccesses = nil
-		for _, fa := range s.FieldAccesses {
-			if fa.Waived {
-				continue
-			}
-			fa.Pos = token.NoPos
-			c.FieldAccesses = append(c.FieldAccesses, fa)
+			c.Calls[i].Pos = token.NoPos
 		}
 		out[k] = &c
 	}
@@ -221,8 +120,8 @@ func ShortLoc(fset *token.FileSet, pos token.Pos) string {
 
 // ComputeSummaries builds the FuncSummary of every function declared in
 // the package. ann must already hold the package's own annotations merged
-// with its dependencies' (lock names and attached sources resolve through
-// it); depSums carries the dependencies' summaries (taint and escape
+// with its dependencies' (hot-path roots and attached sources resolve
+// through it); depSums carries the dependencies' summaries (taint and escape
 // judgements about calls into them resolve through it).
 func ComputeSummaries(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 	info *types.Info, ann *Annotations, depSums map[string]*FuncSummary) map[string]*FuncSummary {
@@ -273,7 +172,8 @@ func ComputeSummaries(fset *token.FileSet, files []*ast.File, pkg *types.Package
 	}
 
 	for i, fd := range decls {
-		sc.structural(fd, sc.sums[keys[i]])
+		sc.collectCalls(fd, sc.sums[keys[i]])
+		sc.collectAllocs(fd, sc.sums[keys[i]])
 	}
 
 	// Attached-taint pass (to a fixpoint): local helper chains — f calls
@@ -457,19 +357,10 @@ func (sc *sumCtx) paramOnlyCalled(fd *ast.FuncDecl, obj types.Object) bool {
 }
 
 // ---------------------------------------------------------------------
-// Structural pass: calls, allocs, locks, termination, channels.
-
-// structural fills everything except the taint fields of s.
-func (sc *sumCtx) structural(fd *ast.FuncDecl, s *FuncSummary) {
-	sc.collectCalls(fd, s)
-	sc.collectAllocs(fd, s)
-	sc.lockFlow(fd, s)
-	sc.collectTermination(fd, s)
-}
+// Structural pass: calls and allocation sites.
 
 // collectCalls records one CallSite per distinct resolvable callee,
-// including calls inside nested literals (reachability over-approximates)
-// but excluding sync lock operations, which the lock walker owns.
+// including calls inside nested literals (reachability over-approximates).
 func (sc *sumCtx) collectCalls(fd *ast.FuncDecl, s *FuncSummary) {
 	seen := map[string]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -760,521 +651,6 @@ func calleeIdentOf(call *ast.CallExpr) (*ast.Ident, bool) {
 		return fun.Sel, true
 	}
 	return nil, false
-}
-
-// ---------------------------------------------------------------------
-// Lock flow: named acquisitions, order edges, calls and field accesses
-// under locks — all driven by the CFG must-hold dataflow (cfg.go), so
-// an early non-deferred Unlock in one branch kills the lock at the
-// join instead of leaking it lexically.
-
-// lockFlow walks fd.Body with WalkHeld, recording lock acquisitions
-// (with the order edges the pre-acquire held set implies), calls made
-// while holding locks, and every access to a field of a lock-owning
-// struct together with the must-hold set at the access. Function
-// literals are walked with a fresh lock state (they run on another
-// goroutine or at an unknown time); their findings attach to the
-// enclosing declaration's summary.
-func (sc *sumCtx) lockFlow(fd *ast.FuncDecl, s *FuncSummary) {
-	resolve := SyncLockResolver(sc.info, func(x ast.Expr) string {
-		return LockIdentity(sc.info, sc.ann, x)
-	})
-	owners := lockOwnerTypes(sc.ann)
-	writes := writtenSelectors(fd.Body)
-	ctors := compositeLocals(sc.info, fd.Body)
-	goCalls := map[*ast.CallExpr]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			goCalls[g.Call] = true
-		}
-		return true
-	})
-	var walk func(body *ast.BlockStmt)
-	walk = func(body *ast.BlockStmt) {
-		deferred := deferredCalls(body)
-		WalkHeld(body, resolve, func(n ast.Node, held LockSet) {
-			switch x := n.(type) {
-			case *ast.FuncLit:
-				walk(x.Body)
-			case *ast.CallExpr:
-				if id, op := resolve(x); op != "" {
-					if (op == "Lock" || op == "RLock") && !deferred[x] {
-						sc.recordAcquire(s, id, x.Pos(), held)
-					}
-					return
-				}
-				if held.Empty() || goCalls[x] {
-					// A go statement's call runs on a goroutine that
-					// does not inherit the spawner's locks: no held-call
-					// edge.
-					return
-				}
-				key := sc.calleeKey(x)
-				if key == "" {
-					return
-				}
-				s.CallsHolding = append(s.CallsHolding, HeldCall{
-					Callee: key, Held: held.Names(), Loc: sc.loc(x.Pos()), Pos: x.Pos(),
-				})
-			case *ast.SelectorExpr:
-				sc.recordFieldAccess(s, x, held, owners, writes, ctors)
-			}
-		})
-	}
-	walk(fd.Body)
-}
-
-// recordAcquire appends a named acquisition and the order edges the
-// pre-acquire held set implies.
-func (sc *sumCtx) recordAcquire(s *FuncSummary, lock string, pos token.Pos, held LockSet) {
-	s.Acquires = append(s.Acquires, LockSite{Lock: lock, Loc: sc.loc(pos), Pos: pos})
-	for _, from := range held.Names() {
-		if from == lock {
-			continue
-		}
-		s.Edges = append(s.Edges, LockEdge{
-			From: from, To: lock, Fn: s.Key, Loc: sc.loc(pos), Pos: pos,
-		})
-	}
-}
-
-// recordFieldAccess appends a FieldAccess when sel is a field read or
-// write of a lock-owning struct: sync/sync-atomic-typed fields are
-// skipped (the locks and atomics themselves), as are accesses rooted
-// at a local the function itself built from a composite literal — a
-// constructor initialises its own value before it is shared, no lock
-// required.
-func (sc *sumCtx) recordFieldAccess(s *FuncSummary, sel *ast.SelectorExpr, held LockSet,
-	owners map[string]bool, writes map[ast.Expr]bool, ctors map[types.Object]bool) {
-
-	selInfo := sc.info.Selections[sel]
-	if selInfo == nil || selInfo.Kind() != types.FieldVal {
-		return
-	}
-	recv := TypeKey(selInfo.Recv())
-	if recv == "" || !owners[recv] {
-		return
-	}
-	if v, ok := selInfo.Obj().(*types.Var); ok && syncTyped(v.Type()) {
-		return
-	}
-	if root := rootObj(sc.info, sel); root != nil && ctors[root] {
-		return
-	}
-	p := sc.fset.Position(sel.Pos())
-	s.FieldAccesses = append(s.FieldAccesses, FieldAccess{
-		Field:  recv + "." + sel.Sel.Name,
-		Write:  writes[sel],
-		Held:   held.Annotated(),
-		Loc:    sc.loc(sel.Pos()),
-		Pos:    sel.Pos(),
-		Waived: sc.sup.matches(p.Filename, p.Line, "racecheck"),
-	})
-}
-
-// lockOwnerTypes returns the type keys that own a named lock or declare
-// a guarded field — the structs whose field accesses are worth
-// summarising.
-func lockOwnerTypes(ann *Annotations) map[string]bool {
-	out := map[string]bool{}
-	add := func(fieldKey string) {
-		if i := strings.LastIndex(fieldKey, "."); i > 0 {
-			out[fieldKey[:i]] = true
-		}
-	}
-	for k := range ann.Locks {
-		add(k)
-	}
-	for k := range ann.GuardedBy {
-		add(k)
-	}
-	return out
-}
-
-// syncTyped reports whether t is (a pointer to) a type declared in sync
-// or sync/atomic — mutexes, conds, atomics — which racecheck exempts:
-// they are the synchronisation, not the data.
-func syncTyped(t types.Type) bool {
-	named, ok := Deref(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return false
-	}
-	return pkg.Path() == "sync" || pkg.Path() == "sync/atomic"
-}
-
-// rootObj resolves the base identifier of a selector chain
-// (e.shards[i].ticks -> e), nil when the chain is rooted in a call or
-// other non-identifier.
-func rootObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			if o := info.Uses[x]; o != nil {
-				return o
-			}
-			return info.Defs[x]
-		default:
-			return nil
-		}
-	}
-}
-
-// writtenSelectors marks the selector expressions written by body:
-// assignment targets, inc/dec operands, and address-taken operands
-// (conservatively a write — the pointer may be stored and written
-// through). Writing an element through a field (x.f[i] = v) counts as
-// a write of the field for guarding purposes.
-func writtenSelectors(body *ast.BlockStmt) map[ast.Expr]bool {
-	out := map[ast.Expr]bool{}
-	mark := func(e ast.Expr) {
-		if s := baseSelector(e); s != nil {
-			out[s] = true
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, l := range x.Lhs {
-				mark(l)
-			}
-		case *ast.IncDecStmt:
-			mark(x.X)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				mark(x.X)
-			}
-		case *ast.RangeStmt:
-			if x.Key != nil {
-				mark(x.Key)
-			}
-			if x.Value != nil {
-				mark(x.Value)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// baseSelector unwraps indexing, slicing, dereference and parens to the
-// selector a write ultimately lands on.
-func baseSelector(e ast.Expr) *ast.SelectorExpr {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			s, _ := e.(*ast.SelectorExpr)
-			return s
-		}
-	}
-}
-
-// compositeLocals collects the locals body assigns a (pointer to a)
-// composite literal: the constructor pattern. Accesses through them
-// are unshared until the value escapes and need no guard.
-func compositeLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	fromLit := func(e ast.Expr) bool {
-		e = ast.Unparen(e)
-		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			e = ast.Unparen(u.X)
-		}
-		_, ok := e.(*ast.CompositeLit)
-		return ok
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			if len(x.Lhs) != len(x.Rhs) {
-				return true
-			}
-			for i, l := range x.Lhs {
-				id, ok := l.(*ast.Ident)
-				if !ok || !fromLit(x.Rhs[i]) {
-					continue
-				}
-				if o := info.Defs[id]; o != nil {
-					out[o] = true
-				} else if o := info.Uses[id]; o != nil {
-					out[o] = true
-				}
-			}
-		case *ast.ValueSpec:
-			for i, id := range x.Names {
-				if i < len(x.Values) && fromLit(x.Values[i]) {
-					if o := info.Defs[id]; o != nil {
-						out[o] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// LockIdentity names the mutex behind a receiver expression: the
-// //gather:lock name of the field when annotated, otherwise the field
-// or package-variable key; locals and unresolvable receivers return ""
-// (they cannot participate in a cross-function order).
-func LockIdentity(info *types.Info, ann *Annotations, x ast.Expr) string {
-	switch e := ast.Unparen(x).(type) {
-	case *ast.SelectorExpr:
-		selInfo := info.Selections[e]
-		if selInfo == nil || selInfo.Kind() != types.FieldVal {
-			return ""
-		}
-		key := TypeKey(selInfo.Recv())
-		if key == "" {
-			return ""
-		}
-		key += "." + e.Sel.Name
-		if name, ok := ann.Locks[key]; ok {
-			return name
-		}
-		return key
-	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok {
-			return ""
-		}
-		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			key := v.Pkg().Path() + "." + v.Name()
-			if name, ok := ann.Locks[key]; ok {
-				return name
-			}
-			return key
-		}
-		// A local whose type embeds the mutex (t.Lock() through an
-		// embedded sync.Mutex): name it by the embedding type.
-		if key := TypeKey(v.Type()); key != "" && v.Pkg() != nil && key != "sync.Mutex" && key != "sync.RWMutex" {
-			return key + ".Mutex"
-		}
-		return ""
-	}
-	return ""
-}
-
-// ---------------------------------------------------------------------
-// Termination pass: forever loops, WaitGroup.Done, channel lifecycle.
-
-func (sc *sumCtx) collectTermination(fd *ast.FuncDecl, s *FuncSummary) {
-	s.Forever = BodyRunsForever(sc.info, fd.Body)
-	s.WGDone = callsWGDone(sc.info, fd.Body)
-	chans := map[string]bool{}
-	closes := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.RangeStmt:
-			if t := sc.info.Types[x.X].Type; t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan && !loopHasExit(x.Body, "") {
-					if key := sc.chanKey(x.X); key != "" {
-						chans[key] = true
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "close" && len(x.Args) == 1 {
-				if _, isB := sc.info.Uses[id].(*types.Builtin); isB {
-					if key := sc.chanKey(x.Args[0]); key != "" {
-						closes[key] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	s.RangesChans = sortedKeys(chans)
-	s.ClosesChans = sortedKeys(closes)
-}
-
-// chanKey names a channel held in a struct field or package variable;
-// locals return "" (their lifecycle is judged inside the owning function
-// by leakcheck directly).
-func (sc *sumCtx) chanKey(x ast.Expr) string {
-	switch e := ast.Unparen(x).(type) {
-	case *ast.SelectorExpr:
-		selInfo := sc.info.Selections[e]
-		if selInfo == nil || selInfo.Kind() != types.FieldVal {
-			return ""
-		}
-		if key := TypeKey(selInfo.Recv()); key != "" {
-			return key + "." + e.Sel.Name
-		}
-	case *ast.Ident:
-		obj := sc.info.Uses[e]
-		if obj == nil {
-			obj = sc.info.Defs[e]
-		}
-		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Path() + "." + v.Name()
-		}
-	}
-	return ""
-}
-
-// BodyRunsForever reports whether body contains (outside nested function
-// literals) an infinite for-loop with no reachable exit: no condition, no
-// return, no break out of the loop, no panic or process exit. A goroutine
-// running such a body never terminates.
-func BodyRunsForever(info *types.Info, body *ast.BlockStmt) bool {
-	forever := false
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ForStmt:
-			if x.Cond == nil && !loopHasExit(x.Body, labelOf(x, body)) {
-				forever = true
-			}
-		}
-		return !forever
-	}
-	ast.Inspect(body, walk)
-	return forever
-}
-
-// labelOf finds the label naming loop, if the loop statement is wrapped
-// in a LabeledStmt anywhere under root.
-func labelOf(loop ast.Stmt, root ast.Node) string {
-	label := ""
-	ast.Inspect(root, func(n ast.Node) bool {
-		if ls, ok := n.(*ast.LabeledStmt); ok && ls.Stmt == loop {
-			label = ls.Label.Name
-		}
-		return label == ""
-	})
-	return label
-}
-
-// loopHasExit reports whether the body of a loop contains a statement
-// that leaves the loop (or the whole function): return, goto, a break
-// targeting this loop, panic, or a process-terminating call.
-func loopHasExit(body *ast.BlockStmt, label string) bool {
-	return scanExit(body, label, false)
-}
-
-// LoopHasExit is loopHasExit for unlabelled loops, exported for leakcheck
-// to judge range loops in goroutine literals.
-func LoopHasExit(body *ast.BlockStmt) bool {
-	return loopHasExit(body, "")
-}
-
-// scanExit walks statements looking for loop exits. innerBreakable is
-// true while inside a nested construct that captures unlabeled breaks
-// (inner loop, select, switch).
-func scanExit(n ast.Node, label string, innerBreakable bool) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			found = true
-			return false
-		case *ast.BranchStmt:
-			switch x.Tok {
-			case token.GOTO:
-				found = true // conservative: may jump out
-			case token.BREAK:
-				if x.Label != nil {
-					if x.Label.Name == label {
-						found = true
-					}
-				} else if !innerBreakable {
-					found = true
-				}
-			}
-			return false
-		case *ast.CallExpr:
-			if isTerminatingCall(x) {
-				found = true
-				return false
-			}
-			return true
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
-			if m == n {
-				return true // the node we were asked to scan itself
-			}
-			// Unlabeled breaks inside target the inner construct; keep
-			// looking for returns/labeled breaks with the flag set.
-			if scanExit(m, label, true) {
-				found = true
-			}
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// isTerminatingCall recognises calls that do not come back: panic,
-// os.Exit, runtime.Goexit, log.Fatal*, testing's t.Fatal*/t.Skip*.
-func isTerminatingCall(call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		name := fun.Sel.Name
-		switch name {
-		case "Exit", "Goexit", "Fatal", "Fatalf", "Fatalln", "FailNow", "Skip", "Skipf", "SkipNow":
-			return true
-		}
-	}
-	return false
-}
-
-// callsWGDone reports whether body calls Done on a sync.WaitGroup,
-// directly, deferred, or inside a literal (defer func(){ wg.Done() }()).
-func callsWGDone(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFuncObj(info, call)
-		if fn == nil || fn.Name() != "Done" || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return true
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if TypeKey(sig.Recv().Type()) == "sync.WaitGroup" {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // ---------------------------------------------------------------------

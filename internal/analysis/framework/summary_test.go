@@ -10,32 +10,20 @@ import (
 	"testing"
 )
 
-// summarySrc exercises every summary dimension: lock acquisition order,
-// calls under locks, allocation sites (one waived), non-escaping function
-// parameters, forever loops, WaitGroup.Done, channel lifecycle, and
+// summarySrc exercises every summary dimension: static calls,
+// allocation sites (one waived), non-escaping function parameters, and
 // attached taint through returns/params.
 const summarySrc = `package q
 
-import "sync"
-
 type Store struct {
-	//gather:lock store — guards everything
-	mu sync.Mutex
-	//gather:lock aux
-	auxMu sync.RWMutex
-
-	items chan int
-
 	//gather:attached
 	tail []int
 }
 
 func (s *Store) Nest() {
-	s.mu.Lock()
-	s.auxMu.RLock()
 	s.helper()
-	s.auxMu.RUnlock()
-	s.mu.Unlock()
+	s.helper()
+	Visit(1, nil)
 }
 
 func (s *Store) helper() {}
@@ -63,20 +51,6 @@ func VisitAll(n int, fn func(int)) {
 		Visit(n, fn)
 	}
 }
-
-func (s *Store) Spin() {
-	for {
-		s.helper()
-	}
-}
-
-func (s *Store) Drain(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for range s.items {
-	}
-}
-
-func (s *Store) Shut() { close(s.items) }
 
 func (s *Store) Tail() []int { return s.tail }
 
@@ -110,20 +84,13 @@ func TestComputeSummaries(t *testing.T) {
 	if nest == nil {
 		t.Fatal("no summary for Nest")
 	}
-	if len(nest.Acquires) != 2 || nest.Acquires[0].Lock != "store" || nest.Acquires[1].Lock != "aux" {
-		t.Errorf("Nest.Acquires = %+v, want store then aux", nest.Acquires)
+	// One CallSite per distinct callee, first site kept.
+	var callees []string
+	for _, c := range nest.Calls {
+		callees = append(callees, c.Callee)
 	}
-	if len(nest.Edges) != 1 || nest.Edges[0].From != "store" || nest.Edges[0].To != "aux" {
-		t.Errorf("Nest.Edges = %+v, want store->aux", nest.Edges)
-	}
-	foundHeld := false
-	for _, hc := range nest.CallsHolding {
-		if hc.Callee == "example/q.Store.helper" && len(hc.Held) == 2 {
-			foundHeld = true
-		}
-	}
-	if !foundHeld {
-		t.Errorf("Nest.CallsHolding = %+v, want helper under {aux store}", nest.CallsHolding)
+	if want := []string{"example/q.Store.helper", "example/q.Visit"}; !reflect.DeepEqual(callees, want) {
+		t.Errorf("Nest.Calls = %v, want %v", callees, want)
 	}
 
 	grow := sums["example/q.Store.Grow"]
@@ -146,20 +113,6 @@ func TestComputeSummaries(t *testing.T) {
 	// intra-package fixpoint must prove it too.
 	if got := sums["example/q.VisitAll"].NoEscapeParams; !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("VisitAll.NoEscapeParams = %v, want [1]", got)
-	}
-
-	if !sums["example/q.Store.Spin"].Forever {
-		t.Error("Spin not marked Forever")
-	}
-	drain := sums["example/q.Store.Drain"]
-	if !drain.WGDone {
-		t.Error("Drain not marked WGDone")
-	}
-	if !reflect.DeepEqual(drain.RangesChans, []string{"example/q.Store.items"}) {
-		t.Errorf("Drain.RangesChans = %v", drain.RangesChans)
-	}
-	if got := sums["example/q.Store.Shut"].ClosesChans; !reflect.DeepEqual(got, []string{"example/q.Store.items"}) {
-		t.Errorf("Shut.ClosesChans = %v", got)
 	}
 
 	if !sums["example/q.Store.Tail"].ReturnsAttached {
@@ -192,8 +145,8 @@ func TestSummaryFactsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeFacts: %v", err)
 	}
-	if !reflect.DeepEqual(gotAnn.Locks, ann.Locks) {
-		t.Errorf("Locks round trip: got %v, want %v", gotAnn.Locks, ann.Locks)
+	if !reflect.DeepEqual(gotAnn, ann) {
+		t.Errorf("annotations round trip: got %+v, want %+v", gotAnn, ann)
 	}
 
 	// The waived maplit in Grow must NOT survive export: a dependency's
@@ -219,14 +172,11 @@ func TestSummaryFactsRoundTrip(t *testing.T) {
 
 	// Structural facts survive byte-for-byte semantics.
 	nest := gotSums["example/q.Store.Nest"]
-	if len(nest.Edges) != 1 || nest.Edges[0].From != "store" || nest.Edges[0].To != "aux" {
-		t.Errorf("Nest.Edges after round trip = %+v", nest.Edges)
+	if len(nest.Calls) != 2 || nest.Calls[0].Pos != token.NoPos || nest.Calls[0].Loc == "" {
+		t.Errorf("Nest.Calls after round trip = %+v, want 2 with Loc and no Pos", nest.Calls)
 	}
 	if nest.Key != "example/q.Store.Nest" {
 		t.Errorf("decoded summary key = %q", nest.Key)
-	}
-	if !gotSums["example/q.Store.Spin"].Forever {
-		t.Error("Forever lost in round trip")
 	}
 	if got := gotSums["example/q.Visit"].NoEscapeParams; !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("NoEscapeParams after round trip = %v", got)

@@ -15,20 +15,17 @@ import (
 // and silently starved), and connection resets. Link flapping is the test
 // toggling SetMode between ProxyBlackhole and ProxyPass — the mode is read
 // per connection, so each retry attempt sees the link state of its moment.
+// mu guards mode, latency, closed and conns.
 type Proxy struct {
 	target string
 	l      net.Listener
 
-	//gather:lock proxy
 	mu sync.Mutex
-	//gather:guardedby proxy
-	mode ProxyMode
-	//gather:guardedby proxy
+
+	mode    ProxyMode
 	latency time.Duration
-	//gather:guardedby proxy
-	closed bool
-	//gather:guardedby proxy
-	conns map[net.Conn]bool
+	closed  bool
+	conns   map[net.Conn]bool
 }
 
 // ProxyMode selects the fault applied to new connections.

@@ -118,6 +118,16 @@ func (m *Map) Validate() error {
 	if len(m.Nodes) == 0 {
 		return fmt.Errorf("cluster: map has no nodes")
 	}
+	// Every slot is owned exactly once, so the nodes list Slots entries
+	// in all. Checking that first bounds the owner table by the map's own
+	// size: a hostile "slots" cannot make it allocate.
+	entries := 0
+	for _, n := range m.Nodes {
+		entries += len(n.Slots)
+	}
+	if entries != m.Slots {
+		return fmt.Errorf("cluster: slots is %d but the nodes list %d slot entries", m.Slots, entries)
+	}
 	owner := make([]int, m.Slots)
 	for i := range owner {
 		owner[i] = -1

@@ -52,6 +52,10 @@ func TestMapValidate(t *testing.T) {
 		{"slot out of range", `{"version":1,"cellSize":1000,"slots":1,"nodes":[{"id":"a","addr":"x","slots":[1]}]}`},
 		{"slot owned twice", `{"version":1,"cellSize":1000,"slots":1,"nodes":[{"id":"a","addr":"x","slots":[0]},{"id":"b","addr":"y","slots":[0]}]}`},
 		{"slot unowned", `{"version":1,"cellSize":1000,"slots":2,"nodes":[{"id":"a","addr":"x","slots":[0]}]}`},
+		// Slot counts no node list could fill: the first cannot be
+		// allocated at all, the second can but must not be.
+		{"slots 2^62", `{"version":1,"cellSize":1000,"slots":4611686018427387904,"nodes":[{"id":"a","addr":"x","slots":[0]}]}`},
+		{"slots 10^6", `{"version":1,"cellSize":1000,"slots":1000000,"nodes":[{"id":"a","addr":"x","slots":[0]}]}`},
 	}
 	for _, tc := range bad {
 		if _, err := ParseMap([]byte(tc.json)); err == nil {

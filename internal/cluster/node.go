@@ -70,9 +70,9 @@ type Node struct {
 
 	// The (producer, seq) idempotency contract needs one producer per
 	// run: the first forwarder claims the slot, any other is refused.
-	//gather:lock node
+	// mu guards producer.
 	mu sync.Mutex
-	//gather:guardedby node
+
 	producer string
 }
 

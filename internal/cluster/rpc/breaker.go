@@ -35,19 +35,17 @@ func (s BreakerState) String() string {
 // every forward and query on its timeout); after Cooldown it lets a single
 // half-open probe through, closing again on success and re-opening on
 // failure. Callers pair every Allow()==true with exactly one Report.
+// mu guards state, fails and openedAt.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
 	now       func() time.Time // injectable clock for tests
 	counters  *stats.ClusterCounters
 
-	//gather:lock breaker
 	mu sync.Mutex
-	//gather:guardedby breaker
-	state BreakerState
-	//gather:guardedby breaker
-	fails int
-	//gather:guardedby breaker
+
+	state    BreakerState
+	fails    int
 	openedAt time.Time
 }
 

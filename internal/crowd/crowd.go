@@ -74,8 +74,7 @@ type Crowd struct {
 	// immutability contract: each DiscoverFrom resume re-points the tail
 	// candidates' Origin in place, which is why attached tail crowds must
 	// never leave the store without Detached() and why the engine only
-	// resumes discovery under the shard lock.
-	//gather:guardedby shard
+	// resumes discovery under the shard lock, which guards Origin.
 	Origin *Crowd
 
 	// parent/last/base encode the persistent representation: a root node

@@ -95,34 +95,24 @@ type slot struct {
 	batch    *trajectory.DB
 }
 
-// Admitter re-sequences a batch stream. Create one with New.
+// Admitter re-sequences a batch stream. Create one with New. mu guards
+// every field below counters.
 type Admitter struct {
-	//gather:lock admit
 	mu sync.Mutex
 
 	counters *stats.ResilienceCounters
 
-	//gather:guardedby admit
-	next uint64 // next sequence to release
-	//gather:guardedby admit
-	ring []slot // seq s parks at ring[s % len(ring)]
-	//gather:guardedby admit
-	buffered int // occupied ring slots
-	//gather:guardedby admit
-	lost map[uint64]struct{} // abandoned slots, for late-vs-duplicate
-	//gather:guardedby admit
-	fps []uint64 // content fingerprints of recently released batches
-	//gather:guardedby admit
-	fpAt int // next fps slot to overwrite
+	next     uint64              // next sequence to release
+	ring     []slot              // seq s parks at ring[s % len(ring)]
+	buffered int                 // occupied ring slots
+	lost     map[uint64]struct{} // abandoned slots, for late-vs-duplicate
+	fps      []uint64            // content fingerprints of recently released batches
+	fpAt     int                 // next fps slot to overwrite
 
 	// filler-domain inference, set by the first Offer.
-	//gather:guardedby admit
-	per int // ticks per batch
-	//gather:guardedby admit
-	step float64 // tick width
-	//gather:guardedby admit
-	base float64 // continuous time of tick 0 of sequence 0
-	//gather:guardedby admit
+	per      int     // ticks per batch
+	step     float64 // tick width
+	base     float64 // continuous time of tick 0 of sequence 0
 	inferred bool
 }
 

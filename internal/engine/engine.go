@@ -150,24 +150,22 @@ type task struct {
 }
 
 // shard pairs an incremental store with its lock and its task channel.
-// mu guards the store; readers take RLock, the shard goroutine takes Lock
-// to apply. tasks is drained by the shard goroutine alone, so batches hit
-// the store in the order the router sent them.
+// mu guards store, quarantined and appliedTicks; readers take RLock, the
+// shard goroutine takes Lock to apply. tasks is drained by the shard
+// goroutine alone, so batches hit the store in the order the router sent
+// them.
 type shard struct {
-	//gather:lock shard
 	mu sync.RWMutex
-	//gather:guardedby shard
+
 	store *incremental.Store
 	// quarantined marks a shard whose apply panicked: its store is no
 	// longer trusted, later shard tasks are discarded (its tick frontier
 	// still advances), and snapshots skip it. A checkpoint restore
 	// replaces the store and clears the flag.
-	//gather:guardedby shard
 	quarantined bool
 	// appliedTicks mirrors store.Ticks() on the healthy path and keeps
 	// counting discarded shard tasks after quarantine, so the engine's
 	// tick frontier never stalls on a poisoned shard.
-	//gather:guardedby shard
 	appliedTicks int
 	ticks        atomic.Int64 // appliedTicks after the last apply, lock-free for the frontier
 	tasks        chan task
@@ -203,19 +201,16 @@ type Engine struct {
 	// version on its own.
 	loads atomic.Uint64
 
-	// mergeMu guards the memoized snapshot state: the merged, sorted crowd
-	// list is recomputed only when the shard stores have changed since it
-	// was built (mergeVer tracks stateVersion), so steady-state queries
-	// pay a filter over the cached list, not the O(k²) merge.
-	//gather:lock merge
+	// mergeMu guards the memoized snapshot state — mergeVer, mergeValid,
+	// mergeCache and mergeTicks: the merged, sorted crowd list is
+	// recomputed only when the shard stores have changed since it was
+	// built (mergeVer tracks stateVersion), so steady-state queries pay a
+	// filter over the cached list, not the O(k²) merge.
 	mergeMu sync.Mutex
-	//gather:guardedby merge
-	mergeVer uint64
-	//gather:guardedby merge
+
+	mergeVer   uint64
 	mergeValid bool
-	//gather:guardedby merge
 	mergeCache []shardCrowd
-	//gather:guardedby merge
 	mergeTicks int
 
 	counters stats.EngineCounters
@@ -262,8 +257,6 @@ func New(cfg Config) (*Engine, error) {
 // router receives them. The engine keeps reading the batch after Append
 // returns (it is clustered and applied asynchronously), so callers must
 // not mutate it.
-//
-//gather:blocking
 func (e *Engine) Append(batch *trajectory.DB) error { return e.submit(batch, true) }
 
 // TryAppend is Append without the blocking: it returns ErrQueueFull
@@ -272,7 +265,9 @@ func (e *Engine) Append(batch *trajectory.DB) error { return e.submit(batch, tru
 // full shard channel.
 func (e *Engine) TryAppend(batch *trajectory.DB) error { return e.submit(batch, false) }
 
-//gather:blocking
+// submit hands the batch to the router. With wait set it blocks until the
+// router takes the batch or the engine closes; without it, it never
+// blocks.
 func (e *Engine) submit(batch *trajectory.DB, wait bool) error {
 	select {
 	case <-e.done:
@@ -331,8 +326,6 @@ func (e *Engine) routeLoop() {
 // order: a barrier goes to every shard unchanged, a batch as the
 // per-shard CDBs of routeClusters. The sends block while a shard's
 // channel is full.
-//
-//gather:blocking
 func (e *Engine) route(t task) {
 	var cdbs []*snapshot.CDB
 	if t.barrier == nil {
@@ -426,7 +419,7 @@ func (e *Engine) apply(i int, sh *shard, seq uint64, cdb *snapshot.CDB) {
 func (e *Engine) applyStore(sh *shard, shardIdx int, seq uint64, cdb *snapshot.CDB) {
 	defer func() {
 		if r := recover(); r != nil {
-			sh.quarantined = true //lint:allow racecheck applyStore runs under apply's sh.mu write lock, which the deferred closure inherits
+			sh.quarantined = true
 			e.counters.ApplyPanics.Add(1)
 			e.counters.ShardsQuarantined.Add(1)
 		}
@@ -482,8 +475,6 @@ func (e *Engine) Ticks() int { return int(e.ticksLow.Load()) }
 // On an idle engine it returns at once without waking the engine's
 // goroutines; otherwise it sends a barrier behind every earlier task on
 // every shard channel. After Close it waits for Close's drain.
-//
-//gather:blocking
 func (e *Engine) Flush() {
 	if e.unapplied.Load() == 0 {
 		return
@@ -501,9 +492,8 @@ func (e *Engine) Flush() {
 // Close stops accepting batches, applies every batch already accepted and
 // stops the engine's goroutines. It is idempotent; queries remain valid
 // after Close. An Append racing with Close is either accepted, and applied
-// before Close returns, or returns ErrClosed.
-//
-//gather:blocking
+// before Close returns, or returns ErrClosed. Close blocks until the
+// router and every shard goroutine have exited.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.done) })
 	e.wg.Wait()

@@ -79,7 +79,7 @@ func (e *Engine) LoadState(r io.Reader) error {
 		if err := binary.Read(r, binary.LittleEndian, &blen); err != nil {
 			return fmt.Errorf("engine: reading shard %d blob size: %w", i, err)
 		}
-		st, err := incremental.Load(io.LimitReader(r, int64(blen)), factory) //lint:allow racecheck Load builds a store no shard owns yet; it only needs the lock once installed below
+		st, err := incremental.Load(io.LimitReader(r, int64(blen)), factory)
 		if err != nil {
 			return fmt.Errorf("engine: loading shard %d: %w", i, err)
 		}

@@ -29,7 +29,9 @@ import (
 
 // Store is the incremental discovery state. Create one with New, feed it
 // cluster batches with Append, and read the current answer from Crowds and
-// Gatherings.
+// Gatherings. A Store is not safe for concurrent use: inside the engine
+// the owning shard's lock guards searcher, interior, interiorGathers,
+// tail, tailGathers, tailDetectors and the three read caches.
 type Store struct {
 	crowdParams  crowd.Params
 	gatherParams gathering.Params
@@ -38,16 +40,13 @@ type Store struct {
 	// Prepare was the last tick of the previous batch — exactly the tick
 	// the saved candidates’ last clusters live at, so cross-batch reuse is
 	// both safe and what the grid scheme's decomposition cache wants.
-	//gather:guardedby shard
 	searcher crowd.Searcher
 
 	cdb *snapshot.CDB
 
 	// closed crowds whose last cluster is strictly before the most recent
 	// tick; they can never be extended again (Lemma 4).
-	//gather:guardedby shard
-	interior []*crowd.Crowd
-	//gather:guardedby shard
+	interior        []*crowd.Crowd
 	interiorGathers [][]*gathering.Gathering
 
 	// candidates ending at the most recent tick (the set CS), including
@@ -55,25 +54,19 @@ type Store struct {
 	// attached: the next Append rewrites their Origin in place, so they
 	// must never leave the store without Detached().
 	//gather:attached
-	//gather:guardedby shard
 	tail []*crowd.Crowd
 	// gatherings of tail members that are closed crowds, reused by the
 	// gathering update when the crowd is extended.
-	//gather:guardedby shard
 	tailGathers map[*crowd.Crowd][]*gathering.Gathering
 	// detectors of tail members that are closed crowds, extended in place
 	// (or cloned, when a candidate branches) by the next Append.
-	//gather:guardedby shard
 	tailDetectors map[*crowd.Crowd]*gathering.Detector
 
 	// crowdsCache/gathersCache memoize the Crowds()/Gatherings() answers:
 	// the interior prefix is append-only, so only the tail suffix is
 	// rebuilt per Append and steady-state reads allocate nothing.
-	//gather:guardedby shard
-	crowdsCache []*crowd.Crowd
-	//gather:guardedby shard
-	gathersCache [][]*gathering.Gathering
-	//gather:guardedby shard
+	crowdsCache    []*crowd.Crowd
+	gathersCache   [][]*gathering.Gathering
 	cachedInterior int
 }
 

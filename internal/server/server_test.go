@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -211,15 +212,13 @@ func TestRunStopsWhenCancelled(t *testing.T) {
 	}
 }
 
-// TestCluster: three servers over httptest listeners, the first fed the
-// day as the ingest front, answer with the single-store gathering set,
-// and a read with one member's listener closed degrades to a 200 partial
-// answer.
-func TestCluster(t *testing.T) {
-	start := time.Now()
-	cfg, feed := testConfig(), testFeed()
-	want := singleStore(t, cfg, feed)
-
+// runCluster starts three servers over httptest listeners and feeds the
+// day through the first as the ingest front. It closes the front once its
+// Run returns; every forward is then in its member's inbox. The members
+// stay open and their listeners keep serving; the returned func stops the
+// members' Runs and waits for them.
+func runCluster(t *testing.T, cfg Config, feed *gatherings.DB) ([]*Server, []*httptest.Server, func()) {
+	t.Helper()
 	ids := []string{"a", "b", "c"}
 	lis := make([]*httptest.Server, len(ids))
 	var m strings.Builder
@@ -244,16 +243,13 @@ func TestCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 { // the test closes the front itself
-			t.Cleanup(s.Close)
-		}
 		nodes[i] = s
 		lis[i].Config.Handler = s.Handler()
 		lis[i].Start()
 	}
 
 	ctx, stop := context.WithCancel(context.Background())
-	defer stop()
+	t.Cleanup(stop)
 	members := make(chan error, len(nodes)-1)
 	for _, s := range nodes[1:] {
 		go func(s *Server) { members <- s.Run(ctx, nil) }(s)
@@ -266,16 +262,35 @@ func TestCluster(t *testing.T) {
 	if err := nodes[0].Run(context.Background(), feed); err != nil {
 		t.Fatal(err)
 	}
-	nodes[0].Close() // every forward is now in its member's inbox
-	stop()           // members admit their acknowledged forwards, then return
-	for range nodes[1:] {
-		if err := <-members; err != nil {
-			t.Fatal(err)
+	nodes[0].Close()
+	stopMembers := func() {
+		t.Helper()
+		stop() // members admit their acknowledged forwards, then return
+		for range nodes[1:] {
+			if err := <-members; err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	return nodes, lis, stopMembers
+}
+
+// TestCluster: three servers over httptest listeners, the first fed the
+// day as the ingest front, answer with the single-store gathering set,
+// and a read with one member's listener closed degrades to a 200 partial
+// answer.
+func TestCluster(t *testing.T) {
+	start := time.Now()
+	cfg, feed := testConfig(), testFeed()
+	want := singleStore(t, cfg, feed)
+	nodes, lis, stopMembers := runCluster(t, cfg, feed)
+	stopMembers()
+	for _, s := range nodes[1:] {
+		t.Cleanup(s.Close)
 	}
 	for i, s := range nodes {
 		if got := s.Engine().Ticks(); got != feed.Domain.N {
-			t.Fatalf("node %s applied %d ticks, want %d", ids[i], got, feed.Domain.N)
+			t.Fatalf("node %d applied %d ticks, want %d", i, got, feed.Domain.N)
 		}
 	}
 
@@ -306,6 +321,84 @@ func TestCluster(t *testing.T) {
 		t.Fatalf("read with c down: %d, headers %v; want 200 partial, c unreachable, with ticks", resp.StatusCode, resp.Header)
 	}
 	t.Logf("wall time %v", time.Since(start))
+}
+
+// TestCloseLeavesNoGoroutines: once Run has returned and Close has been
+// called — and, for a cluster, the listeners closed — no goroutine of this
+// module's internal packages is left. Close is a barrier: the engine waits
+// for its goroutines and every peer for its forwarder to drain.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	cfg, feed := testConfig(), testFeed()
+	t.Run("standalone", func(t *testing.T) {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(context.Background(), feed); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		checkNoRepoGoroutines(t)
+	})
+	t.Run("cluster", func(t *testing.T) {
+		nodes, lis, stopMembers := runCluster(t, cfg, feed)
+		// Listeners first: a forwarder that outlived the front's Close
+		// then has no one to deliver to and retries until its deadline,
+		// so it cannot finish before the check.
+		for _, l := range lis {
+			l.Close()
+		}
+		stopMembers()
+		for _, s := range nodes[1:] {
+			s.Close()
+		}
+		checkNoRepoGoroutines(t)
+	})
+}
+
+// checkNoRepoGoroutines fails t for every goroutine with a frame in this
+// module's internal packages, leaving out the test goroutines themselves
+// (those run under testing.tRunner). A barrier returns once each goroutine
+// has signalled that it is done (its deferred wg.Done or close), which can
+// be a moment before that goroutine returns, so a goroutine counts as left
+// only if it is still there a second later; a leaked one runs on.
+func checkNoRepoGoroutines(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		left := repoGoroutines()
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			for _, g := range left {
+				t.Errorf("goroutine left after Close:\n%s", g)
+			}
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// repoGoroutines returns the stacks of the live goroutines that
+// checkNoRepoGoroutines looks for.
+func repoGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var left []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "repro/internal/") && !strings.Contains(g, "testing.tRunner") {
+			left = append(left, g)
+		}
+	}
+	return left
 }
 
 func TestParseWindow(t *testing.T) {
