@@ -169,9 +169,9 @@ func (s *Store) Gatherings() [][]*Gathering { return s.inner.Gatherings() }
 // AllGatherings returns every current closed gathering.
 func (s *Store) AllGatherings() []*Gathering { return s.inner.FlatGatherings() }
 
-// Save serialises the store's incremental state (cluster database, closed
-// crowds, gatherings and the resumable candidate set) so discovery can
-// continue in a later process via LoadStore.
+// Save serialises the store's incremental state (closed crowds,
+// gatherings, the resumable candidate set and the snapshot clusters they
+// reference) so discovery can continue in a later process via LoadStore.
 func (s *Store) Save(w io.Writer) error { return s.inner.Save(w) }
 
 // LoadStore restores a store saved with Save. The configuration supplies

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/stats"
@@ -94,9 +95,10 @@ type Peer struct {
 
 	// q feeds the forwarder goroutine; done closes when it drains after
 	// Close. A single dispatcher goroutine owns the sending side: no
-	// Forward may be called after Close.
-	q    chan forwardItem
-	done chan struct{}
+	// Forward may be called after Close. closeOnce makes Close idempotent.
+	q         chan forwardItem
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 // NewPeer starts the peer's forwarder goroutine.
@@ -134,9 +136,10 @@ func (p *Peer) Forward(seq uint64, payload []byte) {
 }
 
 // Close stops accepting forwards, waits for the queue to drain (each
-// remaining item still gets its full retry budget) and returns.
+// remaining item still gets its full retry budget) and returns. It is
+// idempotent: a later call waits for the same drain.
 func (p *Peer) Close() {
-	close(p.q)
+	p.closeOnce.Do(func() { close(p.q) })
 	<-p.done
 }
 

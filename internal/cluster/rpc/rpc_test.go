@@ -217,6 +217,54 @@ func TestPeerForwardRetriesUntilAccepted(t *testing.T) {
 	}
 }
 
+// TestPeerCloseDrains: Close is a barrier. The target holds the first
+// forward until the test releases it, so Close cannot return before the
+// release, and once it returns every queued forward has been delivered. A
+// second Close returns at once.
+func TestPeerCloseDrains(t *testing.T) {
+	const n = 5
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var held, released sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		held.Do(func() {
+			close(arrived)
+			<-release
+		})
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer srv.Close()
+	unhold := func() { released.Do(func() { close(release) }) }
+	defer unhold() // before srv.Close, which waits for the held request
+
+	c := &stats.ClusterCounters{}
+	p := NewPeer(PeerConfig{
+		ID: "b", Addr: strings.TrimPrefix(srv.URL, "http://"),
+		Counters: c, ForwardDeadline: 10 * time.Second,
+	})
+	for seq := uint64(0); seq < n; seq++ {
+		p.Forward(seq, []byte{byte(seq)})
+	}
+	<-arrived
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	// The wait only bounds how long a Close that skips the drain has to
+	// return early; a correct Close cannot return here at all.
+	select {
+	case <-closed:
+		t.Fatalf("Close returned while the first forward was still held (%d of %d sent)", c.ForwardsSent.Load(), n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	unhold()
+	<-closed
+	if got := c.ForwardsSent.Load(); got != n {
+		t.Fatalf("ForwardsSent = %d when Close returned, want %d", got, n)
+	}
+	p.Close()
+}
+
 // TestPeerForwardDropsOnConflict: a 409 (map-version mismatch, second
 // producer) is decisive — the item is dropped without retries and the
 // queue moves on.

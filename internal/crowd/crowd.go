@@ -323,13 +323,17 @@ func Discover(cdb *snapshot.CDB, p Params, s Searcher) Result {
 	return DiscoverFrom(cdb, 0, nil, p, s)
 }
 
-// DiscoverFrom resumes Algorithm 1 at tick from with an initial candidate
-// set whose last clusters sit at tick from-1. It is the engine of both
-// archival discovery (from = 0, initial = nil) and incremental crowd
-// extension. Each initial candidate's Origin is (re)pointed at itself, so
-// crowds in the result link back to the candidate of THIS resume — the key
-// the incremental layer's gathering/detector caches are held under.
-func DiscoverFrom(cdb *snapshot.CDB, from trajectory.Tick, initial []*Crowd, p Params, s Searcher) Result {
+// DiscoverFrom resumes Algorithm 1 over batch, whose first tick is the
+// absolute tick from, with an initial candidate set whose last clusters
+// sit at tick from-1. It is the engine of both archival discovery
+// (from = 0, initial = nil) and incremental crowd extension, where batch
+// holds only the new ticks: by Lemma 4 a resumed sweep reads nothing
+// before from but the candidates' last clusters. Crowds started within the
+// sweep are numbered in absolute ticks. Each initial candidate's Origin is
+// (re)pointed at itself, so crowds in the result link back to the
+// candidate of THIS resume — the key the incremental layer's
+// gathering/detector caches are held under.
+func DiscoverFrom(batch *snapshot.CDB, from trajectory.Tick, initial []*Crowd, p Params, s Searcher) Result {
 	sc := sweepPool.Get().(*sweepScratch)
 	var closed []*Crowd
 	cur := append(sc.cur[:0], initial...)
@@ -338,14 +342,14 @@ func DiscoverFrom(cdb *snapshot.CDB, from trajectory.Tick, initial []*Crowd, p P
 		c.Origin = c // candidates of this resume are their own origin
 	}
 
-	n := trajectory.Tick(len(cdb.Clusters))
 	eligible := sc.eligible
 	used := sc.used
-	for t := from; t < n; t++ {
+	for i, cs := range batch.Clusters {
+		t := from + trajectory.Tick(i)
 		// Only clusters meeting the support threshold can ever be part of
 		// a crowd (Definition 2, condition 2).
 		eligible = eligible[:0]
-		for _, c := range cdb.Clusters[t] {
+		for _, c := range cs {
 			if c.Len() >= p.MC {
 				eligible = append(eligible, c)
 			}

@@ -11,8 +11,8 @@ import (
 
 // TestDiscoverFromResumeEquivalence checks the contract the incremental
 // layer builds on: splitting a sweep at any tick k — running Discover on
-// the prefix, then resuming with DiscoverFrom and the saved tail — yields
-// exactly the closed crowds of an uninterrupted sweep.
+// the prefix, then resuming with DiscoverFrom over the suffix alone and the
+// saved tail — yields exactly the closed crowds of an uninterrupted sweep.
 func TestDiscoverFromResumeEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(163))
 	for trial := 0; trial < 30; trial++ {
@@ -38,7 +38,7 @@ func TestDiscoverFromResumeEquivalence(t *testing.T) {
 				merged = append(merged, cr)
 			}
 		}
-		part2 := DiscoverFrom(cdb, trajectory.Tick(k), part1.Tail, p, &GridSearcher{Delta: p.Delta}) //lint:allow detachcheck resuming from part1.Tail is the scenario under test: DiscoverFrom extends the handed-over candidates in place
+		part2 := DiscoverFrom(cdb.Slice(trajectory.Tick(k), n-k), trajectory.Tick(k), part1.Tail, p, &GridSearcher{Delta: p.Delta}) //lint:allow detachcheck resuming from part1.Tail is the scenario under test: DiscoverFrom extends the handed-over candidates in place
 		merged = append(merged, part2.Crowds...)
 
 		got := signatures(merged)

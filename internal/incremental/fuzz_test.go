@@ -78,6 +78,8 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		{"interior gatherings short", func(d *storeDTO) { d.InteriorGs = d.InteriorGs[:0] }, "gathering lists"},
 		{"tail gatherings short", func(d *storeDTO) { d.TailGs = d.TailGs[:0] }, "gathering lists"},
 		{"gathering past its crowd", func(d *storeDTO) { d.InteriorGs[0][0].Hi = 99 }, "outside crowd"},
+		{"cluster table shorter than the domain", func(d *storeDTO) { d.Domain.N++ }, "-tick domain"},
+		{"ref off its crowd's tick", func(d *storeDTO) { d.Interior[0].Refs[1] = d.Interior[0].Refs[0] }, "at position 1"},
 		{"objects and points differ", func(d *storeDTO) {
 			c := &d.Ticks[0][0]
 			c.Objects = []trajectory.ObjectID{2, 1}

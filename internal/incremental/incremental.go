@@ -16,6 +16,17 @@
 // cached detector and reuses the old crowd's gatherings through the update
 // rule of Theorem 2. Per-batch cost is therefore proportional to the batch
 // rather than to the stream age.
+//
+// The store keeps no cluster database. Lemma 4 says a batch can only
+// extend candidates that end at the last tick, and a resumed sweep reads
+// nothing of the past but those candidates' last clusters; an answer
+// reads only the clusters its crowds and gatherings hold. So after each
+// Append the store retains its time domain and the snapshot clusters
+// reachable from its interior crowds, gatherings and tail candidates, and
+// nothing else: every other cluster of the batch is garbage once Append
+// returns. The cut is lossless, since no later Append or read can reach
+// the clusters it drops, and it makes retained memory and checkpoint
+// size grow with the crowds found rather than with the stream age.
 package incremental
 
 import (
@@ -29,9 +40,12 @@ import (
 
 // Store is the incremental discovery state. Create one with New, feed it
 // cluster batches with Append, and read the current answer from Crowds and
-// Gatherings. A Store is not safe for concurrent use: inside the engine
-// the owning shard's lock guards searcher, interior, interiorGathers,
-// tail, tailGathers, tailDetectors and the three read caches.
+// Gatherings. It retains the time domain and the clusters its crowds and
+// gatherings reference, never a per-tick cluster list (the package doc
+// says why that loses nothing). A Store is not safe for concurrent use:
+// inside the engine the owning shard's lock guards searcher, interior,
+// interiorGathers, tail, tailGathers, tailDetectors and the three read
+// caches.
 type Store struct {
 	crowdParams  crowd.Params
 	gatherParams gathering.Params
@@ -42,7 +56,9 @@ type Store struct {
 	// both safe and what the grid scheme's decomposition cache wants.
 	searcher crowd.Searcher
 
-	cdb *snapshot.CDB
+	// domain is the time domain ingested so far. It is all the store
+	// keeps of past ticks besides the clusters its crowds reference.
+	domain trajectory.TimeDomain
 
 	// closed crowds whose last cluster is strictly before the most recent
 	// tick; they can never be extended again (Lemma 4).
@@ -86,14 +102,13 @@ func New(cp crowd.Params, gp gathering.Params, newSearcher func() crowd.Searcher
 		crowdParams:   cp,
 		gatherParams:  gp,
 		searcher:      newSearcher(),
-		cdb:           &snapshot.CDB{},
 		tailGathers:   map[*crowd.Crowd][]*gathering.Gathering{},
 		tailDetectors: map[*crowd.Crowd]*gathering.Detector{},
 	}, nil
 }
 
 // Ticks returns the number of ticks ingested so far.
-func (s *Store) Ticks() int { return s.cdb.Domain.N }
+func (s *Store) Ticks() int { return s.domain.N }
 
 // Params returns the crowd and gathering parameter sets the store was
 // created (or Loaded) with. Recovery uses them to refuse restoring a
@@ -102,16 +117,18 @@ func (s *Store) Params() (crowd.Params, gathering.Params) {
 	return s.crowdParams, s.gatherParams
 }
 
-// Append ingests one batch of snapshot clusters (ticks are renumbered to
-// follow the current domain) and brings crowds and gatherings up to date.
+// Append ingests one batch of snapshot clusters (batch tick 0 becomes the
+// tick after the current domain) and brings crowds and gatherings up to
+// date. The store keeps only the batch clusters its crowds take up; it
+// does not retain batch itself.
 func (s *Store) Append(batch *snapshot.CDB) {
-	oldN := trajectory.Tick(s.cdb.Domain.N)
-	if s.cdb.Domain.N == 0 {
-		s.cdb.Domain = trajectory.TimeDomain{Start: batch.Domain.Start, Step: batch.Domain.Step}
+	oldN := trajectory.Tick(s.domain.N)
+	if s.domain.N == 0 {
+		s.domain = trajectory.TimeDomain{Start: batch.Domain.Start, Step: batch.Domain.Step}
 	}
-	s.cdb.Append(batch)
+	s.domain = s.domain.Extend(batch.Domain.N)
 
-	res := crowd.DiscoverFrom(s.cdb, oldN, s.tail, s.crowdParams, s.searcher) //lint:allow detachcheck DiscoverFrom is the resume engine: tail candidates are handed over precisely so it can extend them in place
+	res := crowd.DiscoverFrom(batch, oldN, s.tail, s.crowdParams, s.searcher) //lint:allow detachcheck DiscoverFrom is the resume engine: tail candidates are handed over precisely so it can extend them in place
 
 	// A cached detector is extended destructively, so when an old
 	// candidate branched into several closed crowds every claimant but the
@@ -132,7 +149,7 @@ func (s *Store) Append(batch *snapshot.CDB) {
 	// interior: they are final. Crowds still ending at the last tick stay
 	// in the tail and may be extended by the next batch; their gatherings
 	// and detectors are cached for the update rule.
-	lastTick := trajectory.Tick(s.cdb.Domain.N - 1)
+	lastTick := trajectory.Tick(s.domain.N - 1)
 	newTailGathers := make(map[*crowd.Crowd][]*gathering.Gathering, len(res.Tail))
 	newTailDetectors := make(map[*crowd.Crowd]*gathering.Detector, len(res.Tail))
 	for _, cr := range res.Crowds {

@@ -15,8 +15,12 @@ import (
 // The incremental state is what makes gathering discovery a maintainable
 // database service rather than a one-shot job, so it must survive process
 // restarts. Save/Load serialise a Store with encoding/gob over plain DTOs:
-// snapshot clusters are written once per tick and crowds reference them by
-// (tick, index), so shared clusters stay shared after a round trip.
+// snapshot clusters are written once, listed under their tick, and crowds
+// reference them by (tick, index), so shared clusters stay shared after a
+// round trip. Each tick lists only the clusters some saved crowd
+// references. Checkpoints written while the store still kept every
+// cluster since tick 0 have the same layout with more clusters per tick;
+// Load reads them and drops the unreferenced ones.
 
 type clusterDTO struct {
 	T       trajectory.Tick
@@ -53,32 +57,32 @@ type storeDTO struct {
 
 const persistVersion = 1
 
-// Save serialises the store. The searcher factory is not serialised;
+// Save serialises the store. Its cluster table has one entry per tick of
+// the domain, built from the crowds it writes: the i-th cluster of a crowd
+// is listed under tick Start+i. The searcher factory is not serialised;
 // Load takes a fresh one.
 func (s *Store) Save(w io.Writer) error {
 	dto := storeDTO{
 		Version:      persistVersion,
 		CrowdParams:  s.crowdParams,
 		GatherParams: s.gatherParams,
-		Domain:       s.cdb.Domain,
-		Ticks:        make([][]clusterDTO, len(s.cdb.Clusters)),
+		Domain:       s.domain,
+		Ticks:        make([][]clusterDTO, s.domain.N),
 	}
-	// index clusters for reference encoding
 	refOf := make(map[*snapshot.Cluster]clusterRef)
-	for t, cs := range s.cdb.Clusters {
-		dto.Ticks[t] = make([]clusterDTO, len(cs))
-		for i, c := range cs {
-			dto.Ticks[t][i] = clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points}
-			refOf[c] = clusterRef{Tick: int32(t), Index: int32(i)}
-		}
-	}
 	encodeCrowd := func(cr *crowd.Crowd) (crowdDTO, error) {
 		cls := cr.Clusters()
 		d := crowdDTO{Start: cr.Start, Refs: make([]clusterRef, len(cls))}
 		for i, c := range cls {
 			ref, ok := refOf[c]
 			if !ok {
-				return d, fmt.Errorf("incremental: crowd references unknown cluster %v", c)
+				t := int(cr.Start) + i
+				if t < 0 || t >= len(dto.Ticks) {
+					return d, fmt.Errorf("incremental: crowd %v outside the %d-tick domain", cr, len(dto.Ticks))
+				}
+				ref = clusterRef{Tick: int32(t), Index: int32(len(dto.Ticks[t]))}
+				dto.Ticks[t] = append(dto.Ticks[t], clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points})
+				refOf[c] = ref
 			}
 			d.Refs[i] = ref
 		}
@@ -119,7 +123,9 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 // Load restores a store saved with Save, attaching a fresh searcher
-// factory.
+// factory. A cluster is built only when a crowd references it, so the
+// unreferenced clusters of an older, full-history checkpoint are dropped
+// with the decoded table once the refs are resolved.
 func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 	var dto storeDTO
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
@@ -132,32 +138,42 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 		return nil, fmt.Errorf("incremental: %d/%d gathering lists for %d interior/%d tail crowds",
 			len(dto.InteriorGs), len(dto.TailGs), len(dto.Interior), len(dto.Tail))
 	}
+	if len(dto.Ticks) != dto.Domain.N {
+		return nil, fmt.Errorf("incremental: cluster table of %d ticks for a %d-tick domain", len(dto.Ticks), dto.Domain.N)
+	}
 	s, err := New(dto.CrowdParams, dto.GatherParams, newSearcher)
 	if err != nil {
 		return nil, err
 	}
-	s.cdb = &snapshot.CDB{
-		Domain:   dto.Domain,
-		Clusters: make([][]*snapshot.Cluster, len(dto.Ticks)),
-	}
+	s.domain = dto.Domain
+	built := make([][]*snapshot.Cluster, len(dto.Ticks))
 	for t, cs := range dto.Ticks {
-		s.cdb.Clusters[t] = make([]*snapshot.Cluster, len(cs))
+		built[t] = make([]*snapshot.Cluster, len(cs))
 		for i, c := range cs {
 			if len(c.Objects) != len(c.Points) {
 				return nil, fmt.Errorf("incremental: cluster %d at tick %d has %d objects but %d points",
 					i, t, len(c.Objects), len(c.Points))
 			}
-			s.cdb.Clusters[t][i] = snapshot.NewCluster(c.T, c.Objects, c.Points)
 		}
 	}
 	decodeCrowd := func(d crowdDTO) (*crowd.Crowd, error) {
 		cls := make([]*snapshot.Cluster, len(d.Refs))
 		for i, ref := range d.Refs {
-			if ref.Tick < 0 || int(ref.Tick) >= len(s.cdb.Clusters) ||
-				ref.Index < 0 || int(ref.Index) >= len(s.cdb.Clusters[ref.Tick]) {
+			if ref.Tick < 0 || int(ref.Tick) >= len(built) ||
+				ref.Index < 0 || int(ref.Index) >= len(built[ref.Tick]) {
 				return nil, fmt.Errorf("incremental: dangling cluster ref %+v", ref)
 			}
-			cls[i] = s.cdb.Clusters[ref.Tick][ref.Index]
+			if int(ref.Tick) != int(d.Start)+i {
+				return nil, fmt.Errorf("incremental: cluster ref %+v at position %d of a crowd starting at tick %d",
+					ref, i, d.Start)
+			}
+			c := built[ref.Tick][ref.Index]
+			if c == nil {
+				dc := dto.Ticks[ref.Tick][ref.Index]
+				c = snapshot.NewCluster(dc.T, dc.Objects, dc.Points)
+				built[ref.Tick][ref.Index] = c
+			}
+			cls[i] = c
 		}
 		return crowd.New(d.Start, cls), nil
 	}

@@ -1,0 +1,306 @@
+package incremental
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/crowd"
+	"repro/internal/gathering"
+	"repro/internal/geo"
+	"repro/internal/snapshot"
+	"repro/internal/trajectory"
+)
+
+// retentionBatch returns a batch of n ticks starting at absolute tick
+// start. Each tick holds up to five clusters of one to three objects on
+// distinct rows, so with MC 2 some clusters never join a candidate, and
+// row r's objects are always 10r..10r+2, so crowds along a row gather.
+func retentionBatch(r *rand.Rand, start trajectory.Tick, n int) *snapshot.CDB {
+	b := &snapshot.CDB{
+		Domain:   trajectory.TimeDomain{Step: 1, N: n},
+		Clusters: make([][]*snapshot.Cluster, n),
+	}
+	for i := range b.Clusters {
+		for _, row := range r.Perm(6)[:r.Intn(6)] {
+			size := 1 + r.Intn(3)
+			objs := make([]trajectory.ObjectID, size)
+			pts := make([]geo.Point, size)
+			for k := range objs {
+				objs[k] = trajectory.ObjectID(10*row + k)
+				pts[k] = geo.Point{X: 0.1 * float64(k), Y: float64(row)}
+			}
+			b.Clusters[i] = append(b.Clusters[i], snapshot.NewCluster(start+trajectory.Tick(i), objs, pts))
+		}
+	}
+	return b
+}
+
+// retentionStream feeds ten fresh stores eight random batches of 0–5
+// ticks each, calling check after every Append with the batch just
+// applied. It fails t unless the stream found crowds and left clusters
+// nobody references, so the checks cannot pass vacuously.
+func retentionStream(t *testing.T, check func(s *Store, batch *snapshot.CDB)) {
+	t.Helper()
+	r := rand.New(rand.NewSource(293))
+	cp := crowd.Params{MC: 2, KC: 3, Delta: 1}
+	gp := gathering.Params{KC: 3, KP: 2, MP: 1}
+	crowds, fed, referenced := 0, 0, 0
+	for trial := 0; trial < 10; trial++ {
+		s := newStore(t, cp, gp)
+		for b := 0; b < 8; b++ {
+			batch := retentionBatch(r, trajectory.Tick(s.Ticks()), r.Intn(6))
+			fed += batch.NumClusters()
+			s.Append(batch)
+			check(s, batch)
+		}
+		crowds += len(s.Crowds())
+		referenced += len(referencedClusters(s))
+	}
+	if crowds == 0 || referenced >= fed {
+		t.Fatalf("vacuous stream: %d crowds, %d of %d clusters referenced", crowds, referenced, fed)
+	}
+}
+
+// referencedClusters returns the clusters the store's interior crowds,
+// tail candidates and gatherings point to.
+func referencedClusters(s *Store) map[*snapshot.Cluster]bool {
+	out := map[*snapshot.Cluster]bool{}
+	add := func(cr *crowd.Crowd) {
+		for _, c := range cr.Clusters() {
+			out[c] = true
+		}
+	}
+	for i, cr := range s.interior {
+		add(cr)
+		for _, g := range s.interiorGathers[i] {
+			add(g.Crowd)
+		}
+	}
+	for _, cr := range s.tail {
+		add(cr)
+		for _, g := range s.tailGathers[cr] {
+			add(g.Crowd)
+		}
+	}
+	return out
+}
+
+// reachableClusters returns the address of every snapshot cluster
+// reachable from root through pointers, interfaces, struct fields
+// (unexported ones too), the full capacity of slices and arrays, map keys
+// and values, and sync/atomic pointers: what the garbage collector would
+// keep alive on root's behalf.
+func reachableClusters(root any) map[uintptr]bool {
+	clusterType := reflect.TypeOf((*snapshot.Cluster)(nil))
+	type visit struct {
+		p uintptr
+		t reflect.Type
+	}
+	seen := map[visit]bool{}
+	out := map[uintptr]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[visit{v.Pointer(), v.Type()}] {
+				return
+			}
+			seen[visit{v.Pointer(), v.Type()}] = true
+			if v.Type() == clusterType {
+				out[v.Pointer()] = true
+				return
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			if typ := v.Type(); typ.PkgPath() == "sync/atomic" && strings.HasPrefix(typ.Name(), "Pointer[") {
+				// atomic.Pointer[T] keeps its *T in an unsafe.Pointer
+				// field; its zero-length [0]*T field carries the type.
+				if p := v.FieldByName("v").UnsafePointer(); p != nil {
+					walk(reflect.NewAt(typ.Field(0).Type.Elem().Elem(), p))
+				}
+				return
+			}
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			if v.IsNil() || seen[visit{v.Pointer(), v.Type()}] {
+				return
+			}
+			seen[visit{v.Pointer(), v.Type()}] = true
+			v = v.Slice(0, v.Cap())
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	walk(reflect.ValueOf(root))
+	return out
+}
+
+// TestStoreRetainsOnlyReferencedClusters: after every Append, each
+// cluster reachable from the store is one a crowd or gathering references,
+// or one of the last two ticks, which the grid searcher indexes for the
+// next resume. The store holds no cluster list for any past tick.
+func TestStoreRetainsOnlyReferencedClusters(t *testing.T) {
+	tickOf := map[uintptr]trajectory.Tick{}
+	retentionStream(t, func(s *Store, batch *snapshot.CDB) {
+		for _, cs := range batch.Clusters {
+			for _, c := range cs {
+				tickOf[reflect.ValueOf(c).Pointer()] = c.T
+			}
+		}
+		want := map[uintptr]bool{}
+		for c := range referencedClusters(s) {
+			want[reflect.ValueOf(c).Pointer()] = true
+		}
+		last := trajectory.Tick(s.Ticks() - 1)
+		for p := range reachableClusters(s) {
+			tick, ok := tickOf[p]
+			if !ok {
+				t.Fatalf("the store reaches a cluster it was never fed")
+			}
+			if !want[p] && tick < last-1 {
+				t.Fatalf("after %d ticks the store still reaches a cluster of tick %d that no crowd references", s.Ticks(), tick)
+			}
+		}
+	})
+}
+
+// TestSavedClustersAreReferenced: the checkpoint's cluster table has one
+// entry per tick of the domain and lists exactly the clusters the saved
+// crowds reference, each under its own tick.
+func TestSavedClustersAreReferenced(t *testing.T) {
+	retentionStream(t, func(s *Store, _ *snapshot.CDB) {
+		dto := saveDTO(t, s)
+		if len(dto.Ticks) != dto.Domain.N {
+			t.Fatalf("cluster table of %d ticks for a %d-tick domain", len(dto.Ticks), dto.Domain.N)
+		}
+		used := map[clusterRef]bool{}
+		for _, d := range append(append([]crowdDTO(nil), dto.Interior...), dto.Tail...) {
+			for _, ref := range d.Refs {
+				used[ref] = true
+			}
+		}
+		for tick, cs := range dto.Ticks {
+			for i := range cs {
+				if ref := (clusterRef{Tick: int32(tick), Index: int32(i)}); !used[ref] {
+					t.Fatalf("after %d ticks the checkpoint lists cluster %+v, which no saved crowd references", s.Ticks(), ref)
+				}
+			}
+		}
+		if len(used) != len(referencedClusters(s)) {
+			t.Fatalf("checkpoint lists %d clusters, the store references %d", len(used), len(referencedClusters(s)))
+		}
+	})
+}
+
+// fullHistoryDTO encodes s the way checkpoints were written while the
+// store kept every cluster since tick 0: full lists each tick's clusters
+// in their original order, referenced or not, and crowds point into it.
+func fullHistoryDTO(t *testing.T, s *Store, full *snapshot.CDB) storeDTO {
+	t.Helper()
+	dto := saveDTO(t, s)
+	refOf := map[*snapshot.Cluster]clusterRef{}
+	dto.Ticks = make([][]clusterDTO, len(full.Clusters))
+	for tick, cs := range full.Clusters {
+		for i, c := range cs {
+			dto.Ticks[tick] = append(dto.Ticks[tick], clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points})
+			refOf[c] = clusterRef{Tick: int32(tick), Index: int32(i)}
+		}
+	}
+	encode := func(crs []*crowd.Crowd) []crowdDTO {
+		out := make([]crowdDTO, len(crs))
+		for i, cr := range crs {
+			out[i] = crowdDTO{Start: cr.Start}
+			for _, c := range cr.Clusters() {
+				out[i].Refs = append(out[i].Refs, refOf[c])
+			}
+		}
+		return out
+	}
+	dto.Interior, dto.Tail = encode(s.interior), encode(s.tail)
+	return dto
+}
+
+// gatheringSigs renders every gathering as its crowd, range and
+// participators, sorted.
+func gatheringSigs(s *Store) []string {
+	var out []string
+	for i, cr := range s.Crowds() {
+		for _, g := range s.Gatherings()[i] {
+			out = append(out, fmt.Sprintf("%s[%d,%d)%v", signature(cr), g.Lo, g.Hi, g.Participators))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestLoadFullHistoryCheckpoint: a checkpoint that lists every cluster
+// since tick 0 loads to the same crowds and gatherings, keeps answering
+// like the store it came from, and saves again without the clusters no
+// crowd references.
+func TestLoadFullHistoryCheckpoint(t *testing.T) {
+	r := rand.New(rand.NewSource(307))
+	cp := crowd.Params{MC: 2, KC: 3, Delta: 1}
+	gp := gathering.Params{KC: 3, KP: 2, MP: 1}
+	s := newStore(t, cp, gp)
+	full := &snapshot.CDB{Domain: trajectory.TimeDomain{Step: 1}}
+	for b := 0; b < 6; b++ {
+		batch := retentionBatch(r, trajectory.Tick(s.Ticks()), 1+r.Intn(5))
+		full.Append(batch)
+		s.Append(batch)
+	}
+	old := fullHistoryDTO(t, s, full)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, gridFactory(cp.Delta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := signatures(loaded.Crowds()), signatures(s.Crowds()); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("crowds after loading a full-history checkpoint:\n got %v\nwant %v", got, want)
+	}
+	if got, want := gatheringSigs(loaded), gatheringSigs(s); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("gatherings after loading a full-history checkpoint:\n got %v\nwant %v", got, want)
+	}
+
+	resaved := saveDTO(t, loaded)
+	count := func(d storeDTO) (n int) {
+		for _, cs := range d.Ticks {
+			n += len(cs)
+		}
+		return n
+	}
+	if got, want := count(resaved), len(referencedClusters(s)); got != want || got >= count(old) {
+		t.Fatalf("re-saved checkpoint lists %d clusters, want the %d referenced of %d", got, want, count(old))
+	}
+
+	next := retentionBatch(r, trajectory.Tick(s.Ticks()), 4)
+	s.Append(next)
+	loaded.Append(next)
+	if got, want := gatheringSigs(loaded), gatheringSigs(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("gatherings diverge after the next batch:\n got %v\nwant %v", got, want)
+	}
+}

@@ -356,6 +356,27 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	})
 }
 
+// TestCloseTwice: Close is idempotent on every node of a cluster, the
+// ingest front and the members alike; the second call returns without
+// panicking.
+func TestCloseTwice(t *testing.T) {
+	nodes, _, stopMembers := runCluster(t, testConfig(), testFeed())
+	stopMembers()
+	for i, s := range nodes {
+		if i > 0 {
+			s.Close()
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("second Close on node %d panicked: %v", i, r)
+				}
+			}()
+			s.Close()
+		}()
+	}
+}
+
 // checkNoRepoGoroutines fails t for every goroutine with a frame in this
 // module's internal packages, leaving out the test goroutines themselves
 // (those run under testing.tRunner). A barrier returns once each goroutine

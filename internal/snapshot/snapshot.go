@@ -125,8 +125,9 @@ type Options struct {
 // owns one buildScratch, so the interpolation cursor and buffer and the
 // DBSCAN working memory (sort buffers, cell and unit tables, labels) are
 // reused across all the ticks it handles — only the emitted clusters
-// allocate. Ticks are handed out in increasing order, so every worker's
-// cursor only steps forward after its first tick.
+// allocate, each with arrays of its own. Ticks are handed out in
+// increasing order, so every worker's cursor only steps forward after its
+// first tick.
 func Build(db *trajectory.DB, opt Options) *CDB {
 	out := &CDB{
 		Domain:   db.Domain,
@@ -163,13 +164,17 @@ func Build(db *trajectory.DB, opt Options) *CDB {
 	return out
 }
 
-// buildScratch is one worker's reusable tick-clustering state.
+// buildScratch is one worker's reusable tick-clustering state. objs and
+// cpts hold, per DBSCAN label, the arrays of the cluster being filled;
+// they are cleared before clusterTick returns, so the scratch pins no
+// emitted cluster.
 type buildScratch struct {
 	cursor trajectory.Cursor
 	snap   []trajectory.ObjPoint
 	pts    []geo.Point
 	counts []int32
-	starts []int32
+	objs   [][]trajectory.ObjectID
+	cpts   [][]geo.Point
 	dbscan dbscan.Scratch
 }
 
@@ -193,10 +198,13 @@ func (sc *buildScratch) clusterTick(db *trajectory.DB, t trajectory.Tick, opt Op
 	}
 	labels := sc.dbscan.Cluster(pts, opt.DBSCAN)
 
-	// Size the clusters with a counting pass, then cut each surviving one
-	// a capped window of two shared flat arrays — two allocations for the
-	// whole tick instead of two per cluster. counts is reused as the
-	// per-cluster fill cursor; starts marks dropped clusters with -1.
+	// Size the clusters with a counting pass, then give every surviving
+	// cluster its own exactly-sized Objects and Points arrays, allocated
+	// directly and filled in one pass over the labels. A cluster shares no
+	// memory with the rest of its tick, so one that outlives the tick (a
+	// crowd of the incremental store keeps it) pins only its own arrays.
+	// counts is reused as the per-cluster fill cursor; a nil objs entry
+	// marks a dropped cluster.
 	k := 0
 	for _, l := range labels {
 		if l >= k {
@@ -208,9 +216,10 @@ func (sc *buildScratch) clusterTick(db *trajectory.DB, t trajectory.Tick, opt Op
 	}
 	if cap(sc.counts) < k {
 		sc.counts = make([]int32, k)
-		sc.starts = make([]int32, k)
+		sc.objs = make([][]trajectory.ObjectID, k)
+		sc.cpts = make([][]geo.Point, k)
 	}
-	counts, starts := sc.counts[:k], sc.starts[:k]
+	counts, objs, cpts := sc.counts[:k], sc.objs[:k], sc.cpts[:k]
 	for i := range counts {
 		counts[i] = 0
 	}
@@ -219,39 +228,35 @@ func (sc *buildScratch) clusterTick(db *trajectory.DB, t trajectory.Tick, opt Op
 			counts[l]++
 		}
 	}
-	total, kept := int32(0), 0
+	kept := 0
 	for c, n := range counts {
 		if int(n) >= opt.MinSize {
-			starts[c] = total
-			total += n
+			objs[c] = make([]trajectory.ObjectID, n)
+			cpts[c] = make([]geo.Point, n)
 			kept++
-		} else {
-			starts[c] = -1
 		}
 		counts[c] = 0
 	}
 	if kept == 0 {
 		return nil
 	}
-	flatObjs := make([]trajectory.ObjectID, total)
-	flatPts := make([]geo.Point, total)
 	for i, l := range labels {
-		if l < 0 || starts[l] < 0 {
+		if l < 0 || objs[l] == nil {
 			continue
 		}
-		at := starts[l] + counts[l]
-		flatObjs[at] = snap[i].ID
-		flatPts[at] = snap[i].P
+		at := counts[l]
+		objs[l][at] = snap[i].ID
+		cpts[l][at] = snap[i].P
 		counts[l]++
 	}
 	clusters := make([]*Cluster, 0, kept)
-	for c, a := range starts {
-		if a < 0 {
-			continue
+	for c, o := range objs {
+		if o != nil {
+			clusters = append(clusters, NewCluster(t, o, cpts[c]))
 		}
-		b := a + counts[c]
-		clusters = append(clusters, NewCluster(t, flatObjs[a:b:b], flatPts[a:b:b]))
 	}
+	clear(objs)
+	clear(cpts)
 	return clusters
 }
 

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dbscan"
@@ -256,6 +257,69 @@ func TestBuildMatchesLocationAt(t *testing.T) {
 						t.Fatalf("view from %v, parallelism %d, tick %d cluster %d: %v at %v, want %v at %v",
 							view.Domain.Start, par, tick, i, got[i].Objects, got[i].Points, want[i].Objects, want[i].Points)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildClustersOwnTheirArrays: every cluster Build emits has Objects
+// and Points arrays of its own, exactly sized (cap == len), so a crowd
+// that keeps one cluster pins no other cluster's points. Cluster sizes are
+// odd counts from 17 to 31, for which neither array's byte size is a Go
+// allocator size class: a separately allocated array then ends strictly
+// inside its allocation slot, and two arrays that abut can only be windows
+// of one shared array.
+func TestBuildClustersOwnTheirArrays(t *testing.T) {
+	sizes := []int{17, 19, 21, 23, 25, 27, 29, 31}
+	const ticks = 4
+	db := &trajectory.DB{Domain: trajectory.TimeDomain{Step: 1, N: ticks}}
+	r := rand.New(rand.NewSource(311))
+	for g, n := range sizes {
+		for i := 0; i < n; i++ {
+			tr := trajectory.Trajectory{ID: trajectory.ObjectID(len(db.Trajs))}
+			for k := 0; k < ticks; k++ {
+				tr.Samples = append(tr.Samples, trajectory.Sample{
+					Time: float64(k), P: pt(1000*float64(g)+5*r.Float64(), 5*r.Float64()),
+				})
+			}
+			db.Trajs = append(db.Trajs, tr)
+		}
+	}
+	want := map[int]bool{}
+	for _, n := range sizes {
+		want[n] = true
+	}
+	type span struct{ lo, hi uintptr }
+	spanOf := func(s any) span {
+		v := reflect.ValueOf(s)
+		lo := v.Pointer()
+		return span{lo, lo + uintptr(v.Len())*v.Type().Elem().Size()}
+	}
+	for _, workers := range []int{1, 2} {
+		cdb := Build(db, Options{DBSCAN: dbscan.Params{Eps: 20, MinPts: 3}, Parallelism: workers})
+		var objs, pts []span
+		for tick, cs := range cdb.Clusters {
+			if len(cs) != len(sizes) {
+				t.Fatalf("workers %d, tick %d: %d clusters, want %d", workers, tick, len(cs), len(sizes))
+			}
+			for _, c := range cs {
+				if !want[c.Len()] {
+					t.Fatalf("workers %d, tick %d: cluster of %d objects, want one of %v", workers, tick, c.Len(), sizes)
+				}
+				if cap(c.Objects) != len(c.Objects) || cap(c.Points) != len(c.Points) {
+					t.Fatalf("workers %d, %v: cap %d/%d for len %d", workers, c, cap(c.Objects), cap(c.Points), c.Len())
+				}
+				objs = append(objs, spanOf(c.Objects))
+				pts = append(pts, spanOf(c.Points))
+			}
+		}
+		for _, spans := range [][]span{objs, pts} {
+			sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+			for i := 1; i < len(spans); i++ {
+				if spans[i].lo <= spans[i-1].hi {
+					t.Fatalf("workers %d: cluster arrays [%#x,%#x) and [%#x,%#x) share a backing array",
+						workers, spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
 				}
 			}
 		}
