@@ -29,6 +29,7 @@
 package gatherings
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/core"
@@ -172,15 +173,23 @@ func (s *Store) AllGatherings() []*Gathering { return s.inner.FlatGatherings() }
 // Save serialises the store's incremental state (closed crowds,
 // gatherings, the resumable candidate set and the snapshot clusters they
 // reference) so discovery can continue in a later process via LoadStore.
+// The output is one versioned, checksummed section (version 2); see
+// internal/incremental for its layout.
 func (s *Store) Save(w io.Writer) error { return s.inner.Save(w) }
 
-// LoadStore restores a store saved with Save. The configuration supplies
-// the searcher; the thresholds are restored from the snapshot itself.
+// LoadStore restores a store saved with Save, reading r to its end. The
+// configuration supplies the searcher; the thresholds are restored from
+// the snapshot itself. A corrupt section, or one saved in another format
+// version (version 1 was encoding/gob), is refused with an error.
 func LoadStore(r io.Reader, cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	inner, err := incremental.Load(r, cfg.SearcherFactory())
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("gatherings: reading store: %w", err)
+	}
+	inner, err := incremental.Load(data, cfg.SearcherFactory())
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/geo"
 )
 
 // FuzzLoadState asserts that LoadState, the reader of every engine
-// checkpoint, never panics on arbitrary bytes; that a refused checkpoint
+// checkpoint, never panics on arbitrary bytes, as given or with their
+// shard sections' checksums recomputed; that a refused checkpoint
 // leaves the engine's frontier and answers exactly as they were; and that
 // an accepted one saves into bytes that load again into the same
 // frontier and answer. The seeds are real SaveState output of 1- and
@@ -54,11 +57,7 @@ func FuzzLoadState(f *testing.F) {
 		f.Add(k == 1, base[k])
 	}
 
-	f.Fuzz(func(t *testing.T, twoShards bool, data []byte) {
-		k := 0
-		if twoShards {
-			k = 1
-		}
+	check := func(t *testing.T, k int, data []byte) {
 		e := target[k]
 		if err := e.LoadState(bytes.NewReader(base[k])); err != nil {
 			t.Fatalf("base checkpoint does not load: %v", err)
@@ -79,7 +78,35 @@ func FuzzLoadState(f *testing.F) {
 		if got, want := snapshotSig(again[k]), snapshotSig(e); got != want {
 			t.Fatalf("re-saved checkpoint loads into a different state:\n got %s\nwant %s", got, want)
 		}
+	}
+	f.Fuzz(func(t *testing.T, twoShards bool, data []byte) {
+		k := 0
+		if twoShards {
+			k = 1
+		}
+		check(t, k, data)
+		// A mutation inside a shard section almost never keeps that
+		// section's checksum right; resealing every whole section lets
+		// it reach the store decoder, and a later shard's refusal.
+		check(t, k, resealed(data))
 	})
+}
+
+// resealed returns a copy of a SaveState checkpoint with the CRC-32
+// trailer of every whole length-prefixed section recomputed.
+func resealed(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	for p := 4; p+8 <= len(out); {
+		n := binary.LittleEndian.Uint64(out[p:])
+		p += 8
+		if n < 4 || n > uint64(len(out)-p) {
+			break
+		}
+		sec := out[p : p+int(n)]
+		binary.LittleEndian.PutUint32(sec[n-4:], crc32.ChecksumIEEE(sec[:n-4]))
+		p += int(n)
+	}
+	return out
 }
 
 // shardSig renders the engine's frontier and the identity of every

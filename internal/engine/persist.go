@@ -3,10 +3,8 @@
 // the exact gathering state it had and resumes the stream from its WAL
 // (see internal/recovery for the file-level protocol around these).
 //
-// Each store is encoded into its own length-prefixed blob: gob decoders
-// read ahead of message boundaries, so back-to-back gob streams on one
-// reader would corrupt each other — the prefix makes every shard's blob
-// self-delimiting.
+// Each store is written as its own length-prefixed section, so LoadState
+// reads exactly one section per shard and hands it to Load as bytes.
 
 package engine
 
@@ -15,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/crowd"
 	"repro/internal/gathering"
@@ -72,14 +71,20 @@ func (e *Engine) LoadState(r io.Reader) error {
 	factory := e.cfg.Pipeline.SearcherFactory()
 
 	// Decode every blob before touching any shard, so a truncated or
-	// mismatched checkpoint leaves the engine unchanged.
+	// mismatched checkpoint leaves the engine unchanged. Load keeps no
+	// reference to its input, so one buffer serves every shard.
 	stores := make([]*incremental.Store, n)
+	var blob []byte
 	for i := range stores {
 		var blen uint64
 		if err := binary.Read(r, binary.LittleEndian, &blen); err != nil {
 			return fmt.Errorf("engine: reading shard %d blob size: %w", i, err)
 		}
-		st, err := incremental.Load(io.LimitReader(r, int64(blen)), factory)
+		var err error
+		if blob, err = readBlob(r, blob[:0], blen); err != nil {
+			return fmt.Errorf("engine: reading shard %d blob of %d bytes: %w", i, blen, err)
+		}
+		st, err := incremental.Load(blob, factory)
 		if err != nil {
 			return fmt.Errorf("engine: loading shard %d: %w", i, err)
 		}
@@ -101,4 +106,24 @@ func (e *Engine) LoadState(r io.Reader) error {
 	e.loads.Add(1)
 	e.advanceFrontier()
 	return nil
+}
+
+// blobChunk caps how far readBlob allocates ahead of the bytes it has
+// read, so a corrupt size prefix fails at the end of the input instead of
+// driving an allocation of that size.
+const blobChunk = 16 << 20
+
+// readBlob appends exactly n bytes of r to buf. A blob up to blobChunk
+// bytes is read with one exactly-sized allocation and one ReadFull.
+func readBlob(r io.Reader, buf []byte, n uint64) ([]byte, error) {
+	for n > 0 {
+		step := int(min(n, blobChunk))
+		at := len(buf)
+		buf = slices.Grow(buf, step)[:at+step]
+		if _, err := io.ReadFull(r, buf[at:]); err != nil {
+			return buf, err
+		}
+		n -= uint64(step)
+	}
+	return buf, nil
 }

@@ -2,7 +2,11 @@ package incremental
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -46,61 +50,77 @@ func gatheringStore(t testing.TB) *Store {
 }
 
 // saveDTO checkpoints s and decodes the raw DTO, for tests that corrupt
-// one field at a time.
-func saveDTO(t testing.TB, s *Store) storeDTO {
+// one field at a time and encode it again with appendStore.
+func saveDTO(t testing.TB, s *Store) *storeDTO {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var dto storeDTO
-	if err := gob.NewDecoder(&buf).Decode(&dto); err != nil {
+	dto, err := decodeStore(buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	return dto
 }
 
-// TestLoadRejectsMalformed corrupts one field of a valid checkpoint per
-// case; Load must return an error for each, never panic.
+// malformedCases corrupts one field of gatheringStore's checkpoint per
+// case; want is a fragment of the error Load must return. A case with a
+// seed name is also the FuzzLoad corpus file of that name.
+var malformedCases = []struct {
+	name, seed string
+	corrupt    func(d *storeDTO)
+	want       string
+}{
+	{"negative ref tick", "negative-ref-tick", func(d *storeDTO) { d.Interior[0].Start = -1 }, "dangling cluster ref"},
+	{"negative ref index", "negative-ref-index", func(d *storeDTO) { d.Tail[0].Index[0] = -1 }, "dangling cluster ref"},
+	{"interior gatherings short", "interior-gs-short", func(d *storeDTO) { d.InteriorGs = d.InteriorGs[:0] }, "gathering lists"},
+	{"tail gatherings short", "tail-gs-short", func(d *storeDTO) { d.TailGs = d.TailGs[:0] }, "gathering lists"},
+	{"gathering past its crowd", "gathering-past-crowd", func(d *storeDTO) { d.InteriorGs[0][0].Hi = 99 }, "outside crowd"},
+	{"cluster table shorter than the domain", "", func(d *storeDTO) { d.Domain.N++ }, "-tick domain"},
+	{"ref off its crowd's tick", "", func(d *storeDTO) {
+		cr := &d.Interior[0]
+		cr.Index[1] = len(d.Ticks[cr.Start+1])
+	}, "at position 1"},
+	{"objects and points differ", "ragged-cluster", func(d *storeDTO) {
+		c := &d.Ticks[0][0]
+		c.Points = c.Points[:1]
+	}, "objects but"},
+	{"crowd with no clusters", "crowd-no-clusters", func(d *storeDTO) { d.Interior[0].Index = nil }, "no clusters"},
+	{"cluster with no objects", "cluster-no-objects", func(d *storeDTO) {
+		c := &d.Ticks[0][0]
+		c.Objects, c.Points = nil, nil
+	}, "no objects"},
+	{"object IDs not ascending", "objects-not-ascending", func(d *storeDTO) {
+		d.Ticks[0][0].Objects = []trajectory.ObjectID{102, 100, 100}
+	}, "object IDs not strictly ascending"},
+	{"participators not ascending", "participators-not-ascending", func(d *storeDTO) {
+		ps := d.InteriorGs[0][0].Participators
+		ps[0], ps[1] = ps[1], ps[0]
+	}, "participators not strictly ascending"},
+}
+
+// TestLoadRejectsMalformed: Load returns an error for each malformed
+// checkpoint, never panics.
 func TestLoadRejectsMalformed(t *testing.T) {
 	base := saveDTO(t, gatheringStore(t))
 	if len(base.Interior) == 0 || len(base.InteriorGs[0]) == 0 ||
-		len(base.Tail) == 0 || len(base.TailGs[0]) == 0 {
+		len(base.Interior[0].Index) < 2 || len(base.InteriorGs[0][0].Participators) < 2 ||
+		len(base.Tail) == 0 || len(base.TailGs[0]) == 0 || len(base.Ticks[0][0].Objects) != 3 {
 		t.Fatalf("seed store lacks an interior or tail crowd with gatherings: %+v", base)
 	}
-	cases := []struct {
-		name    string
-		corrupt func(d *storeDTO)
-		want    string
-	}{
-		{"negative ref tick", func(d *storeDTO) { d.Interior[0].Refs[0].Tick = -1 }, "dangling cluster ref"},
-		{"negative ref index", func(d *storeDTO) { d.Tail[0].Refs[0].Index = -1 }, "dangling cluster ref"},
-		{"interior gatherings short", func(d *storeDTO) { d.InteriorGs = d.InteriorGs[:0] }, "gathering lists"},
-		{"tail gatherings short", func(d *storeDTO) { d.TailGs = d.TailGs[:0] }, "gathering lists"},
-		{"gathering past its crowd", func(d *storeDTO) { d.InteriorGs[0][0].Hi = 99 }, "outside crowd"},
-		{"cluster table shorter than the domain", func(d *storeDTO) { d.Domain.N++ }, "-tick domain"},
-		{"ref off its crowd's tick", func(d *storeDTO) { d.Interior[0].Refs[1] = d.Interior[0].Refs[0] }, "at position 1"},
-		{"objects and points differ", func(d *storeDTO) {
-			c := &d.Ticks[0][0]
-			c.Objects = []trajectory.ObjectID{2, 1}
-			c.Points = c.Points[:1]
-		}, "objects but"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedCases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := saveDTO(t, gatheringStore(t))
-			tc.corrupt(&d)
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&d); err != nil {
-				t.Fatal(err)
-			}
+			tc.corrupt(d)
+			data := appendStore(nil, d)
 			err := func() (err error) {
 				defer func() {
 					if r := recover(); r != nil {
 						t.Fatalf("Load panicked: %v", r)
 					}
 				}()
-				_, err = Load(&buf, gridFactory(1))
+				_, err = Load(data, gridFactory(1))
 				return err
 			}()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -110,9 +130,41 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestFuzzLoadCorpusRoles: each FuzzLoad corpus file still plays the
+// role its name gives it in the current layout — the saved stores load,
+// and each malformed seed is refused for its own reason, not for a stale
+// magic, version or checksum.
+func TestFuzzLoadCorpusRoles(t *testing.T) {
+	want := map[string]string{"empty-store": "", "gathering-store": ""}
+	for _, tc := range malformedCases {
+		if tc.seed != "" {
+			want[tc.seed] = tc.want
+		}
+	}
+	for seed, frag := range want {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoad", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, uerr := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || uerr != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file: %v", seed, uerr)
+		}
+		_, err = Load([]byte(data), gridFactory(1))
+		switch {
+		case frag == "" && err != nil:
+			t.Errorf("%s: %v, want it to load", seed, err)
+		case frag != "" && (err == nil || !strings.Contains(err.Error(), frag)):
+			t.Errorf("%s: Load error %v, want one mentioning %q", seed, err, frag)
+		}
+	}
+}
+
 // FuzzLoad asserts that Load, the reader of every checkpointed shard,
-// never panics on arbitrary bytes, and that any store it accepts saves
-// and loads again with the same crowds and gatherings.
+// never panics on arbitrary bytes, and that the encoding is canonical:
+// any store it accepts saves into bytes that load and save again
+// byte for byte.
 func FuzzLoad(f *testing.F) {
 	empty, err := New(crowd.Params{MC: 1, KC: 2, Delta: 1}, gathering.Params{KC: 2, KP: 1, MP: 1}, gridFactory(1))
 	if err != nil {
@@ -125,22 +177,35 @@ func FuzzLoad(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Load(bytes.NewReader(data), gridFactory(1))
-		if err != nil {
-			return
-		}
+	save := func(t *testing.T, s *Store) []byte {
 		var buf bytes.Buffer
 		if err := s.Save(&buf); err != nil {
 			t.Fatalf("accepted store does not save: %v", err)
 		}
-		again, err := Load(&buf, gridFactory(1))
+		return buf.Bytes()
+	}
+	check := func(t *testing.T, data []byte) {
+		s, err := Load(data, gridFactory(1))
+		if err != nil {
+			return
+		}
+		first := save(t, s)
+		again, err := Load(first, gridFactory(1))
 		if err != nil {
 			t.Fatalf("saved store does not load: %v", err)
 		}
-		if len(again.Crowds()) != len(s.Crowds()) || len(again.FlatGatherings()) != len(s.FlatGatherings()) {
-			t.Fatalf("round trip changed the store: %d crowds/%d gatherings, want %d/%d",
-				len(again.Crowds()), len(again.FlatGatherings()), len(s.Crowds()), len(s.FlatGatherings()))
+		if second := save(t, again); !bytes.Equal(second, first) {
+			t.Fatalf("Save, Load, Save is not byte-identical:\n%x\n%x", first, second)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		// A mutation almost never keeps the checksum right; resealing
+		// the section lets it reach the decoder behind the check.
+		if n := len(data); n >= 4 {
+			sealed := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(sealed[n-4:], crc32.ChecksumIEEE(sealed[:n-4]))
+			check(t, sealed)
 		}
 	})
 }

@@ -28,7 +28,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, gridFactory(cp.Delta))
+	loaded, err := Load(buf.Bytes(), gridFactory(cp.Delta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSaveLoadThenAppendMatchesUninterrupted(t *testing.T) {
 				t.Fatal(err)
 			}
 			var err error
-			b, err = Load(&buf, gridFactory(cp.Delta))
+			b, err = Load(buf.Bytes(), gridFactory(cp.Delta))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,22 +98,28 @@ func TestSaveLoadThenAppendMatchesUninterrupted(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a gob stream"), gridFactory(1)); err == nil {
+	if _, err := Load([]byte("not a store section"), gridFactory(1)); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
-// TestLoadRejectsWrongVersion: a checkpoint of another format version is
-// refused, not decoded as this one.
+// TestLoadRejectsWrongVersion: a section of another format version is
+// refused, not decoded as this one, and so is a version-1 store, which
+// was an encoding/gob stream; the error names both versions.
 func TestLoadRejectsWrongVersion(t *testing.T) {
 	dto := saveDTO(t, gatheringStore(t))
 	dto.Version = persistVersion + 1
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&dto); err != nil {
+	if _, err := Load(appendStore(nil, dto), gridFactory(1)); err == nil || !strings.Contains(err.Error(), "unsupported store version") {
+		t.Fatalf("Load of version %d: %v, want an unsupported-version error", dto.Version, err)
+	}
+
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(struct{ Version int }{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf, gridFactory(1)); err == nil || !strings.Contains(err.Error(), "unsupported store version") {
-		t.Fatalf("Load of version %d: %v, want an unsupported-version error", dto.Version, err)
+	_, err := Load(v1.Bytes(), gridFactory(1))
+	if err == nil || !strings.Contains(err.Error(), "version-1") || !strings.Contains(err.Error(), "version-2") {
+		t.Fatalf("Load of a version-1 gob store: %v, want an error naming versions 1 and 2", err)
 	}
 }
 
@@ -125,7 +131,7 @@ func TestSaveEmptyStore(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, gridFactory(cp.Delta))
+	loaded, err := Load(buf.Bytes(), gridFactory(cp.Delta))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package incremental
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -186,6 +184,10 @@ func TestStoreRetainsOnlyReferencedClusters(t *testing.T) {
 	})
 }
 
+// savedRef names a saved cluster by its tick and its index in that
+// tick's list.
+type savedRef struct{ tick, index int }
+
 // TestSavedClustersAreReferenced: the checkpoint's cluster table has one
 // entry per tick of the domain and lists exactly the clusters the saved
 // crowds reference, each under its own tick.
@@ -195,15 +197,15 @@ func TestSavedClustersAreReferenced(t *testing.T) {
 		if len(dto.Ticks) != dto.Domain.N {
 			t.Fatalf("cluster table of %d ticks for a %d-tick domain", len(dto.Ticks), dto.Domain.N)
 		}
-		used := map[clusterRef]bool{}
+		used := map[savedRef]bool{}
 		for _, d := range append(append([]crowdDTO(nil), dto.Interior...), dto.Tail...) {
-			for _, ref := range d.Refs {
-				used[ref] = true
+			for i, idx := range d.Index {
+				used[savedRef{int(d.Start) + i, idx}] = true
 			}
 		}
 		for tick, cs := range dto.Ticks {
 			for i := range cs {
-				if ref := (clusterRef{Tick: int32(tick), Index: int32(i)}); !used[ref] {
+				if ref := (savedRef{tick, i}); !used[ref] {
 					t.Fatalf("after %d ticks the checkpoint lists cluster %+v, which no saved crowd references", s.Ticks(), ref)
 				}
 			}
@@ -217,15 +219,15 @@ func TestSavedClustersAreReferenced(t *testing.T) {
 // fullHistoryDTO encodes s the way checkpoints were written while the
 // store kept every cluster since tick 0: full lists each tick's clusters
 // in their original order, referenced or not, and crowds point into it.
-func fullHistoryDTO(t *testing.T, s *Store, full *snapshot.CDB) storeDTO {
+func fullHistoryDTO(t *testing.T, s *Store, full *snapshot.CDB) *storeDTO {
 	t.Helper()
 	dto := saveDTO(t, s)
-	refOf := map[*snapshot.Cluster]clusterRef{}
+	indexOf := map[*snapshot.Cluster]int{}
 	dto.Ticks = make([][]clusterDTO, len(full.Clusters))
 	for tick, cs := range full.Clusters {
 		for i, c := range cs {
 			dto.Ticks[tick] = append(dto.Ticks[tick], clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points})
-			refOf[c] = clusterRef{Tick: int32(tick), Index: int32(i)}
+			indexOf[c] = i
 		}
 	}
 	encode := func(crs []*crowd.Crowd) []crowdDTO {
@@ -233,7 +235,7 @@ func fullHistoryDTO(t *testing.T, s *Store, full *snapshot.CDB) storeDTO {
 		for i, cr := range crs {
 			out[i] = crowdDTO{Start: cr.Start}
 			for _, c := range cr.Clusters() {
-				out[i].Refs = append(out[i].Refs, refOf[c])
+				out[i].Index = append(out[i].Index, indexOf[c])
 			}
 		}
 		return out
@@ -271,11 +273,7 @@ func TestLoadFullHistoryCheckpoint(t *testing.T) {
 		s.Append(batch)
 	}
 	old := fullHistoryDTO(t, s, full)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, gridFactory(cp.Delta))
+	loaded, err := Load(appendStore(nil, old), gridFactory(cp.Delta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +285,7 @@ func TestLoadFullHistoryCheckpoint(t *testing.T) {
 	}
 
 	resaved := saveDTO(t, loaded)
-	count := func(d storeDTO) (n int) {
+	count := func(d *storeDTO) (n int) {
 		for _, cs := range d.Ticks {
 			n += len(cs)
 		}

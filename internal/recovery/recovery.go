@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 
@@ -41,9 +42,15 @@ import (
 	"repro/internal/wal"
 )
 
+// A checkpoint file is a 20-byte header — magic "GCKP", uint32 version,
+// uint64 next sequence, uint32 crc32 (IEEE) of those 16 bytes, all
+// little-endian — followed by engine.SaveState's shard sections, each of
+// which carries its own checksum. Version 1 held gob-encoded shards and
+// no header checksum; it is refused, not read.
 const (
 	ckptMagic   = "GCKP"
-	ckptVersion = 1
+	ckptVersion = 2
+	headerSize  = 20
 )
 
 // Options configure a Manager. Zero-value paths disable the respective
@@ -243,24 +250,31 @@ func (m *Manager) restore() error {
 }
 
 func writeHeader(w io.Writer, next uint64) error {
-	var hdr [16]byte
+	var hdr [headerSize]byte
 	copy(hdr[:4], ckptMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], ckptVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], next)
+	binary.LittleEndian.PutUint64(hdr[8:16], next)
+	binary.LittleEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(hdr[:16]))
 	_, err := w.Write(hdr[:])
 	return err
 }
 
 func readHeader(r io.Reader) (next uint64, err error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
 		return 0, err
 	}
 	if string(hdr[:4]) != ckptMagic {
 		return 0, errors.New("not a checkpoint file (bad magic)")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != ckptVersion {
-		return 0, fmt.Errorf("checkpoint version %d, this build reads %d", v, ckptVersion)
+		return 0, fmt.Errorf("checkpoint version %d, this build reads version %d", v, ckptVersion)
 	}
-	return binary.LittleEndian.Uint64(hdr[8:]), nil
+	if _, err := io.ReadFull(r, hdr[8:]); err != nil {
+		return 0, err
+	}
+	if crc32.ChecksumIEEE(hdr[:16]) != binary.LittleEndian.Uint32(hdr[16:]) {
+		return 0, errors.New("checkpoint header checksum mismatch")
+	}
+	return binary.LittleEndian.Uint64(hdr[8:16]), nil
 }

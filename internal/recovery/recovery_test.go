@@ -1,7 +1,9 @@
 package recovery
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gathering"
 	"repro/internal/gen"
+	"repro/internal/geo"
 	"repro/internal/stats"
 	"repro/internal/trajectory"
 	"repro/internal/wal"
@@ -295,5 +298,95 @@ func TestWALPredatingCheckpoint(t *testing.T) {
 	defer e2.Close()
 	if _, err := Open(e2, opts); err == nil || !strings.Contains(err.Error(), "jumps") {
 		t.Fatalf("Open over a mismatched WAL: err = %v, want a sequence-jump complaint", err)
+	}
+}
+
+// writeCheckpoint feeds a 2-shard engine two sites in different grid
+// cells, each parking 8 objects for 12 ticks, in two batches, and returns
+// the small checkpoint its Close writes: a gathering on each site.
+func writeCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	db := &trajectory.DB{Domain: trajectory.TimeDomain{Step: 1, N: 12}}
+	for _, x := range []float64{1000, 5000} {
+		for k := 0; k < 8; k++ {
+			tr := trajectory.Trajectory{ID: trajectory.ObjectID(len(db.Trajs))}
+			for tick := 0; tick < 12; tick++ {
+				tr.Samples = append(tr.Samples, trajectory.Sample{Time: float64(tick), P: geo.Point{X: x + 3*float64(k), Y: 1000}})
+			}
+			db.Trajs = append(db.Trajs, tr)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "ckpt")
+	e := newEngine(t, 2)
+	defer e.Close()
+	m, err := Open(e, Options{CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, m, e, db.Batches(6), 0, 2)
+	e.Flush()
+	if n := len(sigs(e)); n != 2 {
+		t.Fatalf("the checkpointed state has %d gatherings, want one per site", n)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointByteFlips: every byte of a checkpoint is covered by a
+// checksum or checked against the engine, so a checkpoint with any one
+// byte corrupted is refused with an error, never restored and never a
+// panic.
+func TestCheckpointByteFlips(t *testing.T) {
+	good := writeCheckpoint(t)
+	path := filepath.Join(t.TempDir(), "ckpt")
+	// A refused Open leaves the engine as it was (LoadState installs
+	// nothing until every shard decodes), so one fresh engine serves every
+	// flip until the first one Open accepts, which fails the test.
+	e := newEngine(t, 2)
+	defer e.Close()
+	for i := range good {
+		bad := append([]byte(nil), good...)
+		bad[i] ^= 0xff
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			_, err = Open(e, Options{CheckpointPath: path})
+			return err
+		}()
+		if err == nil || strings.HasPrefix(err.Error(), "panic") {
+			t.Fatalf("byte %d of %d flipped: Open returned %v, want an error", i, len(good), err)
+		}
+	}
+}
+
+// TestVersion1CheckpointRefused: a checkpoint in the version-1 layout
+// (16-byte header, gob shards) is refused with an error naming both
+// versions.
+func TestVersion1CheckpointRefused(t *testing.T) {
+	v1 := []byte(ckptMagic)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 2)
+	v1 = append(v1, writeCheckpoint(t)[headerSize:]...)
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, 2)
+	defer e.Close()
+	_, err := Open(e, Options{CheckpointPath: path})
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("Open of a version-1 checkpoint: %v, want an error naming versions 1 and 2", err)
 	}
 }
