@@ -1,8 +1,7 @@
 // Command gatherlint is the repo's invariant checker: a vet tool
-// carrying the three analyzers whose invariants no stock tool sees —
-// hotalloc (no avoidable allocation on a //gather:hotpath), sharedmut
-// (no write to a //gather:immutable type outside its package) and
-// detachcheck (no attached tail crowd escaping without Detached()).
+// carrying the two analyzers whose invariants no stock tool sees —
+// hotalloc (no avoidable allocation on a //gather:hotpath) and sharedmut
+// (no write to a //gather:immutable type outside its package).
 // Lock discipline, lock order and goroutine lifetimes are left to
 // go test -race and the Close-barrier tests (see docs/INVARIANTS.md).
 //
@@ -16,8 +15,7 @@
 // _test.go files are analysed too — with a vet.cfg describing the
 // type-checked unit (export data of every dependency included), and
 // //gather:* annotations plus per-function summary facts (static calls,
-// allocation sites, non-escaping function parameters, attached-crowd
-// flow) travel between packages as fact files. Build tags, GOFLAGS and
+// allocation sites, non-escaping function parameters) travel between packages as fact files. Build tags, GOFLAGS and
 // the package patterns are go vet's business; the tool has no flags of
 // its own. It is built on the standard library alone, so the x/tools
 // unitchecker protocol is reimplemented in vetcfg.go rather than
@@ -31,7 +29,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/analysis/detachcheck"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/sharedmut"
@@ -40,7 +37,6 @@ import (
 // analyzers is the gatherlint suite.
 var analyzers = []*framework.Analyzer{
 	sharedmut.Analyzer,
-	detachcheck.Analyzer,
 	hotalloc.Analyzer,
 }
 

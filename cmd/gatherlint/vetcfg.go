@@ -166,7 +166,7 @@ func runVetCfg(cfgPath string) int {
 		return 1
 	}
 
-	sums := framework.ComputeSummaries(fset, files, pkg, info, ann, depSums)
+	sums := framework.ComputeSummaries(fset, files, pkg, info, depSums)
 	framework.MergeSummaries(sums, depSums)
 	if !writeFacts(sums) {
 		return 1

@@ -158,7 +158,7 @@ func (ld *loader) load(path string) (*loadedPkg, error) {
 		ann.Merge(depAnn)
 		framework.MergeSummaries(depSums, ds)
 	}
-	sums := framework.ComputeSummaries(ld.fset, files, pkg, info, ann, depSums)
+	sums := framework.ComputeSummaries(ld.fset, files, pkg, info, depSums)
 
 	exported := map[string]*framework.FuncSummary{}
 	for k, s := range sums {

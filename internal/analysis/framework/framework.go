@@ -15,10 +15,9 @@
 //
 //   - //gather:* source annotations (Annotations, ScanFile): machine-read
 //     markers that declare the engine's invariants next to the code that
-//     owns them — immutable shared types, attached (non-Detached) crowd
-//     sources, allocation-free hot paths. Annotations travel between
-//     packages as Facts (JSON), the vetx fact files of the go vet
-//     -vettool protocol.
+//     owns them — immutable shared types and allocation-free hot paths.
+//     Annotations travel between packages as Facts (JSON), the vetx fact
+//     files of the go vet -vettool protocol.
 //
 //   - //lint:allow suppressions (Suppressions): a flagged line may carry
 //     an explicit, reasoned waiver. A waiver without a reason is itself a
@@ -86,17 +85,11 @@ type Diagnostic struct {
 // dot-joined paths:
 //
 //	immutable type:  "<pkgpath>.<Type>"
-//	attached field:  "<pkgpath>.<Type>.<Field>"
-//	attached func:   "<pkgpath>.<Func>" or "<pkgpath>.<Type>.<Method>"
-//	hotpath func:    same as attached func
+//	hotpath func:    "<pkgpath>.<Func>" or "<pkgpath>.<Type>.<Method>"
 type Annotations struct {
 	// Immutable types must not have their fields written outside the
 	// declaring package (enforced by sharedmut).
 	Immutable map[string]bool
-	// Attached marks crowd sources that the next Append may rewrite:
-	// fields holding attached values, and functions returning them
-	// (enforced by detachcheck).
-	Attached map[string]bool
 	// Hotpath marks functions that must not introduce avoidable
 	// allocations (enforced by hotalloc).
 	Hotpath map[string]bool
@@ -106,7 +99,6 @@ type Annotations struct {
 func NewAnnotations() *Annotations {
 	return &Annotations{
 		Immutable: map[string]bool{},
-		Attached:  map[string]bool{},
 		Hotpath:   map[string]bool{},
 	}
 }
@@ -119,9 +111,6 @@ func (a *Annotations) Merge(other *Annotations) {
 	for k := range other.Immutable {
 		a.Immutable[k] = true
 	}
-	for k := range other.Attached {
-		a.Attached[k] = true
-	}
 	for k := range other.Hotpath {
 		a.Hotpath[k] = true
 	}
@@ -129,14 +118,13 @@ func (a *Annotations) Merge(other *Annotations) {
 
 // Empty reports whether a carries no annotations.
 func (a *Annotations) Empty() bool {
-	return len(a.Immutable) == 0 && len(a.Attached) == 0 && len(a.Hotpath) == 0
+	return len(a.Immutable) == 0 && len(a.Hotpath) == 0
 }
 
 // The annotation directives. Like //go:build directives they must start
 // the comment (no space after //) to be recognised.
 const (
 	dirImmutable = "//gather:immutable"
-	dirAttached  = "//gather:attached"
 	dirHotpath   = "//gather:hotpath"
 )
 
@@ -171,30 +159,14 @@ func (a *Annotations) ScanFile(pkgpath string, file *ast.File) {
 				if !ok {
 					continue
 				}
-				typeKey := pkgpath + "." + ts.Name.Name
 				if hasDirective(d.Doc, dirImmutable) || hasDirective(ts.Doc, dirImmutable) ||
 					hasDirective(ts.Comment, dirImmutable) {
-					a.Immutable[typeKey] = true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || st.Fields == nil {
-					continue
-				}
-				for _, f := range st.Fields.List {
-					if hasDirective(f.Doc, dirAttached) || hasDirective(f.Comment, dirAttached) {
-						for _, name := range f.Names {
-							a.Attached[typeKey+"."+name.Name] = true
-						}
-					}
+					a.Immutable[pkgpath+"."+ts.Name.Name] = true
 				}
 			}
 		case *ast.FuncDecl:
-			key := FuncDeclKey(pkgpath, d)
-			if hasDirective(d.Doc, dirAttached) {
-				a.Attached[key] = true
-			}
 			if hasDirective(d.Doc, dirHotpath) {
-				a.Hotpath[key] = true
+				a.Hotpath[FuncDeclKey(pkgpath, d)] = true
 			}
 		}
 	}
@@ -272,7 +244,6 @@ func Deref(t types.Type) types.Type {
 // transitivity needs no graph walk at load time.
 type Facts struct {
 	Immutable []string `json:"immutable,omitempty"`
-	Attached  []string `json:"attached,omitempty"`
 	Hotpath   []string `json:"hotpath,omitempty"`
 	// Summaries carries one FuncSummary per function, keyed like
 	// function annotations. Waived allocation sites are dropped before
@@ -285,7 +256,6 @@ type Facts struct {
 func EncodeFacts(a *Annotations, sums map[string]*FuncSummary) ([]byte, error) {
 	f := Facts{
 		Immutable: sortedKeys(a.Immutable),
-		Attached:  sortedKeys(a.Attached),
 		Hotpath:   sortedKeys(a.Hotpath),
 		Summaries: exportSummaries(sums),
 	}
@@ -308,9 +278,6 @@ func DecodeFacts(data []byte) (*Annotations, map[string]*FuncSummary, error) {
 	}
 	for _, k := range f.Immutable {
 		a.Immutable[k] = true
-	}
-	for _, k := range f.Attached {
-		a.Attached[k] = true
 	}
 	for _, k := range f.Hotpath {
 		a.Hotpath[k] = true

@@ -16,25 +16,13 @@ type Cluster struct {
 	Objects []int
 }
 
-type Result struct {
-	Closed []int
-
-	// Tail stays attached.
-	//gather:attached
-	Tail []int
-}
-
 //gather:hotpath
 func (b *buf) extend(xs []int) {}
 
 //gather:hotpath
 func Probe() {}
 
-//gather:attached
-func (s *Store) tailCrowds() []int { return nil }
-
 type buf struct{}
-type Store struct{}
 
 // gather:immutable — leading space: NOT a directive, just prose.
 type NotAnnotated struct{}
@@ -58,13 +46,6 @@ func TestScanFile(t *testing.T) {
 	wantImmutable := map[string]bool{"example/p.Cluster": true}
 	if !reflect.DeepEqual(a.Immutable, wantImmutable) {
 		t.Errorf("Immutable = %v, want %v", a.Immutable, wantImmutable)
-	}
-	wantAttached := map[string]bool{
-		"example/p.Result.Tail":      true,
-		"example/p.Store.tailCrowds": true,
-	}
-	if !reflect.DeepEqual(a.Attached, wantAttached) {
-		t.Errorf("Attached = %v, want %v", a.Attached, wantAttached)
 	}
 	wantHotpath := map[string]bool{
 		"example/p.buf.extend": true,

@@ -2,18 +2,15 @@
 //
 // This file computes, for every function of a package, a FuncSummary
 // over the typed AST: the functions it calls, the allocation-introducing
-// constructs in its body, whether its function-typed parameters escape,
-// and how attached-crowd taint flows through its parameters and returns.
+// constructs in its body, and whether its function-typed parameters
+// escape.
 //
 // Summaries travel between packages inside the same JSON vetx fact files
 // as the //gather:* annotations, in the direction the vet protocol
 // supports: callee to caller (a package sees the summaries of its
-// dependencies). The analyzers compose them:
-//
-//   - hotalloc walks Calls to close //gather:hotpath roots over the call
-//     graph and charges foreign callees' Allocs to the local call site;
-//   - detachcheck extends its taint with ReturnsAttached / ParamToReturn
-//     / ParamSinks, so attachment flows through helper calls.
+// dependencies). hotalloc composes them: it walks Calls to close
+// //gather:hotpath roots over the call graph and charges foreign callees'
+// Allocs to the local call site.
 //
 // Everything is an over-approximation from lexical structure, in line
 // with the rest of gatherlint: precise enough to be quiet on this repo,
@@ -72,16 +69,6 @@ type FuncSummary struct {
 	// non-escaping): a function literal argument for such a parameter
 	// does not outlive the call, so the compiler keeps it off the heap.
 	NoEscapeParams []int `json:"noEscapeParams,omitempty"`
-
-	// ReturnsAttached marks a function some return value of which
-	// carries //gather:attached taint.
-	ReturnsAttached bool `json:"returnsAttached,omitempty"`
-	// ParamToReturn indexes parameters whose taint flows to a return
-	// value; ParamSinks indexes parameters stored into something that
-	// outlives the call (field, package variable, container element, or
-	// a callee that sinks them).
-	ParamToReturn []int `json:"paramToReturn,omitempty"`
-	ParamSinks    []int `json:"paramSinks,omitempty"`
 }
 
 // exportSummaries deep-copies sums for fact encoding: waived alloc sites
@@ -119,18 +106,14 @@ func ShortLoc(fset *token.FileSet, pos token.Pos) string {
 }
 
 // ComputeSummaries builds the FuncSummary of every function declared in
-// the package. ann must already hold the package's own annotations merged
-// with its dependencies' (hot-path roots and attached sources resolve
-// through it); depSums carries the dependencies' summaries (taint and escape
+// the package. depSums carries the dependencies' summaries (escape
 // judgements about calls into them resolve through it).
 func ComputeSummaries(fset *token.FileSet, files []*ast.File, pkg *types.Package,
-	info *types.Info, ann *Annotations, depSums map[string]*FuncSummary) map[string]*FuncSummary {
+	info *types.Info, depSums map[string]*FuncSummary) map[string]*FuncSummary {
 
 	sc := &sumCtx{
 		fset:    fset,
-		pkg:     pkg,
 		info:    info,
-		ann:     ann,
 		depSums: depSums,
 		sums:    map[string]*FuncSummary{},
 		sup:     ScanSuppressions(fset, files),
@@ -175,27 +158,13 @@ func ComputeSummaries(fset *token.FileSet, files []*ast.File, pkg *types.Package
 		sc.collectCalls(fd, sc.sums[keys[i]])
 		sc.collectAllocs(fd, sc.sums[keys[i]])
 	}
-
-	// Attached-taint pass (to a fixpoint): local helper chains — f calls
-	// g, g returns an attached value — converge in a few rounds because
-	// the flag sets only grow.
-	for changed := true; changed; {
-		changed = false
-		for i, fd := range decls {
-			if sc.taint(fd, sc.sums[keys[i]]) {
-				changed = true
-			}
-		}
-	}
 	return sc.sums
 }
 
 // sumCtx carries the shared state of one ComputeSummaries run.
 type sumCtx struct {
 	fset    *token.FileSet
-	pkg     *types.Package
 	info    *types.Info
-	ann     *Annotations
 	depSums map[string]*FuncSummary
 	sums    map[string]*FuncSummary
 	sup     *Suppressions
@@ -651,257 +620,4 @@ func calleeIdentOf(call *ast.CallExpr) (*ast.Ident, bool) {
 		return fun.Sel, true
 	}
 	return nil, false
-}
-
-// ---------------------------------------------------------------------
-// Taint pass: attached-crowd flow through parameters and returns.
-
-// taint recomputes the attached-flow fields of s, returning whether any
-// changed (the caller iterates to a fixpoint so local helper chains
-// converge).
-func (sc *sumCtx) taint(fd *ast.FuncDecl, s *FuncSummary) bool {
-	tw := &taintWalker{sc: sc, vars: map[types.Object]uint64{}}
-	fn, _ := sc.info.Defs[fd.Name].(*types.Func)
-	if fn == nil {
-		return false
-	}
-	params := fn.Type().(*types.Signature).Params()
-	nparams := params.Len()
-	if nparams > 62 {
-		nparams = 62
-	}
-	for i := 0; i < nparams; i++ {
-		tw.vars[params.At(i)] = paramBit(i)
-	}
-	paramOf := func(bit int) int { return bit - 1 }
-	_ = paramOf
-
-	// Propagate through local assignments to a fixed point.
-	for {
-		changed := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				if len(st.Lhs) != len(st.Rhs) {
-					return true
-				}
-				for i, lhs := range st.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok || id.Name == "_" {
-						continue
-					}
-					obj := sc.info.Defs[id]
-					if obj == nil {
-						obj = sc.info.Uses[id]
-					}
-					if obj == nil {
-						continue
-					}
-					m := tw.mask(st.Rhs[i])
-					if m&^tw.vars[obj] != 0 {
-						tw.vars[obj] |= m
-						changed = true
-					}
-				}
-			case *ast.RangeStmt:
-				if st.Value != nil {
-					if id, ok := st.Value.(*ast.Ident); ok && id.Name != "_" {
-						obj := sc.info.Defs[id]
-						if obj == nil {
-							obj = sc.info.Uses[id]
-						}
-						if obj != nil {
-							m := tw.mask(st.X)
-							if m&^tw.vars[obj] != 0 {
-								tw.vars[obj] |= m
-								changed = true
-							}
-						}
-					}
-				}
-			}
-			return true
-		})
-		if !changed {
-			break
-		}
-	}
-
-	// Sinks: returns, long-lived stores, and calls that sink parameters.
-	retMask, sinkMask := uint64(0), uint64(0)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.ReturnStmt:
-			for _, res := range st.Results {
-				retMask |= tw.mask(res)
-			}
-		case *ast.AssignStmt:
-			if len(st.Lhs) != len(st.Rhs) {
-				return true
-			}
-			for i, lhs := range st.Lhs {
-				m := tw.mask(st.Rhs[i])
-				if m == 0 {
-					continue
-				}
-				if tw.longLivedDest(lhs) {
-					sinkMask |= m
-				}
-			}
-		case *ast.CallExpr:
-			key := sc.calleeKey(st)
-			if key == "" {
-				return true
-			}
-			callee := sc.summaryOf(key)
-			if callee == nil {
-				return true
-			}
-			for _, pi := range callee.ParamSinks {
-				if pi < len(st.Args) {
-					sinkMask |= tw.mask(st.Args[pi])
-				}
-			}
-		}
-		return true
-	})
-
-	changed := false
-	if retMask&attachedBit != 0 && !s.ReturnsAttached {
-		s.ReturnsAttached = true
-		changed = true
-	}
-	var ptr, ps []int
-	for i := 0; i < nparams; i++ {
-		if retMask&paramBit(i) != 0 {
-			ptr = append(ptr, i)
-		}
-		if sinkMask&paramBit(i) != 0 {
-			ps = append(ps, i)
-		}
-	}
-	if !equalInts(ptr, s.ParamToReturn) {
-		s.ParamToReturn = ptr
-		changed = true
-	}
-	if !equalInts(ps, s.ParamSinks) {
-		s.ParamSinks = ps
-		changed = true
-	}
-	return changed
-}
-
-const attachedBit uint64 = 1
-
-func paramBit(i int) uint64 { return 1 << uint(i+1) }
-
-// taintWalker evaluates the taint mask of expressions: bit 0 is the
-// //gather:attached source, bit i+1 traces parameter i.
-type taintWalker struct {
-	sc   *sumCtx
-	vars map[types.Object]uint64
-}
-
-func (tw *taintWalker) mask(e ast.Expr) uint64 {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		return tw.mask(x.X)
-	case *ast.Ident:
-		obj := tw.sc.info.Uses[x]
-		if obj == nil {
-			obj = tw.sc.info.Defs[x]
-		}
-		if obj == nil {
-			return 0
-		}
-		return tw.vars[obj]
-	case *ast.SelectorExpr:
-		selInfo := tw.sc.info.Selections[x]
-		if selInfo != nil && selInfo.Kind() == types.FieldVal {
-			if key := TypeKey(selInfo.Recv()); key != "" {
-				if tw.sc.ann.Attached[key+"."+x.Sel.Name] {
-					return attachedBit
-				}
-			}
-		}
-		return 0
-	case *ast.IndexExpr:
-		return tw.mask(x.X)
-	case *ast.SliceExpr:
-		return tw.mask(x.X)
-	case *ast.UnaryExpr:
-		return tw.mask(x.X)
-	case *ast.CallExpr:
-		return tw.callMask(x)
-	}
-	return 0
-}
-
-func (tw *taintWalker) callMask(call *ast.CallExpr) uint64 {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if obj := tw.sc.info.Uses[fun]; obj != nil {
-			if _, isBuiltin := obj.(*types.Builtin); isBuiltin && fun.Name == "append" {
-				var m uint64
-				for _, arg := range call.Args {
-					m |= tw.mask(arg)
-				}
-				return m
-			}
-		}
-	case *ast.SelectorExpr:
-		if fun.Sel.Name == "Detached" {
-			return 0 // the sanitiser
-		}
-	}
-	key := tw.sc.calleeKey(call)
-	if key == "" {
-		return 0
-	}
-	var m uint64
-	if tw.sc.ann.Attached[key] {
-		m |= attachedBit
-	}
-	if callee := tw.sc.summaryOf(key); callee != nil {
-		if callee.ReturnsAttached {
-			m |= attachedBit
-		}
-		for _, pi := range callee.ParamToReturn {
-			if pi < len(call.Args) {
-				m |= tw.mask(call.Args[pi])
-			}
-		}
-	}
-	return m
-}
-
-// longLivedDest reports destinations that outlive the function: struct
-// fields (and elements behind them) not themselves //gather:attached, and
-// package variables.
-func (tw *taintWalker) longLivedDest(lhs ast.Expr) bool {
-	switch dst := lhs.(type) {
-	case *ast.Ident:
-		obj := tw.sc.info.Defs[dst]
-		if obj == nil {
-			obj = tw.sc.info.Uses[dst]
-		}
-		v, ok := obj.(*types.Var)
-		return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-	case *ast.SelectorExpr:
-		selInfo := tw.sc.info.Selections[dst]
-		if selInfo == nil || selInfo.Kind() != types.FieldVal {
-			return false
-		}
-		key := TypeKey(selInfo.Recv())
-		return key == "" || !tw.sc.ann.Attached[key+"."+dst.Sel.Name]
-	case *ast.IndexExpr:
-		if inner, ok := dst.X.(*ast.SelectorExpr); ok {
-			selInfo := tw.sc.info.Selections[inner]
-			if selInfo != nil && selInfo.Kind() == types.FieldVal {
-				key := TypeKey(selInfo.Recv())
-				return key == "" || !tw.sc.ann.Attached[key+"."+inner.Sel.Name]
-			}
-		}
-	}
-	return false
 }

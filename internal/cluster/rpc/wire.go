@@ -91,8 +91,8 @@ func EncodeCrowdSet(w io.Writer, set CrowdSet) error {
 	return gob.NewEncoder(w).Encode(&dto)
 }
 
-// DecodeCrowdSet reads a set written by EncodeCrowdSet, rebuilding
-// detached crowd handles and their gatherings.
+// DecodeCrowdSet reads a set written by EncodeCrowdSet, rebuilding the
+// crowds and their gatherings.
 func DecodeCrowdSet(r io.Reader) (CrowdSet, error) {
 	var dto wireCrowdSet
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {

@@ -60,22 +60,14 @@ func (p Params) Validate() error {
 // starting at tick Start. It is an immutable persistent structure — a node
 // either holds its full cluster run (a root built by New) or one cluster
 // plus a pointer to the shared prefix it extends. Construct one with New;
-// read it through Lifetime, End, At, Last and Clusters.
+// read it through Lifetime, End, At, Last, Clusters and Prefix. No field
+// changes after construction (the memoized materialisation only caches
+// what the chain already holds), so every crowd — a tail candidate a later
+// resume extends included — may be shared and retained without a copy.
 //
 //gather:immutable — prefix-shared across every descendant candidate
 type Crowd struct {
 	Start trajectory.Tick
-
-	// Origin links an extended crowd back to the candidate it grew from
-	// when discovery was last resumed with DiscoverFrom (nil for crowds
-	// that started within the sweep). The incremental layer uses it to
-	// find the old crowd's gatherings and signature detector for the
-	// update of §III-C2. It is the one mutable exception to the
-	// immutability contract: each DiscoverFrom resume re-points the tail
-	// candidates' Origin in place, which is why attached tail crowds must
-	// never leave the store without Detached() and why the engine only
-	// resumes discovery under the shard lock, which guards Origin.
-	Origin *Crowd
 
 	// parent/last/base encode the persistent representation: a root node
 	// (parent == nil) covers positions [0, length) with base — or, when
@@ -262,19 +254,25 @@ func (c *Crowd) Sub(lo, hi int) *Crowd {
 	return New(c.Start+trajectory.Tick(lo), cls[lo:hi:hi])
 }
 
-// Detached returns a copy of the crowd with no Origin link, sharing the
-// cluster structure. Snapshot readers hand these out so later resumes —
-// which rewrite Origin on tail candidates — cannot race with holders.
-func (c *Crowd) Detached() *Crowd {
-	d := &Crowd{Start: c.Start, parent: c.parent, last: c.last, base: c.base, length: c.length}
-	d.mat.Store(c.mat.Load())
-	return d
+// Prefix returns the node of c's own chain whose lifetime is n: c itself
+// when n is c's lifetime, an ancestor when c was grown from it by extend,
+// and nil when no node of the chain has that lifetime (n out of range, or
+// inside a root's cluster run). A resumed sweep's crowd that started
+// before the resume tick finds the old candidate it grew from this way:
+// its prefix of lifetime from − Start.
+func (c *Crowd) Prefix(n int) *Crowd {
+	for p := c; p != nil && p.length >= n; p = p.parent {
+		if p.length == n {
+			return p
+		}
+	}
+	return nil
 }
 
 // extend returns a new crowd with cl appended; the receiver is unchanged
 // (candidates branch, so the prefix is shared, never copied).
 func (c *Crowd) extend(cl *snapshot.Cluster) *Crowd {
-	return &Crowd{Start: c.Start, Origin: c.Origin, parent: c, last: cl, length: c.length + 1}
+	return &Crowd{Start: c.Start, parent: c, last: cl, length: c.length + 1}
 }
 
 // String renders the crowd compactly.
@@ -298,10 +296,9 @@ type Result struct {
 	Crowds []*Crowd
 	// Tail holds every candidate alive after the final tick, of any
 	// length, including those also emitted in Crowds. It is the saved
-	// state CS for incremental crowd extension (§III-C1). Tail crowds
-	// stay attached: the next DiscoverFrom resume rewrites their Origin
-	// in place, so holders that outlive the batch need Detached().
-	//gather:attached
+	// state CS for incremental crowd extension (§III-C1). Like every
+	// crowd, tail crowds are immutable: a later resume extends them into
+	// new nodes and never changes them, so holders may keep them.
 	Tail []*Crowd
 }
 
@@ -329,18 +326,15 @@ func Discover(cdb *snapshot.CDB, p Params, s Searcher) Result {
 // (from = 0, initial = nil) and incremental crowd extension, where batch
 // holds only the new ticks: by Lemma 4 a resumed sweep reads nothing
 // before from but the candidates' last clusters. Crowds started within the
-// sweep are numbered in absolute ticks. Each initial candidate's Origin is
-// (re)pointed at itself, so crowds in the result link back to the
-// candidate of THIS resume — the key the incremental layer's
-// gathering/detector caches are held under.
+// sweep are numbered in absolute ticks. A result crowd c that starts
+// before from grew from the initial candidate c.Prefix(from − c.Start),
+// the key the incremental layer's gathering/detector caches are held
+// under. DiscoverFrom only reads the initial candidates.
 func DiscoverFrom(batch *snapshot.CDB, from trajectory.Tick, initial []*Crowd, p Params, s Searcher) Result {
 	sc := sweepPool.Get().(*sweepScratch)
 	var closed []*Crowd
 	cur := append(sc.cur[:0], initial...)
 	next := sc.next[:0]
-	for _, c := range cur {
-		c.Origin = c // candidates of this resume are their own origin
-	}
 
 	eligible := sc.eligible
 	used := sc.used

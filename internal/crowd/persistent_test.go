@@ -21,13 +21,15 @@ func mkCl(t trajectory.Tick, id trajectory.ObjectID) *snapshot.Cluster {
 // copy-on-extend representation would have produced, under every accessor,
 // regardless of the order nodes are materialised in (materialisation
 // steals ancestor buffers, so order matters to the implementation but must
-// never matter to the answer).
+// never matter to the answer). Prefix must find, for every lifetime, the
+// node of the crowd's own chain that has it, or nil.
 func TestPersistentCrowdModel(t *testing.T) {
 	r := rand.New(rand.NewSource(271))
 	for trial := 0; trial < 50; trial++ {
 		type node struct {
-			c   *Crowd
-			ref []*snapshot.Cluster
+			c      *Crowd
+			ref    []*snapshot.Cluster
+			parent int // index of the node it extends, -1 for a root
 		}
 		var nodes []node
 		var id trajectory.ObjectID
@@ -41,19 +43,20 @@ func TestPersistentCrowdModel(t *testing.T) {
 				cls = append(cls, mkCl(trajectory.Tick(k), id))
 			}
 			start := trajectory.Tick(r.Intn(5))
-			nodes = append(nodes, node{New(start, cls), cls})
+			nodes = append(nodes, node{New(start, cls), cls, -1})
 		}
 
 		// Random growth: pick any live node and extend it (an old node
 		// that is extended twice is a branch; extending the freshest tip
 		// grows a chain — the common case).
 		for step := 0; step < 40; step++ {
-			parent := nodes[r.Intn(len(nodes))]
+			pi := r.Intn(len(nodes))
+			parent := nodes[pi]
 			id++
 			cl := mkCl(parent.c.End()+1, id)
 			child := parent.c.extend(cl)
 			ref := append(append([]*snapshot.Cluster(nil), parent.ref...), cl)
-			nodes = append(nodes, node{child, ref})
+			nodes = append(nodes, node{child, ref, pi})
 
 			// Occasionally materialise mid-build, in random order, so
 			// later materialisations hit stolen/absent ancestor memos.
@@ -69,7 +72,7 @@ func TestPersistentCrowdModel(t *testing.T) {
 		for _, i := range perm {
 			checkCrowd(t, nodes[i].c, nodes[i].ref)
 		}
-		// And Sub/Detached views.
+		// And Sub views.
 		for _, i := range perm {
 			n := nodes[i]
 			if len(n.ref) == 0 {
@@ -82,11 +85,22 @@ func TestPersistentCrowdModel(t *testing.T) {
 				t.Fatalf("Sub start = %d, want %d", sub.Start, n.c.Start+trajectory.Tick(lo))
 			}
 			checkCrowd(t, sub, n.ref[lo:hi])
-			det := n.c.Detached()
-			if det.Origin != nil {
-				t.Fatal("Detached kept Origin")
+		}
+		// Prefix(k) is the chain node of lifetime k: walk the model's
+		// parent links, which the chain mirrors node for node.
+		for i, n := range nodes {
+			for k := 0; k <= len(n.ref)+1; k++ {
+				var want *Crowd
+				for j := i; j >= 0; j = nodes[j].parent {
+					if len(nodes[j].ref) == k {
+						want = nodes[j].c
+						break
+					}
+				}
+				if got := n.c.Prefix(k); got != want {
+					t.Fatalf("node %d (lifetime %d): Prefix(%d) = %v, want %v", i, len(n.ref), k, got, want)
+				}
 			}
-			checkCrowd(t, det, n.ref)
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestDiscoverFromResumeEquivalence(t *testing.T) {
 				merged = append(merged, cr)
 			}
 		}
-		part2 := DiscoverFrom(cdb.Slice(trajectory.Tick(k), n-k), trajectory.Tick(k), part1.Tail, p, &GridSearcher{Delta: p.Delta}) //lint:allow detachcheck resuming from part1.Tail is the scenario under test: DiscoverFrom extends the handed-over candidates in place
+		part2 := DiscoverFrom(cdb.Slice(trajectory.Tick(k), n-k), trajectory.Tick(k), part1.Tail, p, &GridSearcher{Delta: p.Delta})
 		merged = append(merged, part2.Crowds...)
 
 		got := signatures(merged)

@@ -37,8 +37,8 @@
 // Queries read the current closed crowds and gatherings under per-shard
 // read locks: each shard's answer is internally consistent; across shards
 // a query may observe different ingest frontiers (use Flush for a global
-// barrier). Snapshot results are detached crowd handles sharing immutable
-// cluster data with the stores.
+// barrier). Snapshot results are the stores' own immutable crowds, shared
+// with them and safe to hold while ingestion continues.
 package engine
 
 import (
@@ -554,7 +554,8 @@ type Result struct {
 	// so every shard had applied at least this many ticks when it was
 	// read. Crowds from shards ahead of the minimum may extend past it.
 	Ticks int
-	// Crowds are detached copies: safe to hold while ingestion continues.
+	// Crowds are immutable and shared with the stores: safe to hold while
+	// ingestion continues.
 	// They are sorted deterministically (start tick, lifetime, then
 	// per-tick membership), so Query.Limit always truncates the same way
 	// regardless of shard count or iteration order.
@@ -581,8 +582,7 @@ func (r *Result) AllGatherings() []*gathering.Gathering {
 // see every crowd — a filtered-out canonical copy must still absorb its
 // surviving duplicates — so the filters apply to the memoized, sorted
 // crowd list, and only then is it truncated to Query.Limit. The returned
-// crowds are shallow copies detached from the ingest path; clusters and
-// gatherings are immutable and shared.
+// crowds, clusters and gatherings are immutable and shared.
 func (e *Engine) Snapshot(q Query) *Result {
 	entries, ticks := e.mergedState()
 	res := &Result{Ticks: ticks}

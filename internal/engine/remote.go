@@ -25,7 +25,7 @@ import (
 type RemoteEntry struct {
 	// Node is the answering node's index in the membership map.
 	Node int
-	// Crowd is a detached crowd handle decoded from the node's answer.
+	// Crowd is a crowd decoded from the node's answer.
 	Crowd *crowd.Crowd
 	// Gatherings are the crowd's closed gatherings.
 	Gatherings []*gathering.Gathering

@@ -246,8 +246,9 @@ func NewDetector(cr *crowd.Crowd, p Params) *Detector {
 }
 
 // Extend grows the detector from its current crowd to cr, which must be an
-// extension of it (same prefix, new clusters appended — the relation
-// DiscoverFrom's Origin links encode). Only the new region is scanned.
+// extension of it (same prefix, new clusters appended, as a resumed
+// sweep's crowd extends its Prefix at the resume tick). Only the new
+// region is scanned.
 func (d *Detector) Extend(cr *crowd.Crowd) {
 	if cr.Lifetime() < d.n {
 		panic(fmt.Sprintf("gathering: Extend to shorter crowd (%d < %d ticks)", cr.Lifetime(), d.n))

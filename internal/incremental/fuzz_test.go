@@ -98,6 +98,14 @@ var malformedCases = []struct {
 		ps := d.InteriorGs[0][0].Participators
 		ps[0], ps[1] = ps[1], ps[0]
 	}, "participators not strictly ascending"},
+	{"tail crowd off the frontier", "tail-off-frontier", func(d *storeDTO) {
+		d.Tail[0].Index = d.Tail[0].Index[:len(d.Tail[0].Index)-2]
+		d.TailGs[0] = nil
+	}, "does not end at the last tick"},
+	{"interior crowd at the frontier", "", func(d *storeDTO) {
+		d.Interior, d.InteriorGs = append(d.Interior, d.Tail[0]), append(d.InteriorGs, d.TailGs[0])
+		d.Tail, d.TailGs = d.Tail[1:], d.TailGs[1:]
+	}, "reaches the last tick"},
 }
 
 // TestLoadRejectsMalformed: Load returns an error for each malformed

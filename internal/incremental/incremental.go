@@ -66,10 +66,9 @@ type Store struct {
 	interiorGathers [][]*gathering.Gathering
 
 	// candidates ending at the most recent tick (the set CS), including
-	// those long enough to currently count as closed crowds. These stay
-	// attached: the next Append rewrites their Origin in place, so they
-	// must never leave the store without Detached().
-	//gather:attached
+	// those long enough to currently count as closed crowds. They are
+	// immutable like every crowd: the next Append extends them into new
+	// nodes, so Crowds hands them out as they are.
 	tail []*crowd.Crowd
 	// gatherings of tail members that are closed crowds, reused by the
 	// gathering update when the crowd is extended.
@@ -128,14 +127,14 @@ func (s *Store) Append(batch *snapshot.CDB) {
 	}
 	s.domain = s.domain.Extend(batch.Domain.N)
 
-	res := crowd.DiscoverFrom(batch, oldN, s.tail, s.crowdParams, s.searcher) //lint:allow detachcheck DiscoverFrom is the resume engine: tail candidates are handed over precisely so it can extend them in place
+	res := crowd.DiscoverFrom(batch, oldN, s.tail, s.crowdParams, s.searcher)
 
 	// A cached detector is extended destructively, so when an old
 	// candidate branched into several closed crowds every claimant but the
 	// last must clone it first. Count the claims up front.
 	var claims map[*crowd.Crowd]int
 	for _, cr := range res.Crowds {
-		if o := cr.Origin; o != nil && o != cr {
+		if o := originOf(cr, oldN); o != nil && o != cr {
 			if _, ok := s.tailDetectors[o]; ok {
 				if claims == nil {
 					claims = make(map[*crowd.Crowd]int)
@@ -153,7 +152,7 @@ func (s *Store) Append(batch *snapshot.CDB) {
 	newTailGathers := make(map[*crowd.Crowd][]*gathering.Gathering, len(res.Tail))
 	newTailDetectors := make(map[*crowd.Crowd]*gathering.Detector, len(res.Tail))
 	for _, cr := range res.Crowds {
-		gs, det := s.detect(cr, claims)
+		gs, det := s.detect(cr, originOf(cr, oldN), claims)
 		if cr.End() < lastTick {
 			s.interior = append(s.interior, cr)
 			s.interiorGathers = append(s.interiorGathers, gs)
@@ -170,12 +169,22 @@ func (s *Store) Append(batch *snapshot.CDB) {
 	s.refreshCaches()
 }
 
+// originOf returns the old tail candidate that cr grew from when
+// discovery resumed at tick from: cr's prefix of lifetime from − Start,
+// which is cr itself when the batch did not extend it. A crowd started at
+// or after from has none.
+func originOf(cr *crowd.Crowd, from trajectory.Tick) *crowd.Crowd {
+	if cr.Start >= from {
+		return nil
+	}
+	return cr.Prefix(int(from - cr.Start))
+}
+
 // detect finds the closed gatherings of cr and the detector that now
-// covers it, using the gathering update of Theorem 2 when cr extends an
-// old candidate with cached gatherings, and the cached extendable detector
-// when one exists.
-func (s *Store) detect(cr *crowd.Crowd, claims map[*crowd.Crowd]int) ([]*gathering.Gathering, *gathering.Detector) {
-	origin := cr.Origin
+// covers it, using the gathering update of Theorem 2 when cr extends the
+// old candidate origin and it has cached gatherings, and the cached
+// extendable detector when one exists.
+func (s *Store) detect(cr, origin *crowd.Crowd, claims map[*crowd.Crowd]int) ([]*gathering.Gathering, *gathering.Detector) {
 	if origin != nil && origin != cr {
 		if oldGs, ok := s.tailGathers[origin]; ok {
 			det := s.tailDetectors[origin]
@@ -215,10 +224,7 @@ func (s *Store) refreshCaches() {
 	s.cachedInterior = len(s.interior)
 	for _, c := range s.tail {
 		if c.Lifetime() >= s.crowdParams.KC {
-			// Tail candidates are handed out detached: the next Append
-			// resumes discovery from the originals and rewrites their
-			// Origin, which must not mutate crowds a reader retained.
-			s.crowdsCache = append(s.crowdsCache, c.Detached())
+			s.crowdsCache = append(s.crowdsCache, c)
 			s.gathersCache = append(s.gathersCache, s.tailGathers[c])
 		}
 	}

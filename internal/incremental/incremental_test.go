@@ -216,6 +216,78 @@ func TestIncrementalMatchesScratchRandomized(t *testing.T) {
 	}
 }
 
+// TestRetainedAnswersNeverChange holds every answer a reader could have
+// kept — each crowd and gathering list Crowds and Gatherings return after
+// each Append of a randomized stream — and checks at the end of the
+// stream that none of them changed. Tail candidates are handed out as the
+// store holds them and later Appends resume discovery from those very
+// nodes, so any in-place write to a crowd or gathering shows up here.
+func TestRetainedAnswersNeverChange(t *testing.T) {
+	type gatherRec struct {
+		g      *gathering.Gathering
+		lo, hi int
+		parts  []trajectory.ObjectID
+	}
+	type crowdRec struct {
+		c        *crowd.Crowd
+		start    trajectory.Tick
+		lifetime int
+		clusters []*snapshot.Cluster
+		gathers  []gatherRec
+	}
+	r := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 30; trial++ {
+		nBatches := 2 + r.Intn(4)
+		batches := make([][][]float64, nBatches)
+		for i := range batches {
+			batches[i] = randRows(r, 2+r.Intn(6))
+		}
+		cp := crowd.Params{MC: 1, KC: 2 + r.Intn(2), Delta: 1.0}
+		gp := gathering.Params{KC: cp.KC, KP: 1 + r.Intn(2), MP: 1}
+
+		full := buildFull(batches)
+		s := newStore(t, cp, gp)
+		var held []crowdRec
+		tick := 0
+		for _, rows := range batches {
+			batch := full.Slice(trajectory.Tick(tick), len(rows))
+			s.Append(&snapshot.CDB{Domain: batch.Domain, Clusters: batch.Clusters})
+			tick += len(rows)
+			gathers := s.Gatherings()
+			for i, c := range s.Crowds() {
+				rec := crowdRec{c: c, start: c.Start, lifetime: c.Lifetime()}
+				for k := 0; k < c.Lifetime(); k++ {
+					rec.clusters = append(rec.clusters, c.At(k))
+				}
+				for _, g := range gathers[i] {
+					rec.gathers = append(rec.gathers, gatherRec{g, g.Lo, g.Hi,
+						append([]trajectory.ObjectID(nil), g.Participators...)})
+				}
+				held = append(held, rec)
+			}
+		}
+
+		for _, rec := range held {
+			c := rec.c
+			if c.Start != rec.start || c.Lifetime() != rec.lifetime {
+				t.Fatalf("trial %d: held crowd of start %d lifetime %d became start %d lifetime %d",
+					trial, rec.start, rec.lifetime, c.Start, c.Lifetime())
+			}
+			for k, cl := range rec.clusters {
+				if c.At(k) != cl || c.Clusters()[k] != cl {
+					t.Fatalf("trial %d: held crowd at tick %d changed its cluster at position %d", trial, rec.start, k)
+				}
+			}
+			for _, g := range rec.gathers {
+				if g.g.Lo != g.lo || g.g.Hi != g.hi || !reflect.DeepEqual(g.g.Participators, g.parts) {
+					t.Fatalf("trial %d: held gathering [%d,%d) %v became [%d,%d) %v", trial,
+						g.lo, g.hi, g.parts, g.g.Lo, g.g.Hi, g.g.Participators)
+				}
+			}
+		}
+	}
+}
+
 func TestStoreGatheringAccessors(t *testing.T) {
 	cp := crowd.Params{MC: 1, KC: 2, Delta: 1.0}
 	gp := gathering.Params{KC: 2, KP: 2, MP: 1}

@@ -463,10 +463,18 @@ func Load(data []byte, newSearcher func() crowd.Searcher) (*Store, error) {
 		return out, nil
 	}
 
+	// Interior crowds end before the last tick and tail crowds at it: a
+	// resumed sweep extends only the tail, and finds each tail crowd's
+	// origin by its lifetime at the last tick.
+	last := trajectory.Tick(dto.Domain.N - 1)
 	for i, d := range dto.Interior {
 		cr, err := decodeCrowd(d)
 		if err != nil {
 			return nil, err
+		}
+		if cr.End() >= last {
+			return nil, fmt.Errorf("incremental: interior crowd at ticks %d–%d reaches the last tick %d",
+				cr.Start, cr.End(), last)
 		}
 		gs, err := decodeGathers(dto.InteriorGs[i], cr)
 		if err != nil {
@@ -479,6 +487,10 @@ func Load(data []byte, newSearcher func() crowd.Searcher) (*Store, error) {
 		cr, err := decodeCrowd(d)
 		if err != nil {
 			return nil, err
+		}
+		if cr.End() != last {
+			return nil, fmt.Errorf("incremental: tail crowd at ticks %d–%d does not end at the last tick %d",
+				cr.Start, cr.End(), last)
 		}
 		s.tail = append(s.tail, cr)
 		if dto.TailGs[i] != nil {

@@ -2,12 +2,11 @@
 // compares gatherings against in its effectiveness study (Fig. 5) and in
 // §I: swarms (Li et al. [11], via the ObjectGrowth algorithm with apriori
 // and backward pruning), convoys (Jeung et al. [9], via the coherent
-// moving-cluster sweep), moving clusters (Kalnis et al. [12]) and flocks
-// (Benkert et al. [4], fixed-radius discs).
+// moving-cluster sweep) and moving clusters (Kalnis et al. [12]).
 //
 // All baselines consume the same snapshot-cluster database as crowd
 // discovery, treating each snapshot cluster as the density-connected group
-// of a tick (for flocks, the raw per-tick locations are used instead).
+// of a tick.
 package patterns
 
 import (

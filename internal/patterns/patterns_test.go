@@ -300,57 +300,6 @@ func TestMovingClustersVsGatheringSemantics(t *testing.T) {
 	}
 }
 
-// ---- flocks ----------------------------------------------------------------
-
-func flockDB(positions [][]geo.Point) *trajectory.DB {
-	// positions[t][obj] — every object sampled at every tick
-	nObj := len(positions[0])
-	db := &trajectory.DB{Domain: trajectory.TimeDomain{Step: 1, N: len(positions)}}
-	for id := 0; id < nObj; id++ {
-		tr := trajectory.Trajectory{ID: trajectory.ObjectID(id)}
-		for t := range positions {
-			tr.Samples = append(tr.Samples, trajectory.Sample{
-				Time: float64(t), P: positions[t][id],
-			})
-		}
-		db.Trajs = append(db.Trajs, tr)
-	}
-	return db
-}
-
-func TestFlocksBasic(t *testing.T) {
-	pt := func(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
-	// objects 0,1,2 within a small disc for 3 ticks; object 3 far away
-	db := flockDB([][]geo.Point{
-		{pt(0, 0), pt(1, 0), pt(0, 1), pt(100, 0)},
-		{pt(10, 0), pt(11, 0), pt(10, 1), pt(100, 10)},
-		{pt(20, 0), pt(21, 0), pt(20, 1), pt(100, 20)},
-	})
-	flocks := Flocks(db, FlockParams{M: 3, K: 3, R: 2})
-	if len(flocks) != 1 {
-		t.Fatalf("flocks = %+v", flocks)
-	}
-	if !reflect.DeepEqual(flocks[0].Objects, o(0, 1, 2)) || flocks[0].Lifetime != 3 {
-		t.Fatalf("flock = %+v", flocks[0])
-	}
-}
-
-func TestFlocksLossyDisc(t *testing.T) {
-	pt := func(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
-	// A line of 4 objects spaced 1.5 apart: a disc of radius 2 centred on
-	// an end point covers only 3 of them — the lossy-flock effect.
-	row := []geo.Point{pt(0, 0), pt(1.5, 0), pt(3, 0), pt(4.5, 0)}
-	db := flockDB([][]geo.Point{row, row, row})
-	flocks := Flocks(db, FlockParams{M: 4, K: 3, R: 2})
-	if len(flocks) != 0 {
-		t.Fatalf("disc should not cover all 4: %+v", flocks)
-	}
-	flocks = Flocks(db, FlockParams{M: 3, K: 3, R: 2})
-	if len(flocks) == 0 {
-		t.Fatal("3-object flock expected")
-	}
-}
-
 // ---- set helpers -------------------------------------------------------------
 
 func TestIntersectAndSubset(t *testing.T) {

@@ -34,11 +34,17 @@ type Cluster struct {
 }
 
 // NewCluster builds a cluster from parallel object/point slices, sorting
-// both by object ID and caching the MBR. It copies nothing; callers hand
-// over ownership of the slices.
+// both by object ID and caching the MBR. Slices whose IDs already strictly
+// ascend (every cluster a checkpoint restores) skip the sort. It copies
+// nothing; callers hand over ownership of the slices.
 func NewCluster(t trajectory.Tick, objs []trajectory.ObjectID, pts []geo.Point) *Cluster {
 	c := &Cluster{T: t, Objects: objs, Points: pts}
-	sort.Sort(byObject{c})
+	for i := 1; i < len(objs); i++ {
+		if objs[i] <= objs[i-1] {
+			sort.Sort(byObject{c})
+			break
+		}
+	}
 	c.mbr = geo.MBR(pts)
 	return c
 }
