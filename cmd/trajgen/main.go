@@ -61,10 +61,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, "trajgen:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		w = f
 	}
-	if err := gatherings.WriteTrajectoriesCSV(w, db.Trajs); err != nil {
+	err := gatherings.WriteTrajectoriesCSV(w, db.Trajs)
+	if w != os.Stdout {
+		// A failed close can lose the final write-back: report it rather
+		// than exit 0 over a truncated CSV.
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "trajgen:", err)
 		os.Exit(1)
 	}

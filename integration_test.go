@@ -9,13 +9,11 @@ import (
 	gatherings "repro"
 	"repro/internal/geojson"
 	"repro/internal/stats"
-	"repro/internal/trajectory"
 )
 
 // TestEndToEndRawDataPipeline exercises the full deployment path: noisy,
-// irregularly sampled raw fixes are serialised to CSV, read back, cleaned
-// (speed filter, gap split, resampling), discovered over, summarised and
-// exported as GeoJSON.
+// irregularly sampled raw fixes are serialised to CSV, read back,
+// discovered over, summarised and exported as GeoJSON.
 func TestEndToEndRawDataPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(307))
 
@@ -65,21 +63,9 @@ func TestEndToEndRawDataPipeline(t *testing.T) {
 		t.Fatalf("lost trajectories: %d of %d", len(parsed), len(raw))
 	}
 
-	// Cleaning: glitch filter then uniform resampling.
-	db := &gatherings.DB{Domain: gatherings.TimeDomain{Start: 1, Step: 1, N: 55}}
-	for i := range parsed {
-		dropped := trajectory.FilterSpeedOutliers(&parsed[i], 500)
-		if i < 10 && dropped == 0 {
-			// glitches were injected with probability 1/40 per fix; over
-			// ~50 fixes it is possible but unlikely none was hit — accept.
-			continue
-		}
-	}
-	for i := range parsed {
-		rs := trajectory.Resample(&parsed[i], 1.0)
-		rs.ID = parsed[i].ID
-		db.Trajs = append(db.Trajs, rs)
-	}
+	// No cleaning: the glitches and irregular sampling go straight into
+	// the DB, as gatherfind and gatherserve read their CSV input.
+	db := &gatherings.DB{Domain: gatherings.TimeDomain{Start: 1, Step: 1, N: 55}, Trajs: parsed}
 	if err := db.Validate(); err != nil {
 		t.Fatal(err)
 	}

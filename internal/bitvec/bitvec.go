@@ -6,16 +6,15 @@
 // range mask, so the signatures are built once and reused by every
 // recursion of TAD.
 //
-// Two popcount paths are provided: PopcountWord uses the word-level
-// math/bits intrinsic (the production path), and PopcountTree is the
-// paper's binary-tree mask method [15], kept both for fidelity and for the
-// ablation benchmark comparing the two.
+// Two popcount paths are provided: PopcountMasked uses the word-level
+// math/bits intrinsic (the production path), and PopcountMaskedTree is
+// the paper's binary-tree mask method [15], kept both for fidelity and for
+// the ablation benchmark comparing the two.
 package bitvec
 
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // Vector is a fixed-length bit vector. The zero value is an empty vector;
@@ -58,18 +57,6 @@ func (v Vector) Len() int { return v.n }
 func (v Vector) Set(i int) {
 	v.check(i)
 	v.words[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// Clear sets bit i to 0.
-func (v Vector) Clear(i int) {
-	v.check(i)
-	v.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
-// Get reports whether bit i is set.
-func (v Vector) Get(i int) bool {
-	v.check(i)
-	return v.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
 func (v Vector) check(i int) {
@@ -121,17 +108,6 @@ func (v Vector) And(m Vector) Vector {
 	}
 	for i := range v.words {
 		v.words[i] &= m.words[i]
-	}
-	return v
-}
-
-// AndNot overwrites v with v AND NOT m and returns v.
-func (v Vector) AndNot(m Vector) Vector {
-	if v.n != m.n {
-		panic("bitvec: AndNot of different lengths")
-	}
-	for i := range v.words {
-		v.words[i] &^= m.words[i]
 	}
 	return v
 }
@@ -234,35 +210,4 @@ func (v Vector) NextSetBit(from int) int {
 		}
 	}
 	return -1
-}
-
-// String renders the vector as a 0/1 string, lowest index first, for
-// diagnostics and table-driven tests.
-func (v Vector) String() string {
-	var b strings.Builder
-	b.Grow(v.n)
-	for i := 0; i < v.n; i++ {
-		if v.Get(i) {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	return b.String()
-}
-
-// FromString parses a 0/1 string into a vector (test helper and CLI
-// convenience). Any rune other than '0' or '1' is an error.
-func FromString(s string) (Vector, error) {
-	v := New(len(s))
-	for i, r := range s {
-		switch r {
-		case '1':
-			v.Set(i)
-		case '0':
-		default:
-			return Vector{}, fmt.Errorf("bitvec: invalid rune %q at %d", r, i)
-		}
-	}
-	return v, nil
 }

@@ -57,6 +57,3 @@ func (b *Backoff) Next() time.Duration {
 	}
 	return half + time.Duration(b.rng.Int63n(int64(half)))
 }
-
-// Reset restarts the schedule after a success.
-func (b *Backoff) Reset() { b.attempt = 0 }

@@ -140,24 +140,6 @@ func New(cfg Config) *Admitter {
 	return a
 }
 
-// Counters returns the admission tallies (the Config's, or the private
-// sink when none was given).
-func (a *Admitter) Counters() *stats.ResilienceCounters { return a.counters }
-
-// NextSeq returns the next sequence number the admitter would release.
-func (a *Admitter) NextSeq() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.next
-}
-
-// Pending returns the number of batches parked in the reorder ring.
-func (a *Admitter) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.buffered
-}
-
 // Offer admits one batch under its stream sequence number. Batches ready
 // to be released — in order, exactly once — are appended to out, which is
 // returned (pass out[:0] of a reused slice to keep the steady-state path

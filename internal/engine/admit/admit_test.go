@@ -66,13 +66,13 @@ func TestReorderWithinWatermark(t *testing.T) {
 	a := New(Config{Watermark: 4, Counters: c})
 
 	wantSeqs(t, a.Offer(1, batch(1, 4), nil)) // early: parked
-	if a.Pending() != 1 {
-		t.Fatalf("Pending = %d after parking one batch", a.Pending())
+	if a.buffered != 1 {
+		t.Fatalf("buffered = %d after parking one batch", a.buffered)
 	}
 	// The missing predecessor releases the whole run.
 	wantSeqs(t, a.Offer(0, batch(0, 4), nil), 0, 1)
-	if a.Pending() != 0 {
-		t.Fatalf("Pending = %d after the run drained", a.Pending())
+	if a.buffered != 0 {
+		t.Fatalf("buffered = %d after the run drained", a.buffered)
 	}
 	if c.BatchesReordered.Load() != 1 {
 		t.Errorf("reordered = %d, want 1", c.BatchesReordered.Load())
@@ -194,12 +194,12 @@ func TestForcedAdvanceReleasesParkedFrontier(t *testing.T) {
 		t.Errorf("admitted = %d, want 2 (batch 1 exactly once, then 2)", got)
 	}
 	// Checked before Drain: a stranded slot would make it loop forever.
-	if a.Pending() != 0 {
-		t.Fatalf("Pending = %d after the stream, want 0", a.Pending())
+	if a.buffered != 0 {
+		t.Fatalf("buffered = %d after the stream, want 0", a.buffered)
 	}
 	wantSeqs(t, a.Drain(nil))
-	if a.NextSeq() != 3 {
-		t.Fatalf("NextSeq = %d, want 3", a.NextSeq())
+	if a.next != 3 {
+		t.Fatalf("next = %d, want 3", a.next)
 	}
 }
 
@@ -214,8 +214,8 @@ func TestStartSeedsResumeFrontier(t *testing.T) {
 		t.Fatalf("pre-frontier batch counted as %d duplicates, want 1", got)
 	}
 	wantSeqs(t, a.Offer(5, batch(5, 4), nil), 5)
-	if a.NextSeq() != 6 {
-		t.Fatalf("NextSeq = %d, want 6", a.NextSeq())
+	if a.next != 6 {
+		t.Fatalf("next = %d, want 6", a.next)
 	}
 }
 

@@ -100,15 +100,7 @@ func (r Rect) Expand(d float64) Rect {
 	return Rect{r.MinX - d, r.MinY - d, r.MaxX + d, r.MaxY + d}
 }
 
-// Area returns the area of r, or 0 for an empty rectangle.
-func (r Rect) Area() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.MaxX - r.MinX) * (r.MaxY - r.MinY)
-}
-
-// Margin returns half the perimeter of r (used by R-tree split heuristics).
+// Margin returns half the perimeter of r.
 func (r Rect) Margin() float64 {
 	if r.IsEmpty() {
 		return 0

@@ -47,8 +47,8 @@ func TestEmptyRect(t *testing.T) {
 	if got := r.Union(e); got != r {
 		t.Fatalf("r ∪ empty = %v, want %v", got, r)
 	}
-	if a := e.Area(); a != 0 {
-		t.Fatalf("empty area = %v, want 0", a)
+	if m := e.Margin(); m != 0 {
+		t.Fatalf("empty margin = %v, want 0", m)
 	}
 }
 
@@ -122,9 +122,6 @@ func TestRectExpandAreaMarginCenter(t *testing.T) {
 	e := r.Expand(1)
 	if e != (Rect{-1, -1, 3, 5}) {
 		t.Fatalf("Expand = %v", e)
-	}
-	if a := r.Area(); !almostEq(a, 8) {
-		t.Fatalf("Area = %v, want 8", a)
 	}
 	if m := r.Margin(); !almostEq(m, 6) {
 		t.Fatalf("Margin = %v, want 6", m)

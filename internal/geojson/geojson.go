@@ -1,8 +1,8 @@
-// Package geojson serialises discovery results — snapshot clusters,
-// crowds, gatherings and raw trajectories — as GeoJSON FeatureCollections
-// so they can be dropped onto any web map for inspection. Coordinates are
-// emitted verbatim (the library works in planar metres); callers with
-// geodetic data can pass a Projector to convert on the way out.
+// Package geojson serialises discovery results — crowds and gatherings —
+// as GeoJSON FeatureCollections so they can be dropped onto any web map
+// for inspection. Coordinates are emitted verbatim (the library works in
+// planar metres); callers with geodetic data can pass a Projector to
+// convert on the way out.
 package geojson
 
 import (
@@ -13,8 +13,6 @@ import (
 	"repro/internal/crowd"
 	"repro/internal/gathering"
 	"repro/internal/geo"
-	"repro/internal/snapshot"
-	"repro/internal/trajectory"
 )
 
 // Projector converts planar library coordinates to output coordinates
@@ -52,45 +50,6 @@ func NewFeatureCollection() *FeatureCollection {
 func (fc *FeatureCollection) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(fc)
-}
-
-// AddCluster appends one snapshot cluster as a MultiPoint feature.
-func (fc *FeatureCollection) AddCluster(c *snapshot.Cluster, proj Projector) {
-	if proj == nil {
-		proj = identity
-	}
-	coords := make([][2]float64, len(c.Points))
-	for i, p := range c.Points {
-		coords[i] = proj(p)
-	}
-	fc.Features = append(fc.Features, Feature{
-		Type:     "Feature",
-		Geometry: geometry{Type: "MultiPoint", Coordinates: coords},
-		Properties: map[string]any{
-			"kind": "snapshot-cluster",
-			"tick": int(c.T),
-			"size": c.Len(),
-		},
-	})
-}
-
-// AddTrajectory appends a trajectory as a LineString feature.
-func (fc *FeatureCollection) AddTrajectory(tr *trajectory.Trajectory, proj Projector) {
-	if proj == nil {
-		proj = identity
-	}
-	coords := make([][2]float64, len(tr.Samples))
-	for i, s := range tr.Samples {
-		coords[i] = proj(s.P)
-	}
-	fc.Features = append(fc.Features, Feature{
-		Type:     "Feature",
-		Geometry: geometry{Type: "LineString", Coordinates: coords},
-		Properties: map[string]any{
-			"kind": "trajectory",
-			"id":   int(tr.ID),
-		},
-	})
 }
 
 // AddCrowd appends a crowd as a LineString connecting the centroids of its

@@ -44,47 +44,6 @@ func features(t *testing.T, doc map[string]any) []any {
 	return fs
 }
 
-func TestAddClusterRoundTrip(t *testing.T) {
-	fc := NewFeatureCollection()
-	fc.AddCluster(mkCluster(5, geo.Point{X: 1, Y: 2}, geo.Point{X: 3, Y: 4}), nil)
-	var buf bytes.Buffer
-	if err := fc.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc := decode(t, &buf)
-	fs := features(t, doc)
-	if len(fs) != 1 {
-		t.Fatalf("%d features", len(fs))
-	}
-	f := fs[0].(map[string]any)
-	if f["geometry"].(map[string]any)["type"] != "MultiPoint" {
-		t.Fatal("geometry type")
-	}
-	props := f["properties"].(map[string]any)
-	if props["tick"].(float64) != 5 || props["size"].(float64) != 2 {
-		t.Fatalf("props = %v", props)
-	}
-}
-
-func TestAddTrajectory(t *testing.T) {
-	tr := trajectory.Trajectory{ID: 9, Samples: []trajectory.Sample{
-		{Time: 0, P: geo.Point{X: 0, Y: 0}},
-		{Time: 1, P: geo.Point{X: 10, Y: 10}},
-	}}
-	fc := NewFeatureCollection()
-	fc.AddTrajectory(&tr, nil)
-	var buf bytes.Buffer
-	if err := fc.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"LineString"`) {
-		t.Fatal("no LineString geometry")
-	}
-	if !strings.Contains(buf.String(), `"id":9`) {
-		t.Fatalf("id property missing: %s", buf.String())
-	}
-}
-
 func crowdOf(start trajectory.Tick, centers ...geo.Point) *crowd.Crowd {
 	cls := make([]*snapshot.Cluster, 0, len(centers))
 	for i, c := range centers {
@@ -138,7 +97,7 @@ func TestProjector(t *testing.T) {
 	proj := func(p geo.Point) [2]float64 {
 		return [2]float64{p.X / 1000, p.Y / 1000}
 	}
-	fc.AddCluster(mkCluster(0, geo.Point{X: 2000, Y: 4000}), proj)
+	fc.AddCrowd(crowd.New(0, []*snapshot.Cluster{mkCluster(0, geo.Point{X: 2000, Y: 4000})}), proj)
 	var buf bytes.Buffer
 	if err := fc.Write(&buf); err != nil {
 		t.Fatal(err)

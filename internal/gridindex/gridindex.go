@@ -133,14 +133,6 @@ func abs32(v int32) int32 {
 	return v
 }
 
-// AffectRegion appends the cells of AR(g) to dst and returns it.
-func AffectRegion(g Cell, dst []Cell) []Cell {
-	for _, o := range affectOffsets {
-		dst = append(dst, Cell{g.X + o[0], g.Y + o[1]})
-	}
-	return dst
-}
-
 // Index is a grid index over the snapshot clusters of one tick for a fixed
 // variation threshold δ. Because every tick shares the same δ, the same
 // grid geometry (origin and side) is used at all ticks — the paper notes
@@ -177,17 +169,13 @@ type Index struct {
 	Results    int
 }
 
-// Build indexes clusters for variation threshold delta.
-func Build(clusters []*snapshot.Cluster, delta float64) *Index {
-	return BuildReuse(nil, clusters, delta)
-}
-
-// BuildReuse indexes clusters like Build but recycles the internal storage
-// of spent — an index the caller has fully retired (no live references to
-// it or to decompositions obtained from it). The per-tick construction the
-// paper credits the grid scheme with then costs O(1) allocations in steady
-// state: the sweep retires its tick-before-last index on every Prepare and
-// hands it back here. Pass spent == nil to allocate fresh.
+// BuildReuse indexes clusters for variation threshold delta, recycling
+// the internal storage of spent — an index the caller has fully retired
+// (no live references to it or to decompositions obtained from it). The
+// per-tick construction the paper credits the grid scheme with then costs
+// O(1) allocations in steady state: the sweep retires its tick-before-last
+// index on every Prepare and hands it back here. Pass spent == nil to
+// allocate fresh.
 func BuildReuse(spent *Index, clusters []*snapshot.Cluster, delta float64) *Index {
 	ix := spent
 	if ix == nil {
@@ -322,9 +310,6 @@ func (ix *Index) decomposeInto(c *snapshot.Cluster) Decomposition {
 
 // Len returns the number of indexed clusters.
 func (ix *Index) Len() int { return len(ix.clusters) }
-
-// Cluster returns the i-th indexed cluster.
-func (ix *Index) Cluster(i int32) *snapshot.Cluster { return ix.clusters[i] }
 
 // DecompositionOf returns the cached cell decomposition of an indexed
 // cluster. Because the grid geometry is identical at every tick (same δ,

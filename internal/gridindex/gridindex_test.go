@@ -54,7 +54,10 @@ func TestDecompose(t *testing.T) {
 }
 
 func TestAffectRegionShape(t *testing.T) {
-	ar := AffectRegion(Cell{10, 10}, nil)
+	var ar []Cell
+	for _, o := range affectOffsets {
+		ar = append(ar, Cell{10 + o[0], 10 + o[1]})
+	}
 	// 5x5 block minus 4 corners = 21 cells
 	if len(ar) != 21 {
 		t.Fatalf("affect region has %d cells, want 21", len(ar))
@@ -96,7 +99,7 @@ func TestBuildInvertedList(t *testing.T) {
 	delta := 10.0
 	a := mkCluster(0, []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 1}})
 	b := mkCluster(0, []geo.Point{{X: 0.5, Y: 0.5}})
-	ix := Build([]*snapshot.Cluster{a, b}, delta)
+	ix := BuildReuse(nil, []*snapshot.Cluster{a, b}, delta)
 	if ix.Len() != 2 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
@@ -105,8 +108,8 @@ func TestBuildInvertedList(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("inverted list for shared cell = %v", got)
 	}
-	if ix.Cluster(0) != a || ix.Cluster(1) != b {
-		t.Fatal("Cluster accessor broken")
+	if ix.clusters[0] != a || ix.clusters[1] != b {
+		t.Fatal("clusters out of input order")
 	}
 }
 
@@ -150,7 +153,7 @@ func TestRangeSearchMatchesBrute(t *testing.T) {
 			cy := float64(r.Intn(5)) * 60
 			cs = append(cs, randCluster(r, cx, cy, 10+r.Float64()*20, 3+r.Intn(15)))
 		}
-		ix := Build(cs, delta)
+		ix := BuildReuse(nil, cs, delta)
 		for q := 0; q < 10; q++ {
 			query := randCluster(r, float64(r.Intn(5))*60, float64(r.Intn(5))*60, 10+r.Float64()*20, 3+r.Intn(15))
 			got := sorted(ix.RangeSearch(query, nil))
@@ -165,7 +168,7 @@ func TestRangeSearchMatchesBrute(t *testing.T) {
 func TestRangeSearchIdenticalCluster(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	c := randCluster(r, 0, 0, 30, 20)
-	ix := Build([]*snapshot.Cluster{c}, 25)
+	ix := BuildReuse(nil, []*snapshot.Cluster{c}, 25)
 	got := ix.RangeSearch(c, nil)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("cluster does not match itself: %v", got)
@@ -173,13 +176,13 @@ func TestRangeSearchIdenticalCluster(t *testing.T) {
 }
 
 func TestRangeSearchEmpty(t *testing.T) {
-	ix := Build(nil, 10)
+	ix := BuildReuse(nil, nil, 10)
 	q := mkCluster(0, []geo.Point{{X: 0, Y: 0}})
 	if got := ix.RangeSearch(q, nil); got != nil {
 		t.Fatalf("empty index returned %v", got)
 	}
 	cs := []*snapshot.Cluster{mkCluster(0, []geo.Point{{X: 0, Y: 0}})}
-	ix = Build(cs, 10)
+	ix = BuildReuse(nil, cs, 10)
 	empty := &snapshot.Cluster{}
 	if got := ix.RangeSearch(empty, nil); got != nil {
 		t.Fatalf("empty query returned %v", got)
@@ -189,7 +192,7 @@ func TestRangeSearchEmpty(t *testing.T) {
 func TestRangeSearchFarCluster(t *testing.T) {
 	a := mkCluster(0, []geo.Point{{X: 0, Y: 0}, {X: 5, Y: 5}})
 	b := mkCluster(0, []geo.Point{{X: 1000, Y: 1000}})
-	ix := Build([]*snapshot.Cluster{b}, 50)
+	ix := BuildReuse(nil, []*snapshot.Cluster{b}, 50)
 	if got := ix.RangeSearch(a, nil); len(got) != 0 {
 		t.Fatalf("far cluster matched: %v", got)
 	}
@@ -204,12 +207,12 @@ func TestRangeSearchOutlierPoint(t *testing.T) {
 	withOutlier := append(append([]geo.Point(nil), core...), geo.Point{X: 200, Y: 0})
 	a := mkCluster(0, core)
 	b := mkCluster(0, withOutlier)
-	ix := Build([]*snapshot.Cluster{b}, 50)
+	ix := BuildReuse(nil, []*snapshot.Cluster{b}, 50)
 	if got := ix.RangeSearch(a, nil); len(got) != 0 {
 		t.Fatalf("outlier cluster matched: %v", got)
 	}
 	// With δ large enough to cover the outlier they match.
-	ix = Build([]*snapshot.Cluster{b}, 250)
+	ix = BuildReuse(nil, []*snapshot.Cluster{b}, 250)
 	if got := ix.RangeSearch(a, nil); len(got) != 1 {
 		t.Fatalf("outlier cluster should match at δ=250: %v", got)
 	}
@@ -222,7 +225,7 @@ func TestRangeSearchManyClustersStress(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		cs = append(cs, randCluster(r, r.Float64()*2000, r.Float64()*2000, 5+r.Float64()*15, 2+r.Intn(30)))
 	}
-	ix := Build(cs, delta)
+	ix := BuildReuse(nil, cs, delta)
 	for q := 0; q < 25; q++ {
 		query := cs[r.Intn(len(cs))]
 		got := sorted(ix.RangeSearch(query, nil))
@@ -255,7 +258,7 @@ func TestBuildReuseDriftBoundsInvMap(t *testing.T) {
 		}
 		ix := BuildReuse(spent, cs, delta)
 		if tick%37 == 0 {
-			fresh := Build(cs, delta)
+			fresh := BuildReuse(nil, cs, delta)
 			q := cs[r.Intn(len(cs))]
 			if got, want := sorted(ix.RangeSearch(q, nil)), sorted(fresh.RangeSearch(q, nil)); !equal(got, want) {
 				t.Fatalf("tick %d: reused index got %v want %v", tick, got, want)

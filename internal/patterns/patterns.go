@@ -1,8 +1,8 @@
 // Package patterns implements the group-pattern baselines the paper
 // compares gatherings against in its effectiveness study (Fig. 5) and in
 // §I: swarms (Li et al. [11], via the ObjectGrowth algorithm with apriori
-// and backward pruning), convoys (Jeung et al. [9], via the coherent
-// moving-cluster sweep) and moving clusters (Kalnis et al. [12]).
+// and backward pruning) and convoys (Jeung et al. [9], via the coherent
+// moving-cluster sweep).
 //
 // All baselines consume the same snapshot-cluster database as crowd
 // discovery, treating each snapshot cluster as the density-connected group
@@ -238,37 +238,6 @@ func Swarms(cdb *snapshot.CDB, p SwarmParams) []Swarm {
 	return out
 }
 
-func containsID(set []trajectory.ObjectID, o trajectory.ObjectID) bool {
-	for _, x := range set {
-		if x == o {
-			return true
-		}
-	}
-	return false
-}
-
-func filterAppears(ids clusterIDs, T []trajectory.Tick, o trajectory.ObjectID) []trajectory.Tick {
-	var out []trajectory.Tick
-	for _, t := range T {
-		if _, ok := ids[t][o]; ok {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func filterBoth(ids clusterIDs, T []trajectory.Tick, a, b trajectory.ObjectID) []trajectory.Tick {
-	var out []trajectory.Tick
-	for _, t := range T {
-		ca, ok1 := ids[t][a]
-		cb, ok2 := ids[t][b]
-		if ok1 && ok2 && ca == cb {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // ---- convoy (coherent moving cluster sweep) ------------------------------
 
 // Convoy is a group of at least m objects density-connected (i.e. sharing
@@ -392,79 +361,4 @@ func dominantConvoys(cs []Convoy) []Convoy {
 		return len(out[i].Objects) > len(out[j].Objects)
 	})
 	return out
-}
-
-// ---- moving cluster -------------------------------------------------------
-
-// MovingCluster is a sequence of snapshot clusters at consecutive ticks in
-// which every consecutive pair shares at least θ of their union (Jaccard
-// similarity), per Kalnis et al. [12].
-type MovingCluster struct {
-	Start    trajectory.Tick
-	Clusters []*snapshot.Cluster
-}
-
-// MovingClusterParams configure the sweep: Theta is the Jaccard threshold
-// in (0,1], K the minimum lifetime in ticks.
-type MovingClusterParams struct {
-	Theta float64
-	K     int
-}
-
-// MovingClusters sweeps the ticks, chaining clusters whose consecutive
-// Jaccard similarity is at least θ, and returns the maximal chains of
-// length ≥ k.
-func MovingClusters(cdb *snapshot.CDB, p MovingClusterParams) []MovingCluster {
-	type chain struct {
-		start    trajectory.Tick
-		clusters []*snapshot.Cluster
-	}
-	var live []chain
-	var out []MovingCluster
-	emit := func(c chain) {
-		if len(c.clusters) >= p.K {
-			out = append(out, MovingCluster{Start: c.start, Clusters: c.clusters})
-		}
-	}
-	for t := 0; t < len(cdb.Clusters); t++ {
-		clusters := cdb.Clusters[t]
-		used := make([]bool, len(clusters))
-		var next []chain
-		for _, ch := range live {
-			last := ch.clusters[len(ch.clusters)-1]
-			extended := false
-			for ci, c := range clusters {
-				if jaccard(last.Objects, c.Objects) >= p.Theta {
-					extended = true
-					used[ci] = true
-					cl := make([]*snapshot.Cluster, len(ch.clusters)+1)
-					copy(cl, ch.clusters)
-					cl[len(ch.clusters)] = c
-					next = append(next, chain{start: ch.start, clusters: cl})
-				}
-			}
-			if !extended {
-				emit(ch)
-			}
-		}
-		for ci, c := range clusters {
-			if !used[ci] {
-				next = append(next, chain{start: trajectory.Tick(t), clusters: []*snapshot.Cluster{c}})
-			}
-		}
-		live = next
-	}
-	for _, ch := range live {
-		emit(ch)
-	}
-	return out
-}
-
-func jaccard(a, b []trajectory.ObjectID) float64 {
-	inter := len(intersect(a, b))
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }

@@ -149,8 +149,8 @@ func bruteClosedSwarms(cdb *snapshot.CDB, p SwarmParams) map[string]bool {
 			continue
 		}
 		closed := true
-		for _, o := range objs {
-			if containsID(set, o) {
+		for i, o := range objs {
+			if mask&(1<<i) != 0 {
 				continue
 			}
 			if len(tmax(append(append([]trajectory.ObjectID(nil), set...), o))) == len(T) {
@@ -265,38 +265,6 @@ func TestConvoysDominanceFilter(t *testing.T) {
 	// only the maximal convoy survives
 	if len(convoys) != 1 || len(convoys[0].Objects) != 3 || convoys[0].Lifetime != 3 {
 		t.Fatalf("convoys = %+v", convoys)
-	}
-}
-
-// ---- moving clusters --------------------------------------------------------
-
-func TestMovingClusters(t *testing.T) {
-	// Gradual membership shift with high overlap: one moving cluster.
-	cdb := mkCDB([][][]trajectory.ObjectID{
-		{o(1, 2, 3, 4)},
-		{o(2, 3, 4, 5)},
-		{o(3, 4, 5, 6)},
-	})
-	mcs := MovingClusters(cdb, MovingClusterParams{Theta: 0.5, K: 3})
-	if len(mcs) != 1 || len(mcs[0].Clusters) != 3 {
-		t.Fatalf("moving clusters = %+v", mcs)
-	}
-	// θ too strict: chain breaks into singleton chains below K.
-	mcs = MovingClusters(cdb, MovingClusterParams{Theta: 0.9, K: 3})
-	if len(mcs) != 0 {
-		t.Fatalf("θ=0.9 found %+v", mcs)
-	}
-}
-
-func TestMovingClustersVsGatheringSemantics(t *testing.T) {
-	// Total membership replacement: Jaccard = 0 between consecutive
-	// clusters, so no moving cluster — but the clusters are at the same
-	// location, which is exactly the case gatherings are designed for.
-	cdb := mkCDB([][][]trajectory.ObjectID{
-		{o(1, 2)}, {o(3, 4)}, {o(5, 6)},
-	})
-	if got := MovingClusters(cdb, MovingClusterParams{Theta: 0.1, K: 3}); len(got) != 0 {
-		t.Fatalf("full-churn chain accepted: %+v", got)
 	}
 }
 

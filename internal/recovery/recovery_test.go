@@ -283,7 +283,7 @@ func TestWALPredatingCheckpoint(t *testing.T) {
 
 	// Sneak a far-future record into the (now empty) WAL, as if the
 	// checkpoint belonged to some other run.
-	w, err := wal.Create(opts.WALPath)
+	w, err := wal.Open(opts.WALPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

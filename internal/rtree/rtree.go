@@ -1,21 +1,17 @@
 // Package rtree is an in-memory R-tree over axis-aligned rectangles,
-// supporting Guttman quadratic-split insertion, STR bulk loading, window
-// queries (the SR scheme of §III-A1), and the four-rectangle side query
-// used by the IR scheme (Lemma 3): a node is explored only if it
-// intersects all four δ-enlargements of the query MBR's sides.
+// built by STR bulk loading, supporting window queries (the SR scheme of
+// §III-A1) and the four-rectangle side query used by the IR scheme
+// (Lemma 3): a node is explored only if it intersects all four
+// δ-enlargements of the query MBR's sides.
 package rtree
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/geo"
 )
 
-const (
-	maxEntries = 16
-	minEntries = 6 // ≈ 40% of maxEntries
-)
+const maxEntries = 16
 
 // Item is a stored rectangle with a caller-supplied identifier (e.g. the
 // index of a snapshot cluster within its tick's cluster set).
@@ -35,83 +31,15 @@ type node struct {
 	entries []entry
 }
 
-// Tree is an R-tree. The zero value is an empty tree ready for Insert.
-// A Tree is safe for concurrent reads but not for concurrent writes.
+// Tree is an immutable R-tree built by BulkLoad. The zero value is an
+// empty tree. A Tree is safe for concurrent reads.
 type Tree struct {
 	root *node
 	size int
-	path []pathEntry // descent path scratch, reused across Inserts
 }
 
 // Len returns the number of stored items.
 func (t *Tree) Len() int { return t.size }
-
-// Insert adds an item using Guttman's quadratic-split algorithm.
-func (t *Tree) Insert(it Item) {
-	if t.root == nil {
-		t.root = &node{leaf: true}
-	}
-	leaf := t.chooseLeaf(t.root, it.Rect)
-	leaf.entries = append(leaf.entries, entry{rect: it.Rect, id: it.ID})
-	t.size++
-	t.adjust(leaf)
-}
-
-// path tracking: chooseLeaf records the descent path so adjust can fix
-// bounding boxes and propagate splits without parent pointers.
-type pathEntry struct {
-	n   *node
-	idx int // index of the child entry taken in n
-}
-
-func (t *Tree) chooseLeaf(n *node, r geo.Rect) *node {
-	t.path = t.path[:0]
-	for !n.leaf {
-		best, bestIdx := -1.0, 0
-		for i := range n.entries {
-			e := &n.entries[i]
-			enlarged := e.rect.Union(r).Area() - e.rect.Area()
-			if best < 0 || enlarged < best ||
-				(enlarged == best && e.rect.Area() < n.entries[bestIdx].rect.Area()) {
-				best, bestIdx = enlarged, i
-			}
-		}
-		t.path = append(t.path, pathEntry{n, bestIdx})
-		n = n.entries[bestIdx].child
-	}
-	return n
-}
-
-// adjust recomputes ancestor boxes along the descent path and splits
-// overflowing nodes, propagating upward; a root split grows the tree by one
-// level.
-func (t *Tree) adjust(leaf *node) {
-	n := leaf
-	for lvl := len(t.path) - 1; ; lvl-- {
-		var split *node
-		if len(n.entries) > maxEntries {
-			split = quadraticSplit(n)
-		}
-		if lvl < 0 {
-			// n is the root
-			if split != nil {
-				newRoot := &node{leaf: false, entries: []entry{
-					{rect: bbox(n), child: n},
-					{rect: bbox(split), child: split},
-				}}
-				t.root = newRoot
-			}
-			return
-		}
-		parent := t.path[lvl].n
-		idx := t.path[lvl].idx
-		parent.entries[idx].rect = bbox(n)
-		if split != nil {
-			parent.entries = append(parent.entries, entry{rect: bbox(split), child: split})
-		}
-		n = parent
-	}
-}
 
 func bbox(n *node) geo.Rect {
 	r := geo.EmptyRect()
@@ -121,78 +49,8 @@ func bbox(n *node) geo.Rect {
 	return r
 }
 
-// quadraticSplit removes roughly half the entries of n into a returned new
-// node using Guttman's quadratic seed selection.
-func quadraticSplit(n *node) *node {
-	es := n.entries
-	// pick seeds: the pair wasting the most area when combined
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(es); i++ {
-		for j := i + 1; j < len(es); j++ {
-			d := es[i].rect.Union(es[j].rect).Area() - es[i].rect.Area() - es[j].rect.Area()
-			if d > worst {
-				worst, s1, s2 = d, i, j
-			}
-		}
-	}
-	g1 := []entry{es[s1]}
-	g2 := []entry{es[s2]}
-	r1, r2 := es[s1].rect, es[s2].rect
-	rest := make([]entry, 0, len(es)-2)
-	for i := range es {
-		if i != s1 && i != s2 {
-			rest = append(rest, es[i])
-		}
-	}
-	for len(rest) > 0 {
-		// force assignment when one group must take all remaining entries
-		if len(g1)+len(rest) <= minEntries {
-			g1 = append(g1, rest...)
-			for _, e := range rest {
-				r1 = r1.Union(e.rect)
-			}
-			break
-		}
-		if len(g2)+len(rest) <= minEntries {
-			g2 = append(g2, rest...)
-			for _, e := range rest {
-				r2 = r2.Union(e.rect)
-			}
-			break
-		}
-		// pick the entry with the greatest preference for one group
-		bestI, bestDiff := 0, -1.0
-		var d1b, d2b float64
-		for i, e := range rest {
-			d1 := r1.Union(e.rect).Area() - r1.Area()
-			d2 := r2.Union(e.rect).Area() - r2.Area()
-			diff := d1 - d2
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > bestDiff {
-				bestDiff, bestI, d1b, d2b = diff, i, d1, d2
-			}
-		}
-		e := rest[bestI]
-		rest[bestI] = rest[len(rest)-1]
-		rest = rest[:len(rest)-1]
-		if d1b < d2b || (d1b == d2b && len(g1) < len(g2)) {
-			g1 = append(g1, e)
-			r1 = r1.Union(e.rect)
-		} else {
-			g2 = append(g2, e)
-			r2 = r2.Union(e.rect)
-		}
-	}
-	n.entries = g1
-	return &node{leaf: n.leaf, entries: g2}
-}
-
-// BulkLoad builds a tree from items using Sort-Tile-Recursive packing; it
-// is the preferred constructor when all items are known up front (each
-// tick's clusters are).
+// BulkLoad builds a tree from items using Sort-Tile-Recursive packing.
+// It is the only constructor: each tick's clusters are known up front.
 func BulkLoad(items []Item) *Tree {
 	t := &Tree{size: len(items)}
 	if len(items) == 0 {
@@ -345,17 +203,4 @@ entries:
 		}
 	}
 	return true
-}
-
-// Depth returns the height of the tree (0 for empty, 1 for a root leaf).
-func (t *Tree) Depth() int {
-	d, n := 0, t.root
-	for n != nil {
-		d++
-		if n.leaf || len(n.entries) == 0 {
-			break
-		}
-		n = n.entries[0].child
-	}
-	return d
 }

@@ -50,39 +50,49 @@ func sameIDs(a, b []int32) bool {
 	return true
 }
 
-func TestEmptyTree(t *testing.T) {
-	var tr Tree
-	if tr.Len() != 0 || tr.Depth() != 0 {
-		t.Fatalf("empty: Len=%d Depth=%d", tr.Len(), tr.Depth())
+// depth returns the height of the tree (0 for empty, 1 for a root leaf).
+func depth(t *Tree) int {
+	d, n := 0, t.root
+	for n != nil {
+		d++
+		if n.leaf || len(n.entries) == 0 {
+			break
+		}
+		n = n.entries[0].child
 	}
-	tr.Search(geo.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}, func(int32) bool {
-		t.Fatal("search on empty tree yielded item")
-		return false
-	})
-	bl := BulkLoad(nil)
-	if bl.Len() != 0 {
-		t.Fatal("BulkLoad(nil) non-empty")
+	return d
+}
+
+func TestEmptyTree(t *testing.T) {
+	for _, tr := range []*Tree{{}, BulkLoad(nil)} {
+		if tr.Len() != 0 || depth(tr) != 0 {
+			t.Fatalf("empty: Len=%d depth=%d", tr.Len(), depth(tr))
+		}
+		tr.Search(geo.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}, func(int32) bool {
+			t.Fatal("search on empty tree yielded item")
+			return false
+		})
+		tr.SearchDSide(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 1e9, func(int32) bool {
+			t.Fatal("side search on empty tree yielded item")
+			return false
+		})
 	}
 }
 
 func TestInsertSearchSmall(t *testing.T) {
-	var tr Tree
-	items := []Item{
+	tr := BulkLoad([]Item{
 		{Rect: geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, ID: 0},
 		{Rect: geo.Rect{MinX: 10, MinY: 10, MaxX: 11, MaxY: 11}, ID: 1},
 		{Rect: geo.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, ID: 2},
-	}
-	for _, it := range items {
-		tr.Insert(it)
-	}
+	})
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	got := collect(&tr, geo.Rect{MinX: 4, MinY: 4, MaxX: 12, MaxY: 12})
+	got := collect(tr, geo.Rect{MinX: 4, MinY: 4, MaxX: 12, MaxY: 12})
 	if !sameIDs(got, []int32{1, 2}) {
 		t.Fatalf("window got %v", got)
 	}
-	got = collect(&tr, geo.Rect{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101})
+	got = collect(tr, geo.Rect{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101})
 	if len(got) != 0 {
 		t.Fatalf("empty window got %v", got)
 	}
@@ -93,17 +103,16 @@ func TestInsertMatchesBrute(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 50 + r.Intn(500)
 		items := make([]Item, n)
-		var tr Tree
 		for i := range items {
 			items[i] = Item{Rect: randRect(r, 1000), ID: int32(i)}
-			tr.Insert(items[i])
 		}
+		tr := BulkLoad(items)
 		if tr.Len() != n {
 			t.Fatalf("Len = %d, want %d", tr.Len(), n)
 		}
 		for q := 0; q < 30; q++ {
 			w := randRect(r, 1000).Expand(r.Float64() * 100)
-			got := collect(&tr, w)
+			got := collect(tr, w)
 			want := bruteWindow(items, w)
 			if !sameIDs(got, want) {
 				t.Fatalf("trial %d query %d: got %d ids, want %d", trial, q, len(got), len(want))
@@ -225,24 +234,24 @@ func TestSearchDSideEarlyStop(t *testing.T) {
 }
 
 func TestDepthGrowsLogarithmically(t *testing.T) {
-	var tr Tree
 	r := rand.New(rand.NewSource(113))
-	for i := 0; i < 2000; i++ {
-		tr.Insert(Item{Rect: randRect(r, 1000), ID: int32(i)})
+	items := make([]Item, 2000)
+	for i := range items {
+		items[i] = Item{Rect: randRect(r, 1000), ID: int32(i)}
 	}
-	d := tr.Depth()
+	d := depth(BulkLoad(items))
 	if d < 2 || d > 8 {
 		t.Fatalf("depth %d out of expected range for 2000 items", d)
 	}
 }
 
 func TestDuplicateRects(t *testing.T) {
-	var tr Tree
 	rect := geo.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}
-	for i := 0; i < 100; i++ {
-		tr.Insert(Item{Rect: rect, ID: int32(i)})
+	items := make([]Item, 100)
+	for i := range items {
+		items[i] = Item{Rect: rect, ID: int32(i)}
 	}
-	got := collect(&tr, rect)
+	got := collect(BulkLoad(items), rect)
 	if len(got) != 100 {
 		t.Fatalf("got %d of 100 duplicate items", len(got))
 	}

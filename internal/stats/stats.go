@@ -1,9 +1,8 @@
 // Package stats computes summary statistics over discovery results: crowd
 // and gathering durations, cluster sizes, participator counts and
-// commitment ratios. The gatherfind CLI prints these with -stats, and the
-// examples use them to characterise workloads. It also provides the live
-// ingest/query counters (EngineCounters) that the streaming engine and the
-// gatherserve CLI report.
+// commitment ratios. The gatherfind CLI prints these with -stats. It also
+// provides the live ingest/query counters (EngineCounters) that the
+// streaming engine and the gatherserve CLI report.
 package stats
 
 import (

@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// String renders the mode as its canonical flag value, naming the
+// subtests below.
+func (m SyncMode) String() string {
+	switch m {
+	case SyncCheckpoint:
+		return "checkpoint"
+	case SyncOff:
+		return "off"
+	}
+	return "always"
+}
+
 func TestParseSyncMode(t *testing.T) {
 	good := map[string]SyncMode{
 		"always": SyncAppend, "append": SyncAppend,
@@ -34,13 +46,13 @@ func TestRelaxedModesStillReplay(t *testing.T) {
 	for _, mode := range []SyncMode{SyncAppend, SyncCheckpoint, SyncOff} {
 		t.Run(mode.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal")
-			w, err := Create(path)
+			w, err := Open(path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			w.SetSync(mode)
-			if w.Mode() != mode {
-				t.Fatalf("Mode() = %v, want %v", w.Mode(), mode)
+			if w.mode != mode {
+				t.Fatalf("mode = %v, want %v", w.mode, mode)
 			}
 			for seq := 0; seq < 3; seq++ {
 				if err := w.Append(uint64(seq), testDB(seq, 4, 3)); err != nil {

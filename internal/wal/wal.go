@@ -83,17 +83,6 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	return 0, fmt.Errorf("wal: unknown sync mode %q (want always, checkpoint or off)", s)
 }
 
-// String renders the mode as its canonical flag value.
-func (m SyncMode) String() string {
-	switch m {
-	case SyncCheckpoint:
-		return "checkpoint"
-	case SyncOff:
-		return "off"
-	}
-	return "always"
-}
-
 // Writer appends batches to a write-ahead log file. Methods are not safe
 // for concurrent use: the log belongs to the single admission goroutine
 // (gatherserve's ingest loop), which is also what keeps record order
@@ -140,16 +129,9 @@ func Open(path string, fn func(seq uint64, db *trajectory.DB) error) (*Writer, e
 	return w, nil
 }
 
-// Create is Open without a replay callback: it opens path for appending
-// after the log's intact records.
-func Create(path string) (*Writer, error) { return Open(path, nil) }
-
 // SetSync sets when the writer fsyncs (see SyncMode). Call it before the
 // first Append; it is not safe to change concurrently with writes.
 func (w *Writer) SetSync(m SyncMode) { w.mode = m }
-
-// Mode returns the writer's current sync mode.
-func (w *Writer) Mode() SyncMode { return w.mode }
 
 // Append logs one admitted batch under its admission sequence number. The
 // record is written in a single Write call; Sync decides durability per

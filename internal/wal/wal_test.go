@@ -61,7 +61,7 @@ func replayAll(t *testing.T, path string) []rec {
 
 func TestRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := Create(path)
+	w, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRoundtrip(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := Create(path)
+	w, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// Reopening truncates the torn bytes and appends cleanly after them.
-	w, err = Create(path)
+	w, err = Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestResetEmptiesLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := Create(path)
+	w, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestReplayBadHeader(t *testing.T) {
 // reuse the encode buffer and must not allocate per batch.
 func TestAppendAllocs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, err := Create(path)
+	w, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
