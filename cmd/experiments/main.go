@@ -3,18 +3,21 @@
 //
 // Usage:
 //
-//	experiments [fig5|fig6|fig7|fig8|all] [-taxis 600] [-ticks 288]
+//	experiments [fig5|fig6|fig7|fig8|pruning|all] [-taxis 600] [-ticks 288]
 //	            [-crowds 40] [-seed 1]
 //
-// Every table corresponds to one figure of the paper; EXPERIMENTS.md in
-// the repository root records how each table's shape compares with the
-// published one.
+// Every table corresponds to one figure of the paper (pruning to the
+// pruning-effect discussion of §IV); the TestFig*Shapes tests of
+// internal/experiments check each table's shape against the published one.
+// A non-positive -taxis, -ticks or -crowds, or an unknown subcommand, is a
+// usage error (exit 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
@@ -30,15 +33,33 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [fig5|fig6|fig7|fig8|pruning|all] [flags]\n")
 		flag.PrintDefaults()
 	}
+	usageError := func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", a...)
+		flag.Usage()
+		os.Exit(2)
+	}
 	// Allow the subcommand before or after flags.
-	which := "all"
+	which, named := "all", false
 	args := os.Args[1:]
-	if len(args) > 0 && args[0][0] != '-' {
-		which = args[0]
-		args = args[1:]
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		which, args, named = args[0], args[1:], true
 	}
 	if err := flag.CommandLine.Parse(args); err != nil {
 		os.Exit(2)
+	}
+	if flag.NArg() > 0 {
+		if named || flag.NArg() > 1 {
+			usageError("unexpected arguments %q", flag.Args())
+		}
+		which = flag.Arg(0)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"taxis", *taxis}, {"ticks", *ticks}, {"crowds", *crowds}} {
+		if f.v <= 0 {
+			usageError("-%s must be positive, got %d", f.name, f.v)
+		}
 	}
 
 	sc := experiments.DefaultScale()
@@ -64,8 +85,7 @@ func main() {
 	case "all":
 		tables = experiments.All(sc)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		usageError("unknown subcommand %q", which)
 	}
 	for i := range tables {
 		tables[i].Fprint(os.Stdout)

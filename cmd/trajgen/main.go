@@ -8,6 +8,8 @@
 //
 //	trajgen [-taxis 600] [-ticks 288] [-days 1] [-weather clear,snowy]
 //	        [-seed 1] [-o out.csv]
+//
+// A non-positive -taxis, -ticks or -days is a usage error (exit 2).
 package main
 
 import (
@@ -30,6 +32,16 @@ func main() {
 		out     = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"taxis", *taxis}, {"ticks", *ticks}, {"days", *days}} {
+		if f.v <= 0 {
+			fmt.Fprintf(os.Stderr, "trajgen: -%s must be positive, got %d\n", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	cfg := gen.Default()
 	cfg.NumTaxis = *taxis

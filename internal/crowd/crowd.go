@@ -64,8 +64,6 @@ func (p Params) Validate() error {
 // changes after construction (the memoized materialisation only caches
 // what the chain already holds), so every crowd — a tail candidate a later
 // resume extends included — may be shared and retained without a copy.
-//
-//gather:immutable — prefix-shared across every descendant candidate
 type Crowd struct {
 	Start trajectory.Tick
 
@@ -113,8 +111,6 @@ func (c *Crowd) End() trajectory.Tick {
 
 // Last returns the cluster at the final tick (nil for an empty crowd). It
 // is O(1): the sweep's inner loop reads only this.
-//
-//gather:hotpath
 func (c *Crowd) Last() *snapshot.Cluster {
 	if c.length == 0 {
 		return nil
@@ -128,8 +124,6 @@ func (c *Crowd) Last() *snapshot.Cluster {
 // At returns the cluster at position i (0 ≤ i < Lifetime). Reads through a
 // memoized materialisation are O(1); otherwise the parent chain is walked
 // from the tip, O(Lifetime − i).
-//
-//gather:hotpath
 func (c *Crowd) At(i int) *snapshot.Cluster {
 	if i < 0 || i >= c.length {
 		panic(fmt.Sprintf("crowd: position %d out of range [0,%d)", i, c.length))
@@ -175,7 +169,6 @@ type pending struct {
 	cl *snapshot.Cluster
 }
 
-//gather:hotpath
 func (c *Crowd) materialise() []*snapshot.Cluster {
 	// Walk towards the root recording each node's own cluster, stopping
 	// at the first materialised ancestor. Chains between materialisations
@@ -415,8 +408,6 @@ type BruteSearcher struct {
 func (b *BruteSearcher) Prepare(cs []*snapshot.Cluster) { b.clusters = cs }
 
 // Search implements Searcher.
-//
-//gather:hotpath
 func (b *BruteSearcher) Search(q *snapshot.Cluster) []int32 {
 	out := b.buf[:0]
 	for i, c := range b.clusters {
@@ -457,8 +448,6 @@ func (s *SRSearcher) Prepare(cs []*snapshot.Cluster) {
 }
 
 // Search implements Searcher.
-//
-//gather:hotpath
 func (s *SRSearcher) Search(q *snapshot.Cluster) []int32 {
 	out := s.buf[:0]
 	window := q.MBR().Expand(s.Delta)
@@ -499,8 +488,6 @@ func (s *IRSearcher) Prepare(cs []*snapshot.Cluster) {
 }
 
 // Search implements Searcher.
-//
-//gather:hotpath
 func (s *IRSearcher) Search(q *snapshot.Cluster) []int32 {
 	out := s.buf[:0]
 	s.tree.SearchDSide(q.MBR(), s.Delta, func(id int32) bool {
@@ -555,8 +542,6 @@ func (s *GridSearcher) FlushStats() {
 }
 
 // Search implements Searcher.
-//
-//gather:hotpath
 func (s *GridSearcher) Search(q *snapshot.Cluster) []int32 {
 	if s.prev != nil {
 		if qd, ok := s.prev.DecompositionOf(q); ok {

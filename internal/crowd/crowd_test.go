@@ -367,3 +367,47 @@ func TestSearcherStats(t *testing.T) {
 		t.Fatalf("result counts differ: SR %d, IR %d", sr.Results, ir.Results)
 	}
 }
+
+// TestSearchAllocs holds every searcher's Search to zero allocations per
+// warmed call: the per-tick sweep runs it once per candidate, so its
+// result buffer and the grid index's candidate list must be reused. Each
+// searcher is prepared over two ticks and queried with a cluster of the
+// earlier one, the sweep's own pattern, so the grid searcher reuses the
+// query's decomposition (RangeSearchDecomposed) and refines a candidate
+// whose cells differ from the query's.
+func TestSearchAllocs(t *testing.T) {
+	const delta = 5
+	id := trajectory.ObjectID(0)
+	blob := func(tk trajectory.Tick, cx, cy float64) *snapshot.Cluster {
+		var objs []trajectory.ObjectID
+		var pts []geo.Point
+		for i := 0; i < 9; i++ {
+			id++
+			objs = append(objs, id)
+			pts = append(pts, geo.Point{X: cx + float64(2*(i%3)), Y: cy + float64(2*(i/3))})
+		}
+		return snapshot.NewCluster(tk, objs, pts)
+	}
+	t0 := []*snapshot.Cluster{blob(0, 0, 0), blob(0, 100, 0)}
+	t1 := []*snapshot.Cluster{blob(1, 3, 2), blob(1, 100, 40)}
+	q := t0[0]
+	for _, name := range []string{"brute", "sr", "ir", "grid"} {
+		s, err := NewSearcher(name, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Prepare(t0)
+		s.Prepare(t1)
+		if g, ok := s.(*GridSearcher); ok {
+			if _, ok := g.prev.DecompositionOf(q); !ok {
+				t.Fatal("grid: the query's decomposition is not reused from the previous tick")
+			}
+		}
+		if got := s.Search(q); !reflect.DeepEqual(got, []int32{0}) {
+			t.Fatalf("%s: Search = %v, want [0]", name, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.Search(q) }); n != 0 {
+			t.Errorf("%s: warmed Search allocates %.1f times per call, want 0", name, n)
+		}
+	}
+}

@@ -185,7 +185,10 @@ func TestCrowdMaterialiseConcurrent(t *testing.T) {
 // TestExtendAllocs guards the sweep's hottest operation: extending a crowd
 // candidate must be O(1) — one node allocation — regardless of lifetime.
 // The old copy-on-extend representation allocated (and copied) the whole
-// cluster slice here.
+// cluster slice here. The readers the sweep and every query call on the
+// extended chain — Last, At through unmaterialised nodes and through the
+// tip's memo, and Clusters once the tip is materialised — allocate
+// nothing.
 func TestExtendAllocs(t *testing.T) {
 	var cls []*snapshot.Cluster
 	for i := 0; i < 1024; i++ {
@@ -198,5 +201,21 @@ func TestExtendAllocs(t *testing.T) {
 	})
 	if avg > 1.5 {
 		t.Fatalf("extend allocates %.1f objects per call on a 1024-tick crowd; want ≤ 1 (the node itself)", avg)
+	}
+
+	mid := tip.parent // never materialised: At walks the chain
+	tip.Clusters()
+	for name, f := range map[string]func(){
+		"Last":       func() { tip.Last() },
+		"At(tip)":    func() { tip.At(1) },
+		"At(chain)":  func() { mid.At(1) },
+		"Clusters()": func() { tip.Clusters() },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, n)
+		}
+	}
+	if tip.Last() != next || mid.At(1) != cls[1] || tip.Clusters()[6] != cls[6] {
+		t.Fatal("accessors returned the wrong clusters")
 	}
 }

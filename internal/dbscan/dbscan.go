@@ -516,8 +516,6 @@ func (s *Scratch) buildCells(g int, cliques bool) {
 // [key+off, key+off+2], the cell's three neighbours in another row. The
 // first of them come from one merge of the keys with themselves shifted by
 // off, stepped without data-dependent branches; at most three follow.
-//
-//gather:hotpath
 func (s *Scratch) rowRuns(r int, off uint64) {
 	keys, cells := s.ckeys, s.cells
 	m := len(keys) - 1
@@ -543,8 +541,6 @@ func (s *Scratch) rowRuns(r int, off uint64) {
 // a NaN makes its distance undefined), stopping once dst has limit
 // entries, and returns dst. The squared distance decides unless it falls
 // in the band around ε² (or is NaN), as in within.
-//
-//gather:hotpath
 func (s *Scratch) neighbors(q, c int32, dst []int32, limit int) []int32 {
 	n := int32(len(s.pts))
 	var spans [4]run // sorted positions: three grid runs, then far points

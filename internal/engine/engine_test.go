@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -100,11 +101,17 @@ func TestSingleShardMatchesStore(t *testing.T) {
 }
 
 // TestConcurrentAppendQuery hammers a multi-shard engine with appends and
-// snapshot queries from many goroutines at once; run with -race.
+// snapshot queries from many goroutines at once; run with -race. The halo
+// makes boundary clusters shared views of several shards, so the read-time
+// merge dedups cross-shard copies. Every result a reader holds is recorded
+// by value whenever its frontier advances, and once ingest has drained
+// each record must still match the result it was taken from: shared
+// crowds, clusters and gatherings never change. A write racing a reader
+// shows as a DATA RACE, a later one as a changed record.
 func TestConcurrentAppendQuery(t *testing.T) {
 	batches := testWorkload(t, 200, 96, 8)
 	e, err := New(Config{Pipeline: testPipeline(), Shards: 4, Workers: 4,
-		Partitioner: GridCell{CellSize: 4000}})
+		Partitioner: GridCell{CellSize: 4000, Halo: 1200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +132,13 @@ func TestConcurrentAppendQuery(t *testing.T) {
 		}()
 	}
 
+	type record struct {
+		res  *Result
+		held []crowdValue
+	}
 	done := make(chan struct{})
 	var readers sync.WaitGroup
+	records := make([][]record, 4)
 	queries := []Query{
 		{},
 		{GatheringsOnly: true},
@@ -134,10 +146,11 @@ func TestConcurrentAppendQuery(t *testing.T) {
 		{Bounds: &geo.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}},
 		{Limit: 3},
 	}
-	for r := 0; r < 4; r++ {
+	for r := range records {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
+			seen := -1
 			for i := 0; ; i++ {
 				select {
 				case <-done:
@@ -149,6 +162,10 @@ func TestConcurrentAppendQuery(t *testing.T) {
 					t.Errorf("ragged result: %d crowds, %d gathering groups",
 						len(res.Crowds), len(res.Gatherings))
 					return
+				}
+				if res.Ticks > seen && len(res.Crowds) > 0 {
+					seen = res.Ticks
+					records[r] = append(records[r], record{res, resultValue(res)})
 				}
 			}
 		}(r)
@@ -168,9 +185,69 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	if e.Ticks() != total {
 		t.Fatalf("ticks = %d after flush, want %d", e.Ticks(), total)
 	}
-	if got := e.Counters().Snapshot(); got.BatchesEnqueued != uint64(len(batches)) {
+	got := e.Counters().Snapshot()
+	if got.BatchesEnqueued != uint64(len(batches)) {
 		t.Fatalf("counted %d batches, want %d", got.BatchesEnqueued, len(batches))
 	}
+	if got.CrowdsDeduped == 0 {
+		t.Fatal("the merge deduped no crowd; the halo shares nothing")
+	}
+	held := 0
+	for r, recs := range records {
+		for _, rec := range recs {
+			if now := resultValue(rec.res); !reflect.DeepEqual(now, rec.held) {
+				t.Fatalf("reader %d: the result it held at frontier %d changed after more ingest", r, rec.res.Ticks)
+			}
+		}
+		held += len(recs)
+	}
+	if held == 0 {
+		t.Fatal("no reader held a non-empty result")
+	}
+	t.Logf("%d held results unchanged; %d crowds deduped, %d clusters replicated",
+		held, got.CrowdsDeduped, got.ClustersReplicated)
+}
+
+// crowdValue is a crowd of a Result copied by value: its clusters'
+// contents and its gatherings, down to the participator IDs.
+type crowdValue struct {
+	Start    trajectory.Tick
+	Clusters []clusterValue
+	Gathers  []gatheringValue
+}
+
+type clusterValue struct {
+	T       trajectory.Tick
+	Objects []trajectory.ObjectID
+	Points  []geo.Point
+	MBR     geo.Rect
+}
+
+type gatheringValue struct {
+	Lo, Hi, Lifetime int
+	Start            trajectory.Tick
+	Participators    []trajectory.ObjectID
+}
+
+// resultValue copies everything res reaches into values that share no
+// memory with it.
+func resultValue(res *Result) []crowdValue {
+	out := make([]crowdValue, len(res.Crowds))
+	for i, cr := range res.Crowds {
+		v := crowdValue{Start: cr.Start}
+		for k := 0; k < cr.Lifetime(); k++ {
+			cl := cr.At(k)
+			v.Clusters = append(v.Clusters, clusterValue{cl.T,
+				append([]trajectory.ObjectID(nil), cl.Objects...),
+				append([]geo.Point(nil), cl.Points...), cl.MBR()})
+		}
+		for _, g := range res.Gatherings[i] {
+			v.Gathers = append(v.Gathers, gatheringValue{g.Lo, g.Hi, g.Crowd.Lifetime(),
+				g.Crowd.Start, append([]trajectory.ObjectID(nil), g.Participators...)})
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // TestBackpressure holds the single shard inside ApplyFault so the queue

@@ -170,8 +170,6 @@ func mergeShards(entries []shardCrowd, owner func(geo.Point) int, gp gathering.P
 }
 
 // centroid returns the mean of a cluster's points.
-//
-//gather:hotpath
 func centroid(cl *snapshot.Cluster) geo.Point {
 	var c geo.Point
 	for _, p := range cl.Points {

@@ -34,6 +34,18 @@ func mkCrowd(start trajectory.Tick, ticks int, base geo.Point, ids ...trajectory
 
 func testGatherParams() gathering.Params { return gathering.Params{KC: 3, KP: 3, MP: 2} }
 
+// TestCentroidAllocs: the router takes every cluster's centroid once per
+// batch, so it must allocate nothing.
+func TestCentroidAllocs(t *testing.T) {
+	cl := mkCluster(0, geo.Point{X: 100, Y: 100}, 1, 2, 3)
+	if got := centroid(cl); got != (geo.Point{X: 102, Y: 100}) {
+		t.Fatalf("centroid = %v, want (102, 100)", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { centroid(cl) }); n != 0 {
+		t.Fatalf("centroid allocates %.1f times per call, want 0", n)
+	}
+}
+
 // TestMergeDedupExactDuplicates checks stage 1: identical copies from
 // several shards collapse to one, kept by the canonical owner.
 func TestMergeDedupExactDuplicates(t *testing.T) {

@@ -10,7 +10,8 @@
 //	             gathering update
 //
 // Absolute times differ from the paper's 2009 C# testbed; the comparisons
-// of interest are the orderings and trends, which EXPERIMENTS.md records.
+// of interest are the orderings and trends, which this package's
+// TestFig*Shapes and TestFig6SchemeOrdering tests check.
 package experiments
 
 import (

@@ -6,12 +6,10 @@ import (
 	"repro/internal/trajectory"
 )
 
-// TestDetectorTestAllocs pins the hotalloc fix in Detector.test: par is
+// TestDetectorTestAllocs pins the presizing in Detector.test: par is
 // presized to the alive-candidate count, so the whole-crowd Test step
 // performs exactly one allocation (the returned participator slice)
-// instead of growing it through repeated append doublings. gatherlint's
-// hotalloc analyzer flags the un-presized form statically; this guard
-// keeps the runtime behaviour honest.
+// instead of growing it through repeated append doublings.
 func TestDetectorTestAllocs(t *testing.T) {
 	const ticks, objs = 16, 64
 	members := make([][]trajectory.ObjectID, ticks)

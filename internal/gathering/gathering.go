@@ -49,9 +49,7 @@ func (p Params) Validate() error {
 // Gathering is one closed gathering inside a source crowd: the clusters at
 // positions [Lo, Hi) of the crowd, together with the participator set.
 // Gatherings are shared between the incremental caches and every snapshot
-// handed to queries.
-//
-//gather:immutable — shared between store caches and query snapshots
+// handed to queries, so none changes once built.
 type Gathering struct {
 	Crowd         *crowd.Crowd // the sub-crowd forming the gathering
 	Lo, Hi        int          // positions within the source crowd, half-open
@@ -348,12 +346,12 @@ func (d *Detector) Clone() *Detector {
 // The whole-crowd case reads the incrementally maintained counts — O(objs
 // + ticks); proper sub-ranges count with a masked popcount per object —
 // the Test step of TAD*.
-//
-//gather:hotpath
 func (d *Detector) test(lo, hi int, alive []int32) (par []int32, invalid []int) {
 	// Nearly every alive object of a surviving crowd is a participator, so
 	// presizing par to the candidate count trades a sliver of memory for
-	// growth-free appends on the recursion's hottest call.
+	// growth-free appends on the recursion's hottest call. invalid is left
+	// unsized: it is empty for surviving crowds, and presizing it would
+	// allocate on the common path.
 	par = make([]int32, 0, len(alive))
 	isPar := d.isPar
 	if lo == 0 && hi == d.n {
@@ -367,7 +365,7 @@ func (d *Detector) test(lo, hi int, alive []int32) (par []int32, invalid []int) 
 		}
 		for t := lo; t < hi; t++ {
 			if int(d.parTick[t]) < d.p.MP {
-				invalid = append(invalid, t) //lint:allow hotalloc invalid is empty for surviving crowds; presizing would allocate on the common path
+				invalid = append(invalid, t)
 			}
 		}
 	} else {
@@ -386,7 +384,7 @@ func (d *Detector) test(lo, hi int, alive []int32) (par []int32, invalid []int) 
 				}
 			}
 			if n < d.p.MP {
-				invalid = append(invalid, t) //lint:allow hotalloc invalid is empty for surviving crowds; presizing would allocate on the common path
+				invalid = append(invalid, t)
 			}
 		}
 	}

@@ -334,8 +334,6 @@ func (ix *Index) RangeSearch(q *snapshot.Cluster, dst []int32) []int32 {
 // RangeSearchDecomposed is RangeSearch with a caller-supplied query
 // decomposition (normally obtained from the previous tick's index via
 // DecompositionOf).
-//
-//gather:hotpath
 func (ix *Index) RangeSearchDecomposed(q *snapshot.Cluster, qd Decomposition, dst []int32) []int32 {
 	if len(q.Points) == 0 || len(ix.clusters) == 0 {
 		return dst
@@ -397,8 +395,6 @@ func decompIntersectsAR(d Decomposition, g Cell) bool {
 
 // refine decides dH(q, clusters[cj]) ≤ δ using the symmetric-difference
 // rule of §III-A2.
-//
-//gather:hotpath
 func (ix *Index) refine(q *snapshot.Cluster, qd Decomposition, cj int32) bool {
 	cd := ix.decomp[cj]
 	cand := ix.clusters[cj]

@@ -123,7 +123,8 @@ func appendBatches(s *Store, full *snapshot.CDB, batchTicks, from, to int) {
 // and extendable-detector rework, every Append re-copied each surviving
 // chain (O(lifetime) per extension) and rebuilt each tail detector
 // (O(lifetime × objects)), so the deep-history append allocated roughly
-// linearly more; now both extend in place.
+// linearly more; now both extend in place. Reading the answer back with
+// Crowds must allocate nothing at all.
 func TestAppendAllocsFlatAsHistoryGrows(t *testing.T) {
 	const batchTicks, measured = 8, 4
 	shallowBatches, deepBatches := 2, 24
@@ -137,12 +138,19 @@ func TestAppendAllocsFlatAsHistoryGrows(t *testing.T) {
 		s := newStore(t, cp, gp)
 		appendBatches(s, full, batchTicks, 0, history)
 		b := history
-		return testing.AllocsPerRun(measured-1, func() {
+		n := testing.AllocsPerRun(measured-1, func() {
 			// Each call appends the next batch; the average covers
 			// histories [history, history+measured).
 			appendBatches(s, full, batchTicks, b, b+1)
 			b++
 		})
+		if len(s.Crowds()) == 0 {
+			t.Fatal("no crowds found; workload is degenerate")
+		}
+		if c := testing.AllocsPerRun(100, func() { s.Crowds() }); c != 0 {
+			t.Fatalf("Store.Crowds allocates %.1f times per call, want 0", c)
+		}
+		return n
 	}
 
 	shallow := measure(shallowBatches)

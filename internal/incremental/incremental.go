@@ -234,8 +234,6 @@ func (s *Store) refreshCaches() {
 // tail candidate long enough to be a crowd. The returned slice is shared
 // with the store and valid until the next Append; callers that retain it
 // across appends must copy it. The crowds themselves are immutable.
-//
-//gather:hotpath
 func (s *Store) Crowds() []*crowd.Crowd { return s.crowdsCache }
 
 // Gatherings returns the closed gatherings of every current closed crowd,

@@ -221,19 +221,32 @@ func TestIncrementalMatchesScratchRandomized(t *testing.T) {
 // each Append of a randomized stream — and checks at the end of the
 // stream that none of them changed. Tail candidates are handed out as the
 // store holds them and later Appends resume discovery from those very
-// nodes, so any in-place write to a crowd or gathering shows up here.
+// nodes, so any in-place write to a crowd or gathering shows up here. Each
+// held cluster's contents are recorded by value too, so a write through
+// any alias of its arrays shows up as well.
 func TestRetainedAnswersNeverChange(t *testing.T) {
 	type gatherRec struct {
 		g      *gathering.Gathering
 		lo, hi int
 		parts  []trajectory.ObjectID
 	}
+	type clusterRec struct {
+		t    trajectory.Tick
+		objs []trajectory.ObjectID
+		pts  []geo.Point
+		mbr  geo.Rect
+	}
 	type crowdRec struct {
 		c        *crowd.Crowd
 		start    trajectory.Tick
 		lifetime int
 		clusters []*snapshot.Cluster
+		values   []clusterRec
 		gathers  []gatherRec
+	}
+	valueOf := func(cl *snapshot.Cluster) clusterRec {
+		return clusterRec{cl.T, append([]trajectory.ObjectID(nil), cl.Objects...),
+			append([]geo.Point(nil), cl.Points...), cl.MBR()}
 	}
 	r := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 30; trial++ {
@@ -258,6 +271,7 @@ func TestRetainedAnswersNeverChange(t *testing.T) {
 				rec := crowdRec{c: c, start: c.Start, lifetime: c.Lifetime()}
 				for k := 0; k < c.Lifetime(); k++ {
 					rec.clusters = append(rec.clusters, c.At(k))
+					rec.values = append(rec.values, valueOf(c.At(k)))
 				}
 				for _, g := range gathers[i] {
 					rec.gathers = append(rec.gathers, gatherRec{g, g.Lo, g.Hi,
@@ -276,6 +290,9 @@ func TestRetainedAnswersNeverChange(t *testing.T) {
 			for k, cl := range rec.clusters {
 				if c.At(k) != cl || c.Clusters()[k] != cl {
 					t.Fatalf("trial %d: held crowd at tick %d changed its cluster at position %d", trial, rec.start, k)
+				}
+				if got := valueOf(cl); !reflect.DeepEqual(got, rec.values[k]) {
+					t.Fatalf("trial %d: held cluster at tick %d changed from %+v to %+v", trial, cl.T, rec.values[k], got)
 				}
 			}
 			for _, g := range rec.gathers {

@@ -22,9 +22,8 @@ import (
 // searches and set operations are linear merges.
 //
 // Clusters are shared, not copied: every crowd that covers the tick and
-// every shard whose halo overlaps the cluster holds the same pointer.
-//
-//gather:immutable — routed across shards and referenced by crowds
+// every shard whose halo overlaps the cluster holds the same pointer, so
+// no field or element changes once NewCluster or Build returns.
 type Cluster struct {
 	T       trajectory.Tick
 	Objects []trajectory.ObjectID
@@ -187,8 +186,6 @@ type buildScratch struct {
 // clusterTick interpolates one tick's snapshot, runs DBSCAN on it and
 // materialises the resulting clusters. Everything but the clusters
 // themselves comes from — and returns to — the scratch buffers.
-//
-//gather:hotpath
 func (sc *buildScratch) clusterTick(db *trajectory.DB, t trajectory.Tick, opt Options) []*Cluster {
 	sc.snap = sc.cursor.Snapshot(db, t, sc.snap)
 	snap := sc.snap

@@ -143,6 +143,29 @@ func TestBuildMinSize(t *testing.T) {
 	}
 }
 
+// TestClusterTickAllocs pins what one tick of Build allocates once its
+// scratch is warm: for each of the k kept clusters its struct and its two
+// exactly-sized arrays, plus the result slice, so 3k+1. Everything else —
+// the snapshot, the points, DBSCAN's working memory, the per-label tables
+// — is reused from the scratch.
+func TestClusterTickAllocs(t *testing.T) {
+	db := makeDB(12, 20)
+	opt := Options{DBSCAN: dbscan.Params{Eps: 20, MinPts: 3}}
+	var sc buildScratch
+	tick := trajectory.Tick(0)
+	k := len(sc.clusterTick(db, tick, opt))
+	if k != 2 {
+		t.Fatalf("%d clusters at tick 0, want 2", k)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		tick = (tick + 1) % trajectory.Tick(db.Domain.N)
+		sc.clusterTick(db, tick, opt)
+	})
+	if want := float64(3*k + 1); n != want {
+		t.Fatalf("warmed clusterTick allocates %.1f times per tick for %d clusters, want %.0f", n, k, want)
+	}
+}
+
 func TestBuildEmptyDomain(t *testing.T) {
 	db := &trajectory.DB{Domain: trajectory.TimeDomain{Step: 1, N: 0}}
 	cdb := Build(db, Options{DBSCAN: dbscan.Params{Eps: 1, MinPts: 1}})
