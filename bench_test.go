@@ -330,25 +330,18 @@ func BenchmarkEngineIngestStoreBaseline(b *testing.B) {
 	}
 }
 
-// The grid variants measure spatial sharding without replication (halo 0,
-// lossy at cell boundaries) against the recall-preserving halo runs, at
-// every shard count — the halo-on/halo-off gap is the price of parity.
-// BENCH_ingest.json records this matrix.
-func BenchmarkEngineIngestShards1Grid(b *testing.B) { benchEngineIngest(b, 1, 0) }
-func BenchmarkEngineIngestShards2Grid(b *testing.B) { benchEngineIngest(b, 2, 0) }
-func BenchmarkEngineIngestShards4Grid(b *testing.B) { benchEngineIngest(b, 4, 0) }
-func BenchmarkEngineIngestShards8Grid(b *testing.B) { benchEngineIngest(b, 8, 0) }
-
-func BenchmarkEngineIngestShards1GridHalo(b *testing.B) { benchEngineIngest(b, 1, 1200) }
-func BenchmarkEngineIngestShards2GridHalo(b *testing.B) { benchEngineIngest(b, 2, 1200) }
-func BenchmarkEngineIngestShards4GridHalo(b *testing.B) { benchEngineIngest(b, 4, 1200) }
-func BenchmarkEngineIngestShards8GridHalo(b *testing.B) { benchEngineIngest(b, 8, 1200) }
+// The grid variants measure spatial sharding with the recall-preserving
+// 4×δ halo at every shard count. BENCH_ingest.json records them.
+func BenchmarkEngineIngestShards1GridHalo(b *testing.B) { benchEngineIngest(b, 1) }
+func BenchmarkEngineIngestShards2GridHalo(b *testing.B) { benchEngineIngest(b, 2) }
+func BenchmarkEngineIngestShards4GridHalo(b *testing.B) { benchEngineIngest(b, 4) }
+func BenchmarkEngineIngestShards8GridHalo(b *testing.B) { benchEngineIngest(b, 8) }
 
 // benchEngineIngest measures wall-clock ingest of the whole batch stream
-// through 3 km grid cells with the given halo. Replication volume is
+// through 3 km grid cells with a 1.2 km halo. Replication volume is
 // reported as clusters/op (snapshot clusters built) and clrep/op
 // (cluster-view replica deliveries).
-func benchEngineIngest(b *testing.B, shards int, halo float64) {
+func benchEngineIngest(b *testing.B, shards int) {
 	batches := benchEngineBatches()
 	var clusters, clRep uint64
 	b.ResetTimer()
@@ -357,7 +350,7 @@ func benchEngineIngest(b *testing.B, shards int, halo float64) {
 			Pipeline:    benchEnginePipeline(),
 			Shards:      shards,
 			Workers:     shards,
-			Partitioner: engine.GridCell{CellSize: 3000, Halo: halo},
+			Partitioner: engine.GridCell{CellSize: 3000, Halo: 1200},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -377,24 +370,16 @@ func benchEngineIngest(b *testing.B, shards int, halo float64) {
 	b.ReportMetric(float64(clRep)/float64(b.N), "clrep/op")
 }
 
-// BenchmarkEngineQuerySnapshot measures query latency against a loaded
-// engine, with concurrent readers sharing it (b.RunParallel).
-func BenchmarkEngineQuerySnapshot(b *testing.B) {
-	benchEngineQuery(b, engine.GridCell{CellSize: 3000})
-}
-
-// BenchmarkEngineQuerySnapshotHalo includes the snapshot-time cross-shard
-// merge (dedup + stitching) that halo replication requires.
+// BenchmarkEngineQuerySnapshotHalo measures query latency against a
+// loaded 4-shard engine, with concurrent readers sharing it
+// (b.RunParallel). It includes the snapshot-time cross-shard merge
+// (dedup + stitching) that halo replication requires.
 func BenchmarkEngineQuerySnapshotHalo(b *testing.B) {
-	benchEngineQuery(b, engine.GridCell{CellSize: 3000, Halo: 1200})
-}
-
-func benchEngineQuery(b *testing.B, part engine.GridCell) {
 	batches := benchEngineBatches()
 	eng, err := engine.New(engine.Config{
 		Pipeline:    benchEnginePipeline(),
 		Shards:      4,
-		Partitioner: part,
+		Partitioner: engine.GridCell{CellSize: 3000, Halo: 1200},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -10,77 +10,57 @@
 //	           [-searcher grid] [-parallel 0] [-v]
 //
 // The time domain is [start, start+ticks*step) where start is the earliest
-// sample time in the file.
+// sample time in the file. A missing -in, a non-positive -ticks or -step
+// and stray arguments are usage errors (exit 2). The threshold flags
+// default to the paper's settings (gatherings.DefaultConfig).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	gatherings "repro"
 	"repro/internal/geojson"
 	"repro/internal/stats"
+	"repro/internal/trajectory"
 )
 
 func main() {
-	var (
-		in       = flag.String("in", "", "input trajectory CSV (required)")
-		ticks    = flag.Int("ticks", 288, "number of ticks in the analysis domain")
-		step     = flag.Float64("step", 1, "tick width in input time units")
-		eps      = flag.Float64("eps", 200, "DBSCAN epsilon (metres)")
-		minpts   = flag.Int("minpts", 5, "DBSCAN density threshold m")
-		mc       = flag.Int("mc", 15, "crowd support threshold mc")
-		kc       = flag.Int("kc", 20, "crowd lifetime threshold kc (ticks)")
-		delta    = flag.Float64("delta", 300, "variation threshold delta (metres)")
-		kp       = flag.Int("kp", 15, "participator lifetime threshold kp (ticks)")
-		mp       = flag.Int("mp", 10, "gathering support threshold mp")
-		searcher = flag.String("searcher", "grid", "range search scheme: brute, sr, ir or grid")
-		parallel = flag.Int("parallel", 0, "worker goroutines (0 = sequential)")
-		verbose  = flag.Bool("v", false, "print every crowd, not only gatherings")
-		stat     = flag.Bool("stats", false, "print summary statistics")
-		geoOut   = flag.String("geojson", "", "write crowds+gatherings as GeoJSON to this file")
-	)
-	flag.Parse()
-	if *in == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	trajs, err := gatherings.ReadTrajectoriesCSV(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	if len(trajs) == 0 {
-		fatal(fmt.Errorf("no trajectories in %s", *in))
-	}
-
-	start := math.Inf(1)
-	for i := range trajs {
-		if s, _, ok := trajs[i].Lifespan(); ok && s < start {
-			start = s
-		}
-	}
-	db := &gatherings.DB{
-		Trajs:  trajs,
-		Domain: gatherings.TimeDomain{Start: start, Step: *step, N: *ticks},
-	}
-	if err := db.Validate(); err != nil {
-		fatal(err)
-	}
-
 	cfg := gatherings.DefaultConfig()
-	cfg.Eps, cfg.MinPts = *eps, *minpts
-	cfg.MC, cfg.KC, cfg.Delta = *mc, *kc, *delta
-	cfg.KP, cfg.MP = *kp, *mp
-	cfg.Searcher = *searcher
-	cfg.Parallelism = *parallel
+	var (
+		in      = flag.String("in", "", "input trajectory CSV (required)")
+		ticks   = flag.Int("ticks", 288, "number of ticks in the analysis domain")
+		step    = flag.Float64("step", 1, "tick width in input time units")
+		verbose = flag.Bool("v", false, "print every crowd, not only gatherings")
+		stat    = flag.Bool("stats", false, "print summary statistics")
+		geoOut  = flag.String("geojson", "", "write crowds+gatherings as GeoJSON to this file")
+	)
+	flag.Float64Var(&cfg.Eps, "eps", cfg.Eps, "DBSCAN epsilon (metres)")
+	flag.IntVar(&cfg.MinPts, "minpts", cfg.MinPts, "DBSCAN density threshold m")
+	flag.IntVar(&cfg.MC, "mc", cfg.MC, "crowd support threshold mc")
+	flag.IntVar(&cfg.KC, "kc", cfg.KC, "crowd lifetime threshold kc (ticks)")
+	flag.Float64Var(&cfg.Delta, "delta", cfg.Delta, "variation threshold delta (metres)")
+	flag.IntVar(&cfg.KP, "kp", cfg.KP, "participator lifetime threshold kp (ticks)")
+	flag.IntVar(&cfg.MP, "mp", cfg.MP, "gathering support threshold mp")
+	flag.StringVar(&cfg.Searcher, "searcher", cfg.Searcher, "range search scheme: brute, sr, ir or grid")
+	flag.IntVar(&cfg.Parallelism, "parallel", cfg.Parallelism, "worker goroutines (0 = sequential)")
+	flag.Parse()
+	switch {
+	case *in == "":
+		usageError("-in is required")
+	case *ticks <= 0:
+		usageError("-ticks must be positive, got %d", *ticks)
+	case !(*step > 0):
+		usageError("-step must be positive, got %v", *step)
+	case flag.NArg() > 0:
+		usageError("unexpected arguments %q", flag.Args())
+	}
+
+	db, err := trajectory.LoadCSV(*in, *ticks, *step)
+	if err != nil {
+		fatal(err)
+	}
 
 	res, err := gatherings.Discover(db, cfg)
 	if err != nil {
@@ -125,6 +105,12 @@ func main() {
 		}
 		fmt.Printf("\nwrote GeoJSON to %s\n", *geoOut)
 	}
+}
+
+func usageError(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, "gatherfind: "+format+"\n", a...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

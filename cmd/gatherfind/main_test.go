@@ -1,0 +1,48 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain runs main instead of the tests when the test binary is started
+// by TestRejectsBadArgs, so each case sees main's real exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("GATHERFIND_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsBadArgs: a missing input, an empty time domain, a
+// non-positive step and stray arguments are usage errors (exit 2 with a
+// message), never an empty answer that exits 0.
+func TestRejectsBadArgs(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "day.csv")
+	if err := os.WriteFile(in, []byte("id,time,x,y\n1,0,0,0\n1,1,10,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "-in is required"},
+		{[]string{"-in", in, "-ticks", "0"}, "-ticks must be positive"},
+		{[]string{"-in", in, "-ticks", "-4"}, "-ticks must be positive"},
+		{[]string{"-in", in, "-step", "0"}, "-step must be positive"},
+		{[]string{"-in", in, "extra.csv"}, "unexpected arguments"},
+	} {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "GATHERFIND_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), c.want) {
+			t.Errorf("gatherfind %q: %v, output %q; want exit status 2 and %q", c.args, err, out, c.want)
+		}
+	}
+}

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	gatherserve -in traj.csv [-ticks 288] [-step 1] [-batch 24] [-interval 0]
-//	            [-shards 0] [-workers 0] [-queue 0]
-//	            [-cell 3000] [-halo 1200]
+//	            [-shards 0]
 //	            [-eps 200] [-minpts 5] [-mc 15] [-kc 20] [-delta 300]
 //	            [-kp 15] [-mp 10] [-searcher grid]
 //	            [-watermark 8] [-checkpoint state.ckpt] [-wal state.wal]
@@ -19,9 +18,11 @@
 // The CSV is replayed in batches of -batch ticks, one every -interval
 // (immediately when zero), through watermark admission (-watermark), the
 // optional write-ahead log and checkpoints (-wal, -checkpoint,
-// -checkpoint-every, -wal-sync) and the sharded engine (-shards, -workers,
-// -queue, -cell, -halo); internal/server documents each stage. While
-// ingestion runs, the server answers:
+// -checkpoint-every, -wal-sync) and the sharded engine (-shards, one per
+// CPU by default), whose grid cells and halo are 10×delta and 4×delta;
+// internal/server documents each stage. A checkpoint restores only into
+// the shard count that wrote it, so -shards is how one moves to a host
+// with a different CPU count. While ingestion runs, the server answers:
 //
 //	GET /gatherings?from=0&to=100&bbox=minx,miny,maxx,maxy&limit=50
 //	    crowds that currently hold a closed gathering, as GeoJSON
@@ -80,11 +81,7 @@ func main() {
 	flag.IntVar(&cfg.Batch, "batch", cfg.Batch, "ticks per ingest batch")
 	flag.DurationVar(&cfg.Interval, "interval", cfg.Interval, "delay between batches (0 = replay at full speed)")
 
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "engine shards (0 = one per CPU)")
-	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "per-tick parallelism of the global clustering build (0 = one per shard)")
-	flag.IntVar(&cfg.Queue, "queue", cfg.Queue, "ingest queue depth in shard tasks, split evenly across the shards (0 = 4×shards)")
-	flag.Float64Var(&cfg.Cell, "cell", cfg.Cell, "grid partition cell size in metres (0 = 10×delta)")
-	flag.Float64Var(&cfg.Halo, "halo", cfg.Halo, "grid partition halo margin in metres: boundary clusters are shared as views with adjacent shards, with duplicates merged at query time (-1 = 4×delta, 0 = no replication)")
+	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "engine shards (0 = one per CPU); a checkpoint restores only into the shard count that wrote it")
 
 	flag.Float64Var(&cfg.Eps, "eps", cfg.Eps, "DBSCAN epsilon (metres)")
 	flag.IntVar(&cfg.MinPts, "minpts", cfg.MinPts, "DBSCAN density threshold m")

@@ -9,7 +9,8 @@
 //	trajgen [-taxis 600] [-ticks 288] [-days 1] [-weather clear,snowy]
 //	        [-seed 1] [-o out.csv]
 //
-// A non-positive -taxis, -ticks or -days is a usage error (exit 2).
+// A non-positive -taxis, -ticks or -days and stray arguments are usage
+// errors (exit 2).
 package main
 
 import (
@@ -32,6 +33,11 @@ func main() {
 		out     = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "trajgen: unexpected arguments %q (write to a file with -o)\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 	for _, f := range []struct {
 		name string
 		v    int

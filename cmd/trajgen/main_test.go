@@ -18,8 +18,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRejectsBadArgs: a non-positive size is a usage error (exit 2 with a
-// message), never a panic or a silent fallback to the generator's default.
+// TestRejectsBadArgs: a non-positive size and a stray argument (such as an
+// output file named without -o) are usage errors (exit 2 with a message),
+// never a panic or a silent fallback to the generator's default or stdout.
 func TestRejectsBadArgs(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -30,6 +31,7 @@ func TestRejectsBadArgs(t *testing.T) {
 		{[]string{"-taxis", "0"}, "-taxis must be positive"},
 		{[]string{"-ticks", "0"}, "-ticks must be positive"},
 		{[]string{"-days", "0"}, "-days must be positive"},
+		{[]string{"-taxis", "5", "-ticks", "4", "out.csv"}, "unexpected arguments"},
 	} {
 		cmd := exec.Command(os.Args[0], c.args...)
 		cmd.Env = append(os.Environ(), "TRAJGEN_RUN_MAIN=1")

@@ -15,8 +15,8 @@ import (
 type (
 	// Engine is the concurrent streaming-discovery service.
 	Engine = engine.Engine
-	// EngineConfig configures sharding, the global build's parallelism,
-	// the bounded ingest queue and the grid-cell partitioner.
+	// EngineConfig configures sharding, the global build's parallelism
+	// and the grid-cell partitioner.
 	EngineConfig = engine.Config
 	// EngineQuery selects crowds and gatherings from an engine snapshot;
 	// the zero value matches everything.
@@ -31,7 +31,8 @@ type (
 	// once globally and routes per-tick cluster views: a cluster lives on
 	// the shard owning its centroid's cell and shards owning cells within
 	// Halo receive views of it, so groups straddling a cell boundary are
-	// discovered whole and deduplicated at query time.
+	// discovered whole and deduplicated at query time. Its zero value
+	// means 10×δ cells and a 4×δ halo; a halo below 4×δ is refused.
 	GridCellPartitioner = engine.GridCell
 )
 
@@ -45,25 +46,19 @@ var (
 )
 
 // DefaultEngineConfig returns the paper's pipeline defaults wrapped in a
-// serving-oriented engine setup: one shard per CPU, a global clustering
-// build with per-tick parallelism of one per CPU, and a grid-cell
-// partitioner with 3 km cells (10×δ, comfortably larger than a gathering
-// site) so spatial density stays intact within each shard. The
-// partitioner's halo margin of 4×δ enables the cluster-once pipeline:
-// each batch is clustered once globally and boundary clusters are shared
-// as views with adjacent shards, so groups straddling a cell edge are
-// discovered whole and deduplicated at query time — multi-shard recall
-// matches a single incremental store at roughly the single-pass
-// clustering cost.
+// serving-oriented engine setup: one shard per CPU and a global
+// clustering build with per-tick parallelism of one per CPU. It leaves
+// the partitioner zero, which the engine resolves from the pipeline's δ:
+// 10×δ cells (3 km, comfortably larger than a gathering site, so spatial
+// density stays intact within each shard) and a 4×δ halo. Each batch is
+// clustered once globally and boundary clusters are shared as views with
+// adjacent shards, so groups straddling a cell edge are discovered whole
+// and deduplicated at query time — multi-shard recall matches a single
+// incremental store at roughly the single-pass clustering cost. Changing
+// Pipeline.Delta moves both with it.
 func DefaultEngineConfig() EngineConfig {
 	ncpu := runtime.GOMAXPROCS(0)
-	cfg := DefaultConfig()
-	return EngineConfig{
-		Pipeline:    cfg,
-		Shards:      ncpu,
-		Workers:     ncpu,
-		Partitioner: GridCellPartitioner{CellSize: 10 * cfg.Delta, Halo: 4 * cfg.Delta},
-	}
+	return EngineConfig{Pipeline: DefaultConfig(), Shards: ncpu, Workers: ncpu}
 }
 
 // NewEngine creates a streaming engine and starts its routing and shard

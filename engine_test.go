@@ -16,7 +16,6 @@ func TestEnginePublicAPI(t *testing.T) {
 	cfg.Pipeline = testConfig()
 	cfg.Shards = 2
 	cfg.Workers = 2
-	cfg.Partitioner = gatherings.GridCellPartitioner{CellSize: 10 * cfg.Pipeline.Delta}
 	eng, err := gatherings.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -43,10 +43,6 @@ type Config struct {
 	// Parallelism fans snapshot clustering and per-crowd gathering
 	// detection across this many goroutines. Values < 2 run sequentially.
 	Parallelism int
-
-	// Detector selects the gathering detector: "bruteforce", "tad" or
-	// "tadstar" (default). Exposed mainly for the Fig. 7 benchmarks.
-	Detector string
 }
 
 // Default returns the paper's default parameter setting (§IV) with the
@@ -57,7 +53,6 @@ func Default() Config {
 		MC: 15, KC: 20, Delta: 300,
 		KP: 15, MP: 10,
 		Searcher: "grid",
-		Detector: "tadstar",
 	}
 }
 
@@ -72,15 +67,8 @@ func (c Config) Validate() error {
 	if err := c.gatherParams().Validate(); err != nil {
 		return err
 	}
-	if _, err := c.newSearcher(); err != nil {
-		return err
-	}
-	switch c.detectorName() {
-	case "bruteforce", "tad", "tadstar":
-	default:
-		return fmt.Errorf("core: unknown detector %q", c.Detector)
-	}
-	return nil
+	_, err := c.newSearcher()
+	return err
 }
 
 func (c Config) crowdParams() crowd.Params {
@@ -99,13 +87,6 @@ func (c Config) SearcherName() string {
 		return "grid"
 	}
 	return c.Searcher
-}
-
-func (c Config) detectorName() string {
-	if c.Detector == "" {
-		return "tadstar"
-	}
-	return c.Detector
 }
 
 func (c Config) newSearcher() (crowd.Searcher, error) {
@@ -190,11 +171,10 @@ func DiscoverCDB(cdb *snapshot.CDB, cfg Config) (*Discovery, error) {
 		Crowds:     res.Crowds,
 		Gatherings: make([][]*gathering.Gathering, len(res.Crowds)),
 	}
-	detect := detector(cfg)
 	gp := cfg.gatherParams()
 	if cfg.Parallelism < 2 || len(res.Crowds) < 2 {
 		for i, cr := range res.Crowds {
-			d.Gatherings[i] = detect(cr, gp)
+			d.Gatherings[i] = gathering.TADStar(cr, gp)
 		}
 		return d, nil
 	}
@@ -206,7 +186,7 @@ func DiscoverCDB(cdb *snapshot.CDB, cfg Config) (*Discovery, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				d.Gatherings[i] = detect(res.Crowds[i], gp)
+				d.Gatherings[i] = gathering.TADStar(res.Crowds[i], gp)
 			}
 		}()
 	}
@@ -216,15 +196,4 @@ func DiscoverCDB(cdb *snapshot.CDB, cfg Config) (*Discovery, error) {
 	close(work)
 	wg.Wait()
 	return d, nil
-}
-
-func detector(cfg Config) func(*crowd.Crowd, gathering.Params) []*gathering.Gathering {
-	switch cfg.detectorName() {
-	case "bruteforce":
-		return gathering.BruteForce
-	case "tad":
-		return gathering.TAD
-	default:
-		return gathering.TADStar
-	}
 }

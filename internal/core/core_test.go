@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/crowd"
+	"repro/internal/gathering"
 	"repro/internal/gen"
 	"repro/internal/snapshot"
 	"repro/internal/trajectory"
@@ -45,7 +47,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.KP = 0 },
 		func(c *Config) { c.MP = 0 },
 		func(c *Config) { c.Searcher = "bogus" },
-		func(c *Config) { c.Detector = "bogus" },
 	}
 	for i, mut := range bad {
 		c := Default()
@@ -122,24 +123,28 @@ func TestSearchersAgreeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDetectorsAgreeEndToEnd: on DiscoverCDB's crowds, the brute-force
+// and TAD detectors find exactly the gatherings DiscoverCDB's TAD* found.
 func TestDetectorsAgreeEndToEnd(t *testing.T) {
-	db := smallDB()
-	cdb := BuildCDB(db, smallConfig())
-	var ref []string
-	for _, d := range []string{"bruteforce", "tad", "tadstar"} {
-		cfg := smallConfig()
-		cfg.Detector = d
-		res, err := DiscoverCDB(cdb, cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := smallConfig()
+	res, err := DiscoverCDB(BuildCDB(smallDB(), cfg), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.AllGatherings()) == 0 {
+		t.Fatal("TAD* found no gatherings; the comparison would be vacuous")
+	}
+	want := crowdSigs(res)
+	for name, detect := range map[string]func(*crowd.Crowd, gathering.Params) []*gathering.Gathering{
+		"bruteforce": gathering.BruteForce,
+		"tad":        gathering.TAD,
+	} {
+		other := &Discovery{Crowds: res.Crowds, Gatherings: make([][]*gathering.Gathering, len(res.Crowds))}
+		for i, cr := range res.Crowds {
+			other.Gatherings[i] = detect(cr, cfg.gatherParams())
 		}
-		sig := crowdSigs(res)
-		if ref == nil {
-			ref = sig
-			continue
-		}
-		if !reflect.DeepEqual(sig, ref) {
-			t.Fatalf("detector %s disagrees with brute force", d)
+		if got := crowdSigs(other); !reflect.DeepEqual(got, want) {
+			t.Errorf("detector %s disagrees with TAD*", name)
 		}
 	}
 }

@@ -73,14 +73,10 @@ type Config struct {
 	// every shard has exactly one goroutine.
 	Workers int
 
-	// QueueDepth bounds the ingest queue in shard tasks: each shard's
-	// channel buffers QueueDepth/Shards of them. Zero means 4×Shards;
-	// values below Shards are rejected, since every shard needs room for
-	// one task.
-	QueueDepth int
-
 	// Partitioner routes each batch's snapshot clusters to shards by
-	// spatial cell. A zero CellSize means 10 × Pipeline.Delta.
+	// spatial cell. A zero CellSize means 10 × Pipeline.Delta and a zero
+	// Halo means 4 × Pipeline.Delta; a Halo below 4 × Pipeline.Delta is
+	// refused, since shorter halos lose gatherings at cell boundaries.
 	Partitioner GridCell
 
 	// ApplyFault, when non-nil, is called before every shard apply, under
@@ -100,11 +96,11 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = c.Shards
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.Shards
-	}
 	if c.Partitioner.CellSize == 0 {
 		c.Partitioner.CellSize = 10 * c.Pipeline.Delta
+	}
+	if c.Partitioner.Halo == 0 {
+		c.Partitioner.Halo = 4 * c.Pipeline.Delta
 	}
 	return c
 }
@@ -121,12 +117,14 @@ func (c Config) Validate() error {
 	if c.Workers < 1 {
 		return fmt.Errorf("engine: Workers must be ≥ 1, got %d", c.Workers)
 	}
-	if c.QueueDepth < c.Shards {
-		return fmt.Errorf("engine: QueueDepth %d cannot hold one batch of %d shard tasks",
-			c.QueueDepth, c.Shards)
-	}
-	return c.Partitioner.Validate()
+	return c.Partitioner.validate(c.Pipeline.Delta)
 }
+
+// shardQueue is how many tasks a shard may run ahead of its apply before
+// the router stalls on it: enough for the router to cluster a few batches
+// while a shard applies, few enough that the clustered batches waiting in
+// memory stay bounded.
+const shardQueue = 4
 
 // Errors returned by the ingest side.
 var (
@@ -238,9 +236,7 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The configured queue, split evenly: each shard may run this
-		// many tasks ahead of its apply before the router stalls.
-		e.shards[i] = &shard{store: st, tasks: make(chan task, cfg.QueueDepth/cfg.Shards)}
+		e.shards[i] = &shard{store: st, tasks: make(chan task, shardQueue)}
 	}
 	e.wg.Add(1 + len(e.shards))
 	go e.routeLoop()

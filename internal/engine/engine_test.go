@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -258,7 +259,7 @@ func TestBackpressure(t *testing.T) {
 	db := parkedDB([]geo.Point{{X: 1000, Y: 1000}}, 12, 8)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 1, QueueDepth: 2,
+	e, err := New(Config{Pipeline: testPipeline(), Shards: 1,
 		ApplyFault: func(_ int, seq uint64) {
 			if seq == 0 {
 				close(entered)
@@ -279,9 +280,9 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-entered
-	// Batches 1 and 2 fill the shard's two-task channel; the router takes
-	// batch 3 and stalls sending it.
-	for i := 1; i <= 3; i++ {
+	// Batches 1 to shardQueue fill the shard's channel; the router takes
+	// the next batch and stalls sending it.
+	for i := 1; i <= shardQueue+1; i++ {
 		if err := e.Append(db); err != nil {
 			t.Fatalf("Append %d with room in the queue: %v", i, err)
 		}
@@ -324,8 +325,8 @@ func TestBackpressure(t *testing.T) {
 	}
 	e.Flush()
 
-	if e.Ticks() != 5*db.Domain.N {
-		t.Fatalf("ticks = %d, want %d", e.Ticks(), 5*db.Domain.N)
+	if want := (shardQueue + 3) * db.Domain.N; e.Ticks() != want {
+		t.Fatalf("ticks = %d, want %d", e.Ticks(), want)
 	}
 	if res := e.Snapshot(Query{GatheringsOnly: true}); len(res.Crowds) == 0 {
 		t.Fatal("parked workload produced no gatherings")
@@ -379,17 +380,34 @@ func TestQueryFilters(t *testing.T) {
 }
 
 // TestConfigRejectsBadPartitioner checks partitioner validation: negative
-// cell sizes and halo margins are rejected, and a zero cell size resolves
-// to its 10×δ default.
+// cell sizes and halo margins below 4×δ are rejected, 4×δ is accepted,
+// and a zero cell size and halo resolve to their 10×δ and 4×δ defaults.
 func TestConfigRejectsBadPartitioner(t *testing.T) {
-	for _, g := range []GridCell{{CellSize: -1}, {CellSize: 3000, Halo: -1}} {
-		if _, err := New(Config{Pipeline: testPipeline(), Partitioner: g}); err == nil {
+	pipe := testPipeline()
+	for _, g := range []GridCell{
+		{CellSize: -1},
+		{CellSize: 3000, Halo: -1},
+		{CellSize: 3000, Halo: pipe.Delta / 2},
+		{CellSize: 3000, Halo: pipe.Delta},
+	} {
+		_, err := New(Config{Pipeline: pipe, Partitioner: g})
+		if err == nil {
 			t.Errorf("GridCell %+v accepted", g)
+		} else if g.CellSize > 0 && !strings.Contains(err.Error(), "4×δ") {
+			t.Errorf("GridCell %+v refused without naming 4×δ: %v", g, err)
 		}
 	}
-	cfg := Config{Pipeline: testPipeline()}.withDefaults()
-	if want := 10 * cfg.Pipeline.Delta; cfg.Partitioner.CellSize != want {
+	e, err := New(Config{Pipeline: pipe, Partitioner: GridCell{CellSize: 3000, Halo: 4 * pipe.Delta}})
+	if err != nil {
+		t.Fatalf("halo 4×δ refused: %v", err)
+	}
+	e.Close()
+	cfg := Config{Pipeline: pipe}.withDefaults()
+	if want := 10 * pipe.Delta; cfg.Partitioner.CellSize != want {
 		t.Errorf("zero CellSize resolved to %v, want 10×δ = %v", cfg.Partitioner.CellSize, want)
+	}
+	if want := 4 * pipe.Delta; cfg.Partitioner.Halo != want {
+		t.Errorf("zero Halo resolved to %v, want 4×δ = %v", cfg.Partitioner.Halo, want)
 	}
 }
 

@@ -22,7 +22,9 @@ func splitmix(x uint64) uint64 {
 // A cluster lives on the shard owning its centroid's cell, and every
 // shard owning a cell within Halo of the cluster's bounding box receives
 // a view of the same *snapshot.Cluster, which lets the snapshot-time
-// merge restore groups that straddle a cell boundary (see merge.go).
+// merge restore groups that straddle a cell boundary (see merge.go). The
+// zero GridCell is the one every caller needs: Config resolves it to
+// 10 × δ cells and a 4 × δ halo.
 type GridCell struct {
 	// CellSize is the cell side in metres. It should comfortably exceed
 	// the expected diameter of a gathering site (a few × δ) so that most
@@ -32,8 +34,9 @@ type GridCell struct {
 	// Halo is the replication margin in metres: a shard sees the complete
 	// neighbourhood of its own cells, so groups straddling a cell edge are
 	// discovered whole by every adjacent shard and deduplicated at query
-	// time. It should cover the expected group diameter — a few × δ. Zero
-	// routes each cluster to its owner only (lossy at cell boundaries).
+	// time. Zero means 4 × Pipeline.Delta, which is also the floor: on the
+	// ROADMAP recall day a halo of δ or less returns a wrong gathering and
+	// no halo loses one (BENCH_recall.json).
 	Halo float64
 }
 
@@ -69,7 +72,7 @@ func (g GridCell) OwnerShard(p geo.Point, n int) int {
 // fragments back together.
 func (g GridCell) ClusterShards(c geo.Point, mbr geo.Rect, n int, dst []int) []int {
 	dst = append(dst[:0], g.OwnerShard(c, n))
-	if g.Halo <= 0 || n <= 1 {
+	if n <= 1 {
 		return dst
 	}
 	x0 := int64(math.Floor((mbr.MinX - g.Halo) / g.CellSize))
@@ -97,16 +100,17 @@ func (g GridCell) ClusterShards(c geo.Point, mbr geo.Rect, n int, dst []int) []i
 	return dst
 }
 
-// Validate rejects non-positive cell sizes, which would otherwise turn
+// validate rejects non-positive cell sizes, which would otherwise turn
 // the cell arithmetic into ±Inf and collapse all routing onto one shard,
-// and negative halo margins. Config.Validate calls it after resolving a
-// zero CellSize to its default.
-func (g GridCell) Validate() error {
+// and halo margins below 4 × delta, which lose gatherings at cell
+// boundaries. Config.Validate calls it after resolving a zero CellSize
+// and Halo to their defaults.
+func (g GridCell) validate(delta float64) error {
 	if !(g.CellSize > 0) {
 		return fmt.Errorf("engine: GridCell.CellSize must be > 0, got %v", g.CellSize)
 	}
-	if g.Halo < 0 {
-		return fmt.Errorf("engine: GridCell.Halo must be ≥ 0, got %v", g.Halo)
+	if !(g.Halo >= 4*delta) {
+		return fmt.Errorf("engine: GridCell.Halo must be ≥ 4×δ = %v, got %v", 4*delta, g.Halo)
 	}
 	return nil
 }

@@ -11,6 +11,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geo"
 	"repro/internal/incremental"
+	"repro/internal/stats"
+	"repro/internal/trajectory"
 )
 
 // recallPipeline is the ROADMAP scenario's parameter setting (the paper's
@@ -35,21 +37,17 @@ func gatheringSigs(gs []*gathering.Gathering) []string {
 	return out
 }
 
-// TestShardedRecallParity is the regression guard for the halo/merge fix:
-// the ROADMAP 20 km synthetic day (400 taxis, 144 ticks, seed 3) must
-// yield the identical gathering set from a single incremental.Store and
-// from GridCell engines at 1–16 shards with 3 km cells. Before halo
-// replication the 4-shard engine found 3 of the baseline's 10 gatherings.
-// The 16-shard case exercises the stitching path (no single shard sees
-// some boundary crowds whole there — see BENCH_recall.json).
-func TestShardedRecallParity(t *testing.T) {
+// recallDay returns the ROADMAP recall day (400 taxis, 144 ticks, seed 3)
+// in 16-tick batches, and the 10 gatherings a single incremental.Store
+// finds on it.
+func recallDay(t *testing.T) (pipe core.Config, batches []*trajectory.DB, base []string) {
+	t.Helper()
 	cfg := gen.Default()
 	cfg.NumTaxis = 400
 	cfg.TicksPerDay = 144
 	cfg.Seed = 3
-	db := gen.Generate(cfg)
-	pipe := recallPipeline()
-	batches := db.Batches(16)
+	pipe = recallPipeline()
+	batches = gen.Generate(cfg).Batches(16)
 
 	st, err := incremental.New(
 		crowd.Params{MC: pipe.MC, KC: pipe.KC, Delta: pipe.Delta},
@@ -62,55 +60,52 @@ func TestShardedRecallParity(t *testing.T) {
 	for _, b := range batches {
 		st.Append(core.BuildCDB(b, pipe))
 	}
-	base := gatheringSigs(st.FlatGatherings())
+	base = gatheringSigs(st.FlatGatherings())
 	if len(base) != 10 {
 		t.Fatalf("baseline found %d gatherings, the ROADMAP scenario has 10", len(base))
 	}
+	return pipe, batches, base
+}
 
+// engineSigs ingests batches into a fresh engine and returns its
+// gatherings' signatures and counters.
+func engineSigs(t *testing.T, cfg Config, batches []*trajectory.DB) ([]string, stats.EngineCounterSnapshot) {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, b := range batches {
+		if err := e.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Flush()
+	return gatheringSigs(e.Snapshot(Query{}).AllGatherings()), e.Counters().Snapshot()
+}
+
+// TestShardedRecallParity is the regression guard for the halo/merge fix:
+// the recall day must yield the identical gathering set from a single
+// incremental.Store and from GridCell engines at 1–16 shards with 3 km
+// cells and a 4×δ halo. Before halo replication the 4-shard engine found
+// 3 of the baseline's 10 gatherings. The 16-shard case exercises the
+// stitching path (no single shard sees some boundary crowds whole there
+// — see BENCH_recall.json).
+func TestShardedRecallParity(t *testing.T) {
+	pipe, batches, base := recallDay(t)
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e, err := New(Config{
+			got, cs := engineSigs(t, Config{
 				Pipeline:    pipe,
 				Shards:      shards,
 				Partitioner: GridCell{CellSize: 3000, Halo: 4 * pipe.Delta},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			for _, b := range batches {
-				if err := e.Append(b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			e.Flush()
-
-			res := e.Snapshot(Query{})
-			got := gatheringSigs(res.AllGatherings())
+			}, batches)
 			if len(got) != len(base) {
 				t.Errorf("found %d gatherings, baseline has %d", len(got), len(base))
 			}
-			baseSet := make(map[string]bool, len(base))
-			for _, s := range base {
-				baseSet[s] = true
-			}
-			gotSet := make(map[string]bool, len(got))
-			for _, s := range got {
-				gotSet[s] = true
-			}
-			for _, s := range base {
-				if !gotSet[s] {
-					t.Errorf("missing gathering %s", s)
-				}
-			}
-			for _, s := range got {
-				if !baseSet[s] {
-					t.Errorf("extra gathering %s", s)
-				}
-			}
-
-			cs := e.Counters().Snapshot()
+			compareSigSets(t, got, base)
 			if shards == 1 {
 				return
 			}
@@ -120,6 +115,24 @@ func TestShardedRecallParity(t *testing.T) {
 			if cs.CrowdsDeduped == 0 {
 				t.Error("snapshot merge never deduplicated a boundary crowd")
 			}
+		})
+	}
+}
+
+// TestZeroConfigRecallParity: an engine configured with nothing but its
+// pipeline and a shard count must find the single store's gatherings on
+// the recall day. With a zero Partitioner once meaning "no halo", 2 to 16
+// shards found 9 of the 10 and reported no error.
+func TestZeroConfigRecallParity(t *testing.T) {
+	pipe, batches, base := recallDay(t)
+	for _, shards := range []int{2, 4, 8, 16} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			got, _ := engineSigs(t, Config{Pipeline: pipe, Shards: shards}, batches)
+			if len(got) != len(base) {
+				t.Errorf("found %d gatherings, baseline has %d", len(got), len(base))
+			}
+			compareSigSets(t, got, base)
 		})
 	}
 }

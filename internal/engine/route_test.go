@@ -10,7 +10,7 @@ import (
 // TestGridCellClusterShards checks the cluster-granularity routing table:
 // an interior cluster stays with its owner, a cluster straddling a cell
 // boundary is delivered to exactly the owner plus the halo-adjacent
-// shards, and halo 0 degenerates to owner-only routing.
+// shards, and one shard takes everything.
 func TestGridCellClusterShards(t *testing.T) {
 	g := GridCell{CellSize: 1000, Halo: 150}
 	const n = 16
@@ -99,10 +99,9 @@ func TestGridCellClusterShards(t *testing.T) {
 		})
 	}
 
-	// Halo 0 must degenerate to owner-only routing even for a huge MBR.
-	g0 := GridCell{CellSize: 1000}
-	if set := g0.ClusterShards(geo.Point{X: 500, Y: 500}, rect(0, 0, 5000, 5000), n, nil); len(set) != 1 {
-		t.Fatalf("halo 0 replicated a cluster view: %v", set)
+	// One shard takes every cluster, however large its MBR.
+	if set := g.ClusterShards(geo.Point{X: 500, Y: 500}, rect(0, 0, 5000, 5000), 1, nil); len(set) != 1 || set[0] != 0 {
+		t.Fatalf("one shard routed a cluster to %v", set)
 	}
 
 	// dst reuse must truncate, not append.
@@ -159,8 +158,9 @@ func TestClusterOnceBuildsOnce(t *testing.T) {
 // are shared, not value-equal duplicates.
 func TestClusterViewsShared(t *testing.T) {
 	db := parkedDB([]geo.Point{{X: 4995, Y: 1000}}, 12, 24)
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 4,
-		Partitioner: GridCell{CellSize: 5000, Halo: 600}})
+	pipe := testPipeline()
+	e, err := New(Config{Pipeline: pipe, Shards: 4,
+		Partitioner: GridCell{CellSize: 5000, Halo: 4 * pipe.Delta}})
 	if err != nil {
 		t.Fatal(err)
 	}

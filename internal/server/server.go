@@ -22,7 +22,6 @@ import (
 	"math"
 	"net/http"
 	_ "net/http/pprof" // registers the profiling handlers on http.DefaultServeMux
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -37,6 +36,7 @@ import (
 	"repro/internal/geojson"
 	"repro/internal/recovery"
 	"repro/internal/stats"
+	"repro/internal/trajectory"
 	"repro/internal/wal"
 )
 
@@ -49,11 +49,7 @@ type Config struct {
 	Batch    int           // -batch: ticks per ingest batch
 	Interval time.Duration // -interval: delay between batches; 0 replays at full speed
 
-	Shards  int     // -shards: engine shards; 0 = one per CPU
-	Workers int     // -workers: per-tick parallelism of the global clustering build; 0 = one per shard
-	Queue   int     // -queue: ingest queue depth in shard tasks; 0 = 4×shards
-	Cell    float64 // -cell: grid partition cell size in metres; 0 = 10×Delta
-	Halo    float64 // -halo: boundary-cluster halo in metres; -1 = 4×Delta, 0 = no replication
+	Shards int // -shards: engine shards; 0 = one per CPU
 
 	Eps      float64 // -eps: DBSCAN epsilon in metres
 	MinPts   int     // -minpts: DBSCAN density threshold
@@ -81,11 +77,14 @@ type Config struct {
 	Pprof   bool   // -pprof: serve net/http/pprof under /debug/pprof/
 }
 
-// DefaultConfig returns the command's flag defaults.
+// DefaultConfig returns the command's flag defaults; the thresholds are
+// the paper's (gatherings.DefaultConfig).
 func DefaultConfig() Config {
+	p := gatherings.DefaultConfig()
 	return Config{
-		Ticks: 288, Step: 1, Batch: 24, Halo: -1,
-		Eps: 200, MinPts: 5, MC: 15, KC: 20, Delta: 300, KP: 15, MP: 10, Searcher: "grid",
+		Ticks: 288, Step: 1, Batch: 24,
+		Eps: p.Eps, MinPts: p.MinPts, MC: p.MC, KC: p.KC, Delta: p.Delta,
+		KP: p.KP, MP: p.MP, Searcher: p.Searcher,
 		Watermark: admit.DefaultWatermark, CheckpointEvery: 16, WALSync: "always",
 		ForwardDeadline: 30 * time.Second, AttemptTimeout: 2 * time.Second,
 		BreakerThreshold: 5, BreakerCooldown: 3 * time.Second,
@@ -100,40 +99,19 @@ func (c Config) Validate() error {
 		return errors.New("-oneshot and -cluster are incompatible")
 	case c.Batch <= 0:
 		return fmt.Errorf("-batch must be > 0, got %d", c.Batch)
-	case c.Halo < 0 && c.Halo != -1:
-		return fmt.Errorf("-halo must be ≥ 0 (or -1 for the 4×delta default), got %v", c.Halo)
 	}
 	_, err := wal.ParseSyncMode(c.WALSync)
 	return err
 }
 
-// Feed reads the In CSV into the feed Run replays: the domain starts at
-// the earliest sample and has Ticks ticks of width Step. It returns nil
-// when In is empty, as on a cluster member.
+// Feed reads the In CSV into the feed Run replays (trajectory.LoadCSV):
+// the domain starts at the earliest sample and has Ticks ticks of width
+// Step. It returns nil when In is empty, as on a cluster member.
 func (c Config) Feed() (*gatherings.DB, error) {
 	if c.In == "" {
 		return nil, nil
 	}
-	f, err := os.Open(c.In)
-	if err != nil {
-		return nil, err
-	}
-	trajs, err := gatherings.ReadTrajectoriesCSV(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	if len(trajs) == 0 {
-		return nil, fmt.Errorf("no trajectories in %s", c.In)
-	}
-	start := math.Inf(1)
-	for i := range trajs {
-		if s, _, ok := trajs[i].Lifespan(); ok && s < start {
-			start = s
-		}
-	}
-	db := &gatherings.DB{Trajs: trajs, Domain: gatherings.TimeDomain{Start: start, Step: c.Step, N: c.Ticks}}
-	return db, db.Validate()
+	return trajectory.LoadCSV(c.In, c.Ticks, c.Step)
 }
 
 // Server is one gatherserve node: engine, admission, durability, the
@@ -160,21 +138,14 @@ func New(cfg Config) (*Server, error) {
 	p := &ec.Pipeline
 	p.Eps, p.MinPts, p.MC, p.KC, p.Delta = cfg.Eps, cfg.MinPts, cfg.MC, cfg.KC, cfg.Delta
 	p.KP, p.MP, p.Searcher = cfg.KP, cfg.MP, cfg.Searcher
-	// Zero values keep the engine's defaults; negative counts fail its
-	// validation.
+	// Zero keeps the default of one shard per CPU; a negative count fails
+	// the engine's validation.
 	ec.Shards = cmp.Or(cfg.Shards, ec.Shards)
-	ec.Workers = cmp.Or(cfg.Workers, ec.Workers)
-	ec.QueueDepth = cfg.Queue
-	part := gatherings.GridCellPartitioner{CellSize: cmp.Or(cfg.Cell, 10*cfg.Delta), Halo: cfg.Halo}
-	if part.Halo == -1 {
-		part.Halo = 4 * cfg.Delta
-	}
-	ec.Partitioner = part
 	eng, err := gatherings.NewEngine(ec)
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("engine: %d shards, %g m grid cells, %g m halo", ec.Shards, part.CellSize, part.Halo)
+	log.Printf("engine: %d shards", ec.Shards)
 
 	s := &Server{cfg: cfg, eng: eng, resil: &stats.ResilienceCounters{}, clCounts: &stats.ClusterCounters{}}
 	if cfg.Cluster != "" {

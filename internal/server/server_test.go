@@ -100,7 +100,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for name, mutate := range map[string]func(*Config){
 		"batch 0":          func(c *Config) { c.Batch = 0 },
-		"halo -2":          func(c *Config) { c.Halo = -2 },
 		"oneshot cluster":  func(c *Config) { c.Oneshot, c.Cluster = true, "map.json" },
 		"unknown wal-sync": func(c *Config) { c.WALSync = "sometimes" },
 	} {

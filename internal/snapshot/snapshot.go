@@ -115,10 +115,6 @@ func (db *CDB) Slice(from trajectory.Tick, n int) *CDB {
 type Options struct {
 	// DBSCAN holds the snapshot-clustering parameters (ε, m).
 	DBSCAN dbscan.Params
-	// MinSize drops clusters smaller than this many objects. Zero keeps
-	// everything; crowd discovery applies its own mc threshold anyway, so
-	// this is purely a memory/speed knob.
-	MinSize int
 	// Parallelism is the number of worker goroutines clustering ticks
 	// concurrently. Values < 2 mean sequential.
 	Parallelism int
@@ -201,13 +197,12 @@ func (sc *buildScratch) clusterTick(db *trajectory.DB, t trajectory.Tick, opt Op
 	}
 	labels := sc.dbscan.Cluster(pts, opt.DBSCAN)
 
-	// Size the clusters with a counting pass, then give every surviving
-	// cluster its own exactly-sized Objects and Points arrays, allocated
-	// directly and filled in one pass over the labels. A cluster shares no
-	// memory with the rest of its tick, so one that outlives the tick (a
-	// crowd of the incremental store keeps it) pins only its own arrays.
-	// counts is reused as the per-cluster fill cursor; a nil objs entry
-	// marks a dropped cluster.
+	// Size the clusters with a counting pass, then give every cluster its
+	// own exactly-sized Objects and Points arrays, allocated directly and
+	// filled in one pass over the labels. A cluster shares no memory with
+	// the rest of its tick, so one that outlives the tick (a crowd of the
+	// incremental store keeps it) pins only its own arrays. counts is
+	// reused as the per-cluster fill cursor.
 	k := 0
 	for _, l := range labels {
 		if l >= k {
@@ -231,20 +226,13 @@ func (sc *buildScratch) clusterTick(db *trajectory.DB, t trajectory.Tick, opt Op
 			counts[l]++
 		}
 	}
-	kept := 0
 	for c, n := range counts {
-		if int(n) >= opt.MinSize {
-			objs[c] = make([]trajectory.ObjectID, n)
-			cpts[c] = make([]geo.Point, n)
-			kept++
-		}
+		objs[c] = make([]trajectory.ObjectID, n)
+		cpts[c] = make([]geo.Point, n)
 		counts[c] = 0
 	}
-	if kept == 0 {
-		return nil
-	}
 	for i, l := range labels {
-		if l < 0 || objs[l] == nil {
+		if l < 0 {
 			continue
 		}
 		at := counts[l]
@@ -252,11 +240,9 @@ func (sc *buildScratch) clusterTick(db *trajectory.DB, t trajectory.Tick, opt Op
 		cpts[l][at] = snap[i].P
 		counts[l]++
 	}
-	clusters := make([]*Cluster, 0, kept)
+	clusters := make([]*Cluster, k)
 	for c, o := range objs {
-		if o != nil {
-			clusters = append(clusters, NewCluster(t, o, cpts[c]))
-		}
+		clusters[c] = NewCluster(t, o, cpts[c])
 	}
 	clear(objs)
 	clear(cpts)

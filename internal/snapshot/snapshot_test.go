@@ -135,14 +135,6 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestBuildMinSize(t *testing.T) {
-	db := makeDB(4, 3) // groups of 4
-	cdb := Build(db, Options{DBSCAN: dbscan.Params{Eps: 20, MinPts: 3}, MinSize: 5})
-	if got := cdb.NumClusters(); got != 0 {
-		t.Fatalf("MinSize filter kept %d clusters", got)
-	}
-}
-
 // TestClusterTickAllocs pins what one tick of Build allocates once its
 // scratch is warm: for each of the k kept clusters its struct and its two
 // exactly-sized arrays, plus the result slice, so 3k+1. Everything else —

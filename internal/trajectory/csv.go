@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
+	"os"
 	"sort"
 	"strconv"
 
@@ -94,4 +96,37 @@ func ReadCSV(r io.Reader) ([]Trajectory, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
+}
+
+// LoadCSV reads the CSV file at path into a database whose domain starts
+// at the earliest sample and has ticks ticks of width step. It refuses a
+// non-positive tick count or step, a file with no trajectories, and
+// anything DB.Validate refuses.
+func LoadCSV(path string, ticks int, step float64) (*DB, error) {
+	if ticks <= 0 {
+		return nil, fmt.Errorf("trajectory: tick count must be positive, got %d", ticks)
+	}
+	if !(step > 0) {
+		return nil, fmt.Errorf("trajectory: step must be positive, got %v", step)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	trajs, err := ReadCSV(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	if len(trajs) == 0 {
+		return nil, fmt.Errorf("trajectory: no trajectories in %s", path)
+	}
+	start := math.Inf(1)
+	for i := range trajs {
+		if s, _, ok := trajs[i].Lifespan(); ok && s < start {
+			start = s
+		}
+	}
+	db := &DB{Trajs: trajs, Domain: TimeDomain{Start: start, Step: step, N: ticks}}
+	return db, db.Validate()
 }

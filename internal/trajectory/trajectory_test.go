@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -301,6 +303,45 @@ func TestReadCSVNoHeaderAndUnordered(t *testing.T) {
 	}
 	if got[1].Samples[0].Time != 0 || got[1].Samples[1].Time != 5 {
 		t.Fatalf("samples not time-sorted: %+v", got[1].Samples)
+	}
+}
+
+// TestLoadCSV: the domain starts at the earliest sample; an empty domain
+// (zero or negative ticks), a non-positive step and a file without
+// trajectories are refused.
+func TestLoadCSV(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	day := write("day.csv", "id,time,x,y\n1,5,50,50\n0,2,1,2\n1,3,10,10\n")
+	db, err := LoadCSV(day, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (TimeDomain{Start: 2, Step: 1, N: 4}); db.Domain != want || db.NumObjects() != 2 {
+		t.Fatalf("LoadCSV = %d objects over %+v, want 2 over %+v", db.NumObjects(), db.Domain, want)
+	}
+	for _, c := range []struct {
+		path  string
+		ticks int
+		step  float64
+	}{
+		{day, 0, 1},
+		{day, -3, 1},
+		{day, 4, 0},
+		{day, 4, -1},
+		{day, 4, math.NaN()},
+		{write("empty.csv", "id,time,x,y\n"), 4, 1},
+		{filepath.Join(dir, "missing.csv"), 4, 1},
+	} {
+		if _, err := LoadCSV(c.path, c.ticks, c.step); err == nil {
+			t.Errorf("LoadCSV(%s, ticks %d, step %v) accepted", filepath.Base(c.path), c.ticks, c.step)
+		}
 	}
 }
 
