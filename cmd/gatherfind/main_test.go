@@ -46,3 +46,20 @@ func TestRejectsBadArgs(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsNonFiniteInput: a CSV with NaN or infinite sample times is
+// refused at load (exit 1, naming the line), never discovered over.
+func TestRejectsNonFiniteInput(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "nan.csv")
+	if err := os.WriteFile(in, []byte("1,NaN,5,5\n2,Inf,1,1\n1,1,5,5\n2,2,1,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-in", in, "-ticks", "3", "-mc", "1", "-kc", "1", "-kp", "1", "-mp", "1", "-minpts", "1"}
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "GATHERFIND_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if want := `line 1: bad time "NaN"`; !errors.As(err, &exit) || exit.ExitCode() == 0 || !strings.Contains(string(out), want) {
+		t.Errorf("gatherfind %q: %v, output %q; want a non-zero exit and %q", args, err, out, want)
+	}
+}

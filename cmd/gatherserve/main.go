@@ -18,11 +18,14 @@
 // The CSV is replayed in batches of -batch ticks, one every -interval
 // (immediately when zero), through watermark admission (-watermark), the
 // optional write-ahead log and checkpoints (-wal, -checkpoint,
-// -checkpoint-every, -wal-sync) and the sharded engine (-shards, one per
-// CPU by default), whose grid cells and halo are 10×delta and 4×delta;
-// internal/server documents each stage. A checkpoint restores only into
-// the shard count that wrote it, so -shards is how one moves to a host
-// with a different CPU count. While ingestion runs, the server answers:
+// -checkpoint-every, -wal-sync) and the engine, which is one incremental
+// store by default (-shards 0 or 1); internal/server documents each
+// stage. -shards N above 1 opts into N shards over 10×delta grid cells,
+// with a 4×delta halo of shared boundary clusters and a merge on each read
+// after an apply. A checkpoint restores only into the shard count that
+// wrote it. Builds before the one-store default ran one shard per CPU, so
+// a checkpoint an older gatherserve wrote at its default on an N-CPU host
+// restores only with -shards N. While ingestion runs, the server answers:
 //
 //	GET /gatherings?from=0&to=100&bbox=minx,miny,maxx,maxy&limit=50
 //	    crowds that currently hold a closed gathering, as GeoJSON
@@ -81,7 +84,7 @@ func main() {
 	flag.IntVar(&cfg.Batch, "batch", cfg.Batch, "ticks per ingest batch")
 	flag.DurationVar(&cfg.Interval, "interval", cfg.Interval, "delay between batches (0 = replay at full speed)")
 
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "engine shards (0 = one per CPU); a checkpoint restores only into the shard count that wrote it")
+	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "engine shards: 0 or 1 = one store; N > 1 opts into the 4×delta halo and the read-time merge. A checkpoint restores only into the shard count that wrote it")
 
 	flag.Float64Var(&cfg.Eps, "eps", cfg.Eps, "DBSCAN epsilon (metres)")
 	flag.IntVar(&cfg.MinPts, "minpts", cfg.MinPts, "DBSCAN density threshold m")

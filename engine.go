@@ -6,11 +6,11 @@ import (
 	"repro/internal/engine"
 )
 
-// The streaming engine: a thread-safe, sharded service over the §III-C
-// incremental algorithm. An Engine ingests trajectory batches through one
-// routing goroutine and one goroutine per shard, each draining a bounded
-// task channel, while answering snapshot queries for the current closed
-// crowds and gatherings, filtered by time window and
+// The streaming engine: a thread-safe service over the §III-C incremental
+// algorithm. An Engine ingests trajectory batches through one routing
+// goroutine and one goroutine per shard (one shard by default), each
+// draining a bounded task channel, while answering snapshot queries for
+// the current closed crowds and gatherings, filtered by time window and
 // bounding box. See EngineConfig for the sharding and concurrency knobs.
 type (
 	// Engine is the concurrent streaming-discovery service.
@@ -46,19 +46,20 @@ var (
 )
 
 // DefaultEngineConfig returns the paper's pipeline defaults wrapped in a
-// serving-oriented engine setup: one shard per CPU and a global
-// clustering build with per-tick parallelism of one per CPU. It leaves
-// the partitioner zero, which the engine resolves from the pipeline's δ:
-// 10×δ cells (3 km, comfortably larger than a gathering site, so spatial
-// density stays intact within each shard) and a 4×δ halo. Each batch is
-// clustered once globally and boundary clusters are shared as views with
-// adjacent shards, so groups straddling a cell edge are discovered whole
-// and deduplicated at query time — multi-shard recall matches a single
-// incremental store at roughly the single-pass clustering cost. Changing
-// Pipeline.Delta moves both with it.
+// serving-oriented engine setup: one incremental store (Shards 1, the
+// §III-C algorithm over one state, as Theorem 2 defines it) behind a
+// global clustering build with per-tick parallelism of one per CPU. With
+// one shard the engine is a two-stage pipeline: the router clusters batch
+// k+1 while the store applies batch k, and a read after an apply sorts
+// the store's crowds without any cross-shard merge. Sharding is an
+// explicit opt-in (Shards > 1): the partitioner, left zero here, then
+// resolves from the pipeline's δ to 10×δ cells and a 4×δ halo, boundary
+// clusters are shared as views with adjacent shards, and duplicate
+// discoveries are merged at read time. On the 2-vCPU hosts measured
+// (BENCH_onestore.json) sharding bought no speed and cost a merge per
+// read and a larger checkpoint.
 func DefaultEngineConfig() EngineConfig {
-	ncpu := runtime.GOMAXPROCS(0)
-	return EngineConfig{Pipeline: DefaultConfig(), Shards: ncpu, Workers: ncpu}
+	return EngineConfig{Pipeline: DefaultConfig(), Shards: 1, Workers: runtime.GOMAXPROCS(0)}
 }
 
 // NewEngine creates a streaming engine and starts its routing and shard

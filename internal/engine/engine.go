@@ -1,14 +1,22 @@
 // Package engine is the concurrent streaming layer over the paper's
-// §III-C incremental algorithm: a thread-safe, sharded discovery service
-// that ingests trajectory batches while answering snapshot queries.
+// §III-C incremental algorithm: a thread-safe discovery service that
+// ingests trajectory batches while answering snapshot queries.
 //
-// An Engine owns N incremental.Store shards, each driven by one goroutine
-// that drains its own buffered task channel. Append hands a batch to a
-// single routing goroutine over an unbuffered channel; the router turns
-// it into one task per shard and sends each to its shard's channel, so
-// channel FIFO order is the apply order Theorem 2 needs. A full shard
-// channel stalls the router, which stalls Append (backpressure);
-// TryAppend refuses instead.
+// By default (Config.Shards zero or one) an Engine is one
+// incremental.Store, the single state Theorem 2 is defined over, behind a
+// two-stage pipeline: the router clusters batch k+1 while the store's
+// goroutine applies batch k, and a read after an apply only sorts the
+// store's crowds. Shards > 1 is an explicit opt-in: N stores, a 4×δ halo
+// of shared boundary clusters and a merge on the first read after each
+// apply (merge.go).
+//
+// An Engine owns its incremental.Store shards, each driven by one
+// goroutine that drains its own buffered task channel. Append hands a
+// batch to a single routing goroutine over an unbuffered channel; the
+// router turns it into one task per shard and sends each to its shard's
+// channel, so channel FIFO order is the apply order Theorem 2 needs. A
+// full shard channel stalls the router, which stalls Append
+// (backpressure); TryAppend refuses instead.
 //
 // Every batch is clustered exactly once (§III phase 1): the router
 // DBSCAN-clusters it globally, with per-tick parallelism of
@@ -169,7 +177,7 @@ type shard struct {
 	tasks        chan task
 }
 
-// Engine is the concurrent sharded streaming-discovery service. Create
+// Engine is the concurrent streaming-discovery service. Create
 // one with New; all methods are safe for concurrent use.
 type Engine struct {
 	cfg    Config

@@ -49,7 +49,7 @@ type Config struct {
 	Batch    int           // -batch: ticks per ingest batch
 	Interval time.Duration // -interval: delay between batches; 0 replays at full speed
 
-	Shards int // -shards: engine shards; 0 = one per CPU
+	Shards int // -shards: engine shards; 0 = one store, N > 1 opts into the 4×δ halo and the read-time merge
 
 	Eps      float64 // -eps: DBSCAN epsilon in metres
 	MinPts   int     // -minpts: DBSCAN density threshold
@@ -138,8 +138,8 @@ func New(cfg Config) (*Server, error) {
 	p := &ec.Pipeline
 	p.Eps, p.MinPts, p.MC, p.KC, p.Delta = cfg.Eps, cfg.MinPts, cfg.MC, cfg.KC, cfg.Delta
 	p.KP, p.MP, p.Searcher = cfg.KP, cfg.MP, cfg.Searcher
-	// Zero keeps the default of one shard per CPU; a negative count fails
-	// the engine's validation.
+	// Zero keeps the default of one store; a negative count fails the
+	// engine's validation.
 	ec.Shards = cmp.Or(cfg.Shards, ec.Shards)
 	eng, err := gatherings.NewEngine(ec)
 	if err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -111,6 +112,26 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted it", name)
 		}
+	}
+}
+
+// TestZeroShardsIsOneStore: a zero Shards, gatherserve's default
+// -shards 0, builds one store whatever the host's CPU count, so its
+// checkpoint holds exactly one store section.
+func TestZeroShardsIsOneStore(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 0
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var buf bytes.Buffer
+	if err := s.Engine().SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := binary.LittleEndian.Uint32(buf.Bytes()); n != 1 {
+		t.Fatalf("Shards 0 built %d shards on %d CPUs, want 1", n, runtime.GOMAXPROCS(0))
 	}
 }
 

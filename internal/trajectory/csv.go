@@ -3,6 +3,7 @@ package trajectory
 import (
 	"bufio"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -45,7 +46,9 @@ func WriteCSV(w io.Writer, trajs []Trajectory) error {
 
 // ReadCSV parses trajectories from the CSV format produced by WriteCSV.
 // Rows may arrive in any order; samples are grouped by id and sorted by
-// time. A header row is skipped when present.
+// time. A header row is skipped when present. A NaN or infinite time or
+// coordinate is refused with the line that holds it: discovery is defined
+// on finite positions and times only.
 func ReadCSV(r io.Reader) ([]Trajectory, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 4
@@ -69,24 +72,18 @@ func ReadCSV(r io.Reader) ([]Trajectory, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trajectory: line %d: bad id %q: %w", line, rec[0], err)
 		}
-		t, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: line %d: bad time %q: %w", line, rec[1], err)
-		}
-		x, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: line %d: bad x %q: %w", line, rec[2], err)
-		}
-		y, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: line %d: bad y %q: %w", line, rec[3], err)
+		var v [3]float64 // time, x, y
+		for j, name := range [3]string{"time", "x", "y"} {
+			if v[j], err = parseFinite(rec[j+1]); err != nil {
+				return nil, fmt.Errorf("trajectory: line %d: bad %s %q: %w", line, name, rec[j+1], err)
+			}
 		}
 		tr := byID[ObjectID(id)]
 		if tr == nil {
 			tr = &Trajectory{ID: ObjectID(id)}
 			byID[ObjectID(id)] = tr
 		}
-		tr.Samples = append(tr.Samples, Sample{Time: t, P: geo.Point{X: x, Y: y}})
+		tr.Samples = append(tr.Samples, Sample{Time: v[0], P: geo.Point{X: v[1], Y: v[2]}})
 	}
 
 	out := make([]Trajectory, 0, len(byID))
@@ -96,6 +93,16 @@ func ReadCSV(r io.Reader) ([]Trajectory, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
+}
+
+// parseFinite parses one numeric CSV field, refusing NaN and ±Inf, which
+// strconv.ParseFloat accepts.
+func parseFinite(field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = errors.New("not a finite number")
+	}
+	return v, err
 }
 
 // LoadCSV reads the CSV file at path into a database whose domain starts

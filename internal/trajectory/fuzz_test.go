@@ -3,14 +3,16 @@ package trajectory
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/geo"
 )
 
-// FuzzReadCSV asserts the ingestion boundary never panics and that
-// anything it accepts survives a write/read round trip.
+// FuzzReadCSV asserts the ingestion boundary never panics, that
+// everything it accepts is finite and time-sorted, and that a write/read
+// round trip returns the same samples.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("id,time,x,y\n1,0,10,20\n1,1,11,21\n")
 	f.Add("0,0,0,0\n")
@@ -18,8 +20,12 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("")
 	f.Add("1,not-a-number,2,3\n")
 	f.Add("9223372036854775808,0,1,2\n") // id overflow
-	f.Add("1,0,1e309,2\n")               // x overflow
 	f.Add("a,b\nc,d\n")                  // wrong arity
+	for _, v := range []string{"NaN", "Inf", "-Inf", "1e309"} {
+		f.Add("1," + v + ",2,3\n")
+		f.Add("1,0," + v + ",3\n")
+		f.Add("1,0,2," + v + "\n")
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		trajs, err := ReadCSV(strings.NewReader(in))
 		if err != nil {
@@ -28,6 +34,11 @@ func FuzzReadCSV(f *testing.F) {
 		for i := range trajs {
 			if !trajs[i].Sorted() {
 				t.Fatalf("accepted unsorted trajectory %d", trajs[i].ID)
+			}
+			for _, s := range trajs[i].Samples {
+				if anyNonFinite(s.Time, s.P.X, s.P.Y) {
+					t.Fatalf("accepted non-finite sample %+v of trajectory %d", s, trajs[i].ID)
+				}
 			}
 		}
 		var buf bytes.Buffer
@@ -38,8 +49,8 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed to parse: %v", err)
 		}
-		if len(again) != len(trajs) {
-			t.Fatalf("round trip changed trajectory count: %d -> %d", len(trajs), len(again))
+		if !reflect.DeepEqual(again, trajs) {
+			t.Fatalf("round trip changed the samples:\nread    %+v\nre-read %+v", trajs, again)
 		}
 	})
 }
@@ -65,6 +76,15 @@ func FuzzLocationAt(f *testing.F) {
 			t.Fatalf("refused interpolation inside lifespan at %v", q)
 		}
 	})
+}
+
+func anyNonFinite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return true
+		}
+	}
+	return false
 }
 
 func anyNaN(vs ...float64) bool {

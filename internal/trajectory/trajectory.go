@@ -9,6 +9,7 @@ package trajectory
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geo"
@@ -167,10 +168,14 @@ func (d TimeDomain) End() float64 {
 	return d.TimeOf(Tick(d.N - 1))
 }
 
-// Validate reports whether the domain is well-formed.
+// Validate reports whether the domain is well-formed: a finite start and
+// a positive, finite step (NaN fails both), and a non-negative tick count.
 func (d TimeDomain) Validate() error {
-	if d.Step <= 0 {
-		return fmt.Errorf("trajectory: non-positive step %v", d.Step)
+	if !(d.Step > 0) || math.IsInf(d.Step, 1) {
+		return fmt.Errorf("trajectory: step must be positive and finite, got %v", d.Step)
+	}
+	if math.IsNaN(d.Start) || math.IsInf(d.Start, 0) {
+		return fmt.Errorf("trajectory: start must be finite, got %v", d.Start)
 	}
 	if d.N < 0 {
 		return fmt.Errorf("trajectory: negative tick count %d", d.N)

@@ -122,11 +122,19 @@ func TestTimeDomain(t *testing.T) {
 	if e.N != 15 || e.Start != 100 {
 		t.Fatalf("Extend = %+v", e)
 	}
-	if (TimeDomain{Step: 0, N: 1}).Validate() == nil {
-		t.Fatal("zero step accepted")
-	}
-	if (TimeDomain{Step: 1, N: -1}).Validate() == nil {
-		t.Fatal("negative N accepted")
+	for _, bad := range []TimeDomain{
+		{Step: 0, N: 1},
+		{Step: -1, N: 1},
+		{Step: math.NaN(), N: 4},
+		{Step: math.Inf(1), N: 4},
+		{Start: math.NaN(), Step: 1, N: 4},
+		{Start: math.Inf(1), Step: 1, N: 4},
+		{Start: math.Inf(-1), Step: 1, N: 4},
+		{Step: 1, N: -1},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("Validate accepted %+v", bad)
+		}
 	}
 	if (TimeDomain{Step: 1, N: 0}).End() != 0 {
 		t.Fatal("End of empty domain")
@@ -277,17 +285,28 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCSVErrors: a malformed or non-finite field is refused with an
+// error naming its line and column.
 func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"id,time,x,y\nfoo,1,2,3\n",
-		"id,time,x,y\n1,bar,2,3\n",
-		"id,time,x,y\n1,1,baz,3\n",
-		"id,time,x,y\n1,1,2,qux\n",
-		"id,time,x\n", // wrong field count in header is fine, but data row fails
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil && i < 4 {
-			t.Errorf("case %d: bad CSV accepted", i)
+	for _, c := range []struct{ in, want string }{
+		{"id,time,x,y\nfoo,1,2,3\n", "line 2: bad id"},
+		{"id,time,x,y\n1,bar,2,3\n", "line 2: bad time"},
+		{"id,time,x,y\n1,1,baz,3\n", "line 2: bad x"},
+		{"id,time,x,y\n1,1,2,qux\n", "line 2: bad y"},
+		{"id,time,x\n", "wrong number of fields"},
+		{"1,NaN,5,5\n2,Inf,1,1\n", "line 1: bad time \"NaN\""},
+		{"1,0,5,5\n2,Inf,1,1\n", "line 2: bad time \"Inf\""},
+		{"id,time,x,y\n1,0,5,5\n1,-Inf,1,1\n", "line 3: bad time \"-Inf\""},
+		{"1,1e309,5,5\n", "line 1: bad time"},
+		{"1,0,nan,5\n", "line 1: bad x \"nan\""},
+		{"1,0,+Inf,5\n", "line 1: bad x"},
+		{"1,0,5,NaN\n", "line 1: bad y \"NaN\""},
+		{"1,0,5,-infinity\n", "line 1: bad y"},
+		{"1,0,5,-1e309\n", "line 1: bad y"},
+	} {
+		_, err := ReadCSV(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ReadCSV(%q) = %v, want an error containing %q", c.in, err, c.want)
 		}
 	}
 }
