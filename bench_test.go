@@ -291,7 +291,7 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 	}
 }
 
-// ---- streaming engine: sharded ingest and query -----------------------------
+// ---- streaming engine: ingest and query -------------------------------------
 
 // benchEnginePipeline matches benchCrowdParams/benchGatherParams so the
 // engine benches are comparable with the Fig. 8 incremental ones.
@@ -305,7 +305,7 @@ func benchEnginePipeline() core.Config {
 }
 
 // benchEngineBatches slices the dense bench workload (large snapshot
-// clusters, the regime where sharding pays) into 12-tick batches.
+// clusters) into 12-tick batches.
 func benchEngineBatches() []*trajectory.DB {
 	benchSetup()
 	return denseDB.Batches(12)
@@ -330,28 +330,15 @@ func BenchmarkEngineIngestStoreBaseline(b *testing.B) {
 	}
 }
 
-// The grid variants measure spatial sharding with the recall-preserving
-// 4×δ halo at every shard count. BENCH_ingest.json records them.
-func BenchmarkEngineIngestShards1GridHalo(b *testing.B) { benchEngineIngest(b, 1) }
-func BenchmarkEngineIngestShards2GridHalo(b *testing.B) { benchEngineIngest(b, 2) }
-func BenchmarkEngineIngestShards4GridHalo(b *testing.B) { benchEngineIngest(b, 4) }
-func BenchmarkEngineIngestShards8GridHalo(b *testing.B) { benchEngineIngest(b, 8) }
-
-// benchEngineIngest measures wall-clock ingest of the whole batch stream
-// through 3 km grid cells with a 1.2 km halo. Replication volume is
-// reported as clusters/op (snapshot clusters built) and clrep/op
-// (cluster-view replica deliveries).
-func benchEngineIngest(b *testing.B, shards int) {
+// BenchmarkEngineIngest measures wall-clock ingest of the whole batch
+// stream through the engine: the router clusters batch k+1 while the
+// applier applies batch k. clusters/op is the snapshot clusters built.
+func BenchmarkEngineIngest(b *testing.B) {
 	batches := benchEngineBatches()
-	var clusters, clRep uint64
+	var clusters uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := engine.New(engine.Config{
-			Pipeline:    benchEnginePipeline(),
-			Shards:      shards,
-			Workers:     shards,
-			Partitioner: engine.GridCell{CellSize: 3000, Halo: 1200},
-		})
+		eng, err := engine.New(engine.Config{Pipeline: benchEnginePipeline()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -361,26 +348,18 @@ func benchEngineIngest(b *testing.B, shards int) {
 			}
 		}
 		eng.Flush()
-		cs := eng.Counters().Snapshot()
-		clusters += cs.ClustersBuilt
-		clRep += cs.ClustersReplicated
+		clusters += eng.Counters().Snapshot().ClustersBuilt
 		eng.Close()
 	}
 	b.ReportMetric(float64(clusters)/float64(b.N), "clusters/op")
-	b.ReportMetric(float64(clRep)/float64(b.N), "clrep/op")
 }
 
-// BenchmarkEngineQuerySnapshotHalo measures query latency against a
-// loaded 4-shard engine, with concurrent readers sharing it
-// (b.RunParallel). It includes the snapshot-time cross-shard merge
-// (dedup + stitching) that halo replication requires.
-func BenchmarkEngineQuerySnapshotHalo(b *testing.B) {
+// BenchmarkEngineQuerySnapshot measures query latency against a loaded
+// engine, with concurrent readers sharing it (b.RunParallel): a filter
+// over the memoised sorted read.
+func BenchmarkEngineQuerySnapshot(b *testing.B) {
 	batches := benchEngineBatches()
-	eng, err := engine.New(engine.Config{
-		Pipeline:    benchEnginePipeline(),
-		Shards:      4,
-		Partitioner: engine.GridCell{CellSize: 3000, Halo: 1200},
-	})
+	eng, err := engine.New(engine.Config{Pipeline: benchEnginePipeline()})
 	if err != nil {
 		b.Fatal(err)
 	}

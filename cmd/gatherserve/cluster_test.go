@@ -81,7 +81,7 @@ func TestClusterChaos(t *testing.T) {
 		}
 	}
 	db := &gatherings.DB{Trajs: trajs, Domain: gatherings.TimeDomain{Start: start, Step: 1, N: 96}}
-	single, err := gatherings.NewEngine(gatherings.EngineConfig{Pipeline: clusterTestPipeline(), Shards: 1})
+	single, err := gatherings.NewEngine(gatherings.EngineConfig{Pipeline: clusterTestPipeline()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,6 @@ func TestClusterChaos(t *testing.T) {
 		args := []string{
 			"-cluster", mapPath, "-node", ids[i], "-addr", ports[i],
 			"-ticks", "96", "-step", "1", "-batch", "12",
-			"-shards", "2",
 			"-eps", "200", "-minpts", "5", "-mc", "8", "-kc", "8",
 			"-delta", "300", "-kp", "6", "-mp", "6",
 			"-watermark", "8",

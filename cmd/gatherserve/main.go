@@ -5,7 +5,6 @@
 // Usage:
 //
 //	gatherserve -in traj.csv [-ticks 288] [-step 1] [-batch 24] [-interval 0]
-//	            [-shards 0]
 //	            [-eps 200] [-minpts 5] [-mc 15] [-kc 20] [-delta 300]
 //	            [-kp 15] [-mp 10] [-searcher grid]
 //	            [-watermark 8] [-checkpoint state.ckpt] [-wal state.wal]
@@ -18,14 +17,11 @@
 // The CSV is replayed in batches of -batch ticks, one every -interval
 // (immediately when zero), through watermark admission (-watermark), the
 // optional write-ahead log and checkpoints (-wal, -checkpoint,
-// -checkpoint-every, -wal-sync) and the engine, which is one incremental
-// store by default (-shards 0 or 1); internal/server documents each
-// stage. -shards N above 1 opts into N shards over 10×delta grid cells,
-// with a 4×delta halo of shared boundary clusters and a merge on each read
-// after an apply. A checkpoint restores only into the shard count that
-// wrote it. Builds before the one-store default ran one shard per CPU, so
-// a checkpoint an older gatherserve wrote at its default on an N-CPU host
-// restores only with -shards N. While ingestion runs, the server answers:
+// -checkpoint-every, -wal-sync) and the engine, one incremental store;
+// internal/server documents each stage. A checkpoint written by an older
+// sharded build (more than one store section) is refused at startup with
+// an error naming its section count. While ingestion runs, the server
+// answers:
 //
 //	GET /gatherings?from=0&to=100&bbox=minx,miny,maxx,maxy&limit=50
 //	    crowds that currently hold a closed gathering, as GeoJSON
@@ -37,7 +33,10 @@
 //
 // A malformed filter (a non-numeric or inverted tick window, a bbox that is
 // not four finite coordinates with min ≤ max, a negative limit) answers
-// 400. Every answer carries its tick frontier in X-Gather-Ticks.
+// 400. Every answer carries its tick frontier in X-Gather-Ticks. If an
+// apply panics, the engine is quarantined: /gatherings, /crowds and
+// /readyz answer 503 naming it, and /stats shows "quarantined: true",
+// until a restart restores the last checkpoint.
 //
 // With -cluster map.json -node <id> the server is one node of a cluster
 // (internal/cluster): the node with -in is the ingest front and forwards
@@ -84,8 +83,6 @@ func main() {
 	flag.IntVar(&cfg.Batch, "batch", cfg.Batch, "ticks per ingest batch")
 	flag.DurationVar(&cfg.Interval, "interval", cfg.Interval, "delay between batches (0 = replay at full speed)")
 
-	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "engine shards: 0 or 1 = one store; N > 1 opts into the 4×delta halo and the read-time merge. A checkpoint restores only into the shard count that wrote it")
-
 	flag.Float64Var(&cfg.Eps, "eps", cfg.Eps, "DBSCAN epsilon (metres)")
 	flag.IntVar(&cfg.MinPts, "minpts", cfg.MinPts, "DBSCAN density threshold m")
 	flag.IntVar(&cfg.MC, "mc", cfg.MC, "crowd support threshold mc")
@@ -96,7 +93,7 @@ func main() {
 	flag.StringVar(&cfg.Searcher, "searcher", cfg.Searcher, "range search scheme: brute, sr, ir or grid")
 
 	flag.IntVar(&cfg.Watermark, "watermark", cfg.Watermark, "admission reorder window in batches: out-of-order batches within it are re-sequenced, beyond it dropped and counted")
-	flag.StringVar(&cfg.Checkpoint, "checkpoint", cfg.Checkpoint, "checkpoint file: per-shard incremental state saved every -checkpoint-every batches and restored on startup (empty = no checkpoints)")
+	flag.StringVar(&cfg.Checkpoint, "checkpoint", cfg.Checkpoint, "checkpoint file: incremental state saved every -checkpoint-every batches and restored on startup (empty = no checkpoints)")
 	flag.StringVar(&cfg.WAL, "wal", cfg.WAL, "write-ahead log file: admitted batches logged before apply and replayed after a crash (empty = no WAL)")
 	flag.IntVar(&cfg.CheckpointEvery, "checkpoint-every", cfg.CheckpointEvery, "admitted batches between checkpoints; 0 checkpoints only on clean shutdown")
 	flag.StringVar(&cfg.WALSync, "wal-sync", cfg.WALSync, "WAL durability point: always (fsync per append), checkpoint (fsync only at checkpoints and close), off (the OS decides) — see docs/INVARIANTS.md")

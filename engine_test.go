@@ -19,7 +19,6 @@ func TestEnginePublicAPI(t *testing.T) {
 
 	cfg := gatherings.DefaultEngineConfig()
 	cfg.Pipeline = testConfig()
-	cfg.Shards = 2
 	cfg.Workers = 2
 	eng, err := gatherings.NewEngine(cfg)
 	if err != nil {
@@ -78,9 +77,6 @@ func TestEnginePublicAPI(t *testing.T) {
 func TestDefaultEngineIsOneStore(t *testing.T) {
 	db := testWorkload()
 	cfg := gatherings.DefaultEngineConfig()
-	if cfg.Shards != 1 {
-		t.Fatalf("DefaultEngineConfig().Shards = %d, want 1", cfg.Shards)
-	}
 	cfg.Pipeline = testConfig()
 	eng, err := gatherings.NewEngine(cfg)
 	if err != nil {

@@ -23,9 +23,9 @@
 // For streaming arrivals, use Store: it keeps the saved candidate state of
 // §III-C and extends crowds and gatherings incrementally as batches are
 // appended. For concurrent serving — many writers and readers at once —
-// use Engine, which shards the incremental state, ingests batches through
-// one goroutine per shard behind bounded queues, and answers snapshot
-// queries filtered by time window and bounding box.
+// use Engine, which keeps one incremental store behind a two-stage ingest
+// pipeline with a bounded queue, and answers snapshot queries filtered by
+// time window and bounding box.
 package gatherings
 
 import (
@@ -120,8 +120,8 @@ func NewCrowd(start Tick, clusters []*Cluster) *Crowd {
 //
 // A Store is not safe for concurrent use: it is the single-goroutine
 // facade over the incremental pipeline. For concurrent ingest and
-// queries use engine.Engine, which owns the shard lock guarding the
-// underlying state.
+// queries use engine.Engine, which owns the lock guarding the underlying
+// state.
 type Store struct {
 	cfg   Config
 	inner *incremental.Store

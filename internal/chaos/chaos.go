@@ -1,7 +1,7 @@
 // Package chaos is the fault-injection harness for the streaming ingest
 // path. It perturbs an in-order batch stream the way real feeds do —
 // delaying, reordering, duplicating and dropping batches — and injects
-// shard-apply panics into the engine, all deterministically from an
+// apply panics into the engine, all deterministically from an
 // explicit seed so every failure a test finds is replayable.
 //
 // Perturb works on (sequence, batch) events, the admission stage's input
@@ -109,39 +109,36 @@ func Perturb(batches []*trajectory.DB, cfg Config) []Event {
 	return out
 }
 
-// Faults builds a deterministic shard-apply fault plan for
-// engine.Config.ApplyFault: each (shard, applySeq) pair panics with
-// probability prob, decided up front from the seed — so the plan is
-// reproducible no matter how the engine's shard goroutines interleave.
-// shards and seqs bound the precomputed plan; applies outside it never
-// fault.
-func Faults(seed int64, shards, seqs int, prob float64) func(shard int, seq uint64) {
+// Faults builds a deterministic apply fault plan for
+// engine.Config.ApplyFault: each apply sequence number below seqs panics
+// with probability prob, decided up front from the seed — so the plan is
+// reproducible no matter how the engine's goroutines interleave. Applies
+// at or past seqs never fault.
+func Faults(seed int64, seqs int, prob float64) func(seq uint64) {
 	rng := rand.New(rand.NewSource(seed))
-	plan := make(map[[2]uint64]bool)
-	for s := 0; s < shards; s++ {
-		for q := 0; q < seqs; q++ {
-			if rng.Float64() < prob {
-				plan[[2]uint64{uint64(s), uint64(q)}] = true
-			}
+	plan := make(map[uint64]bool)
+	for q := 0; q < seqs; q++ {
+		if rng.Float64() < prob {
+			plan[uint64(q)] = true
 		}
 	}
-	return func(shard int, seq uint64) {
-		if plan[[2]uint64{uint64(shard), seq}] {
-			panic(fmt.Sprintf("chaos: injected apply fault at shard %d seq %d", shard, seq))
-		}
-	}
+	return faultPlan(plan)
 }
 
-// FaultAt builds a fault plan that panics exactly at the given (shard,
-// applySeq) pairs — the scalpel to Faults' shotgun.
-func FaultAt(pairs ...[2]int) func(shard int, seq uint64) {
-	plan := make(map[[2]uint64]bool, len(pairs))
-	for _, p := range pairs {
-		plan[[2]uint64{uint64(p[0]), uint64(p[1])}] = true
+// FaultAt builds a fault plan that panics exactly at the given apply
+// sequence numbers — the scalpel to Faults' shotgun.
+func FaultAt(seqs ...uint64) func(seq uint64) {
+	plan := make(map[uint64]bool, len(seqs))
+	for _, q := range seqs {
+		plan[q] = true
 	}
-	return func(shard int, seq uint64) {
-		if plan[[2]uint64{uint64(shard), seq}] {
-			panic(fmt.Sprintf("chaos: injected apply fault at shard %d seq %d", shard, seq))
+	return faultPlan(plan)
+}
+
+func faultPlan(plan map[uint64]bool) func(seq uint64) {
+	return func(seq uint64) {
+		if plan[seq] {
+			panic(fmt.Sprintf("chaos: injected apply fault at seq %d", seq))
 		}
 	}
 }

@@ -95,43 +95,41 @@ func TestPerturbDropsEverything(t *testing.T) {
 	}
 }
 
-// fires exercises a fault plan over the (shard, seq) grid and records
-// which applies panic.
-func fires(f func(int, uint64), shards, seqs int) map[[2]int]bool {
-	out := map[[2]int]bool{}
-	for s := 0; s < shards; s++ {
-		for q := 0; q < seqs; q++ {
-			func() {
-				defer func() {
-					if recover() != nil {
-						out[[2]int{s, q}] = true
-					}
-				}()
-				f(s, uint64(q))
+// fires exercises a fault plan over apply sequences 0 to seqs-1 and
+// records which applies panic.
+func fires(f func(uint64), seqs int) map[uint64]bool {
+	out := map[uint64]bool{}
+	for q := uint64(0); q < uint64(seqs); q++ {
+		func() {
+			defer func() {
+				if recover() != nil {
+					out[q] = true
+				}
 			}()
-		}
+			f(q)
+		}()
 	}
 	return out
 }
 
 func TestFaultsDeterministic(t *testing.T) {
-	a := fires(Faults(11, 4, 32, 0.2), 4, 32)
-	b := fires(Faults(11, 4, 32, 0.2), 4, 32)
+	a := fires(Faults(11, 32, 0.2), 32)
+	b := fires(Faults(11, 32, 0.2), 32)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different fault plans")
 	}
 	if len(a) == 0 {
-		t.Fatal("prob 0.2 over a 4x32 grid faulted nothing")
+		t.Fatal("prob 0.2 over 32 applies faulted nothing")
 	}
 	// Applies outside the precomputed plan never fault.
-	if len(fires(Faults(11, 4, 32, 1), 5, 40)) != 4*32 {
-		t.Fatal("faults fired outside the precomputed shard/seq bounds")
+	if len(fires(Faults(11, 32, 1), 40)) != 32 {
+		t.Fatal("faults fired outside the precomputed seq bound")
 	}
 }
 
 func TestFaultAt(t *testing.T) {
-	got := fires(FaultAt([2]int{1, 3}, [2]int{0, 0}), 3, 5)
-	want := map[[2]int]bool{{1, 3}: true, {0, 0}: true}
+	got := fires(FaultAt(3, 0), 5)
+	want := map[uint64]bool{3: true, 0: true}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("FaultAt fired at %v, want %v", got, want)
 	}

@@ -3,18 +3,16 @@
 // each ingest batch's sub-batches to their owner nodes over the forwarding
 // data plane (internal/cluster/rpc), and a scatter-gather read path that
 // fans snapshot queries across the membership and reduces the answers with
-// the engine's snapshot merge — degrading to a partial result instead of an
-// error when a peer is dead, slow, or breaker-open.
+// a cross-node merge (merge.go) — degrading to a partial result instead of
+// an error when a peer is dead, slow, quarantined or breaker-open.
 //
-// The ownership model is the engine's grid-cell sharding lifted to node
-// granularity. Space is cut into CellSize×CellSize cells; a cell hashes to
+// Ownership is by grid cell at node granularity. Space is cut into CellSize×CellSize cells; a cell hashes to
 // one of Slots ownership slots, and the map assigns every slot to exactly
 // one node. An object is ingested by the node owning the cell of its
 // position at the batch start, and — with a positive Halo — replicated to
 // every node owning a cell within Halo of any of its positions during the
 // batch, so each node sees the complete neighbourhood of its own cells and
-// the read-side merge can collapse the duplicate boundary discoveries
-// (exactly PR 3's halo semantics, one level up).
+// the read-side merge can collapse the duplicate boundary discoveries.
 //
 // The map is versioned: every data-plane request carries the sender's map
 // version and a receiver with a different version refuses it, so a cluster
@@ -173,8 +171,8 @@ func (m *Map) Index(id NodeID) int {
 	return -1
 }
 
-// splitmix is the splitmix64 finaliser — the same mixer the engine's
-// partitioner uses, so cell→slot routing is equally well spread.
+// splitmix is the splitmix64 finaliser, which spreads cell→slot routing
+// evenly.
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -203,9 +201,7 @@ func (m *Map) OwnerIndex(p geo.Point) int {
 
 // homeNode routes one trajectory to its owning node: the cell of its
 // position at the batch start, falling back to the first sample and then
-// to an ID hash for trajectories with no usable position. The engine
-// routes clusters, not trajectories, so this rule has no in-process
-// counterpart; only the cell hash is shared with engine.GridCell.
+// to an ID hash for trajectories with no usable position.
 func (m *Map) homeNode(tr *trajectory.Trajectory, domain trajectory.TimeDomain) int {
 	p, ok := tr.LocationAt(domain.Start)
 	if !ok {

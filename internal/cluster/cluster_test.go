@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster/rpc"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -158,7 +159,9 @@ type clusterHarness struct {
 	servers []*httptest.Server
 }
 
-func newClusterHarness(t *testing.T, pipe core.Config, haloFactor float64) *clusterHarness {
+// newClusterHarness builds the harness; faults[i], when given and not
+// nil, is node i's engine.Config.ApplyFault.
+func newClusterHarness(t *testing.T, pipe core.Config, haloFactor float64, faults ...func(uint64)) *clusterHarness {
 	t.Helper()
 	h := &clusterHarness{m: testMap(3000, haloFactor*pipe.Delta)}
 
@@ -172,11 +175,11 @@ func newClusterHarness(t *testing.T, pipe core.Config, haloFactor float64) *clus
 	}
 
 	for i, member := range h.m.Nodes {
-		eng, err := engine.New(engine.Config{
-			Pipeline:    pipe,
-			Shards:      2,
-			Partitioner: engine.GridCell{CellSize: 3000, Halo: 4 * pipe.Delta},
-		})
+		cfg := engine.Config{Pipeline: pipe}
+		if i < len(faults) {
+			cfg.ApplyFault = faults[i]
+		}
+		eng, err := engine.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +269,7 @@ func TestClusterParity(t *testing.T) {
 	db := gen.Generate(cfg)
 	batches := db.Batches(12)
 
-	single, err := engine.New(engine.Config{Pipeline: pipe, Shards: 1})
+	single, err := engine.New(engine.Config{Pipeline: pipe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,5 +338,36 @@ func TestClusterDegradedRead(t *testing.T) {
 	}
 	if c := h.nodes[0].counters; c.QueriesPartial.Load() != 1 {
 		t.Fatalf("QueriesPartial = %d, want 1", c.QueriesPartial.Load())
+	}
+}
+
+// TestQuarantinedNodeUnreachable: a member whose engine is quarantined
+// answers its local read 503, so the coordinator lists it unreachable
+// instead of merging its empty answer as if the member held no crowds.
+func TestQuarantinedNodeUnreachable(t *testing.T) {
+	pipe := core.Config{
+		Eps: 200, MinPts: 5,
+		MC: 8, KC: 8, Delta: 300,
+		KP: 6, MP: 6,
+		Searcher: "grid",
+	}
+	cfg := gen.Default()
+	cfg.NumTaxis = 150
+	cfg.TicksPerDay = 48
+	cfg.Seed = 5
+	db := gen.Generate(cfg)
+
+	h := newClusterHarness(t, pipe, 8, nil, chaos.FaultAt(0))
+	h.feed(t, db.Batches(12))
+	if !h.engines[1].Quarantined() {
+		t.Fatal("node b's engine is not quarantined")
+	}
+
+	res, meta := h.nodes[0].Query(context.Background(), engine.Query{})
+	if len(meta.Unreachable) != 1 || meta.Unreachable[0] != "b" {
+		t.Fatalf("Unreachable = %v, want [b]", meta.Unreachable)
+	}
+	if res == nil {
+		t.Fatal("partial query returned no result")
 	}
 }

@@ -1,38 +1,30 @@
-// Cross-shard merge: the query-time counterpart of halo replication.
+// Cross-node merge: the read-side counterpart of halo routing.
 //
-// Under cluster-once ingest, a cluster near a cell edge is shared as a view
-// with every shard owning a nearby cell, so a group straddling the
-// boundary is discovered independently — and redundantly — by each of
-// them. mergeShards restores single-store semantics over the union of the
-// per-shard answers:
+// RouteBatch copies a trajectory near a node boundary into every adjacent
+// owner's sub-batch, so a group straddling the boundary is discovered
+// independently — and redundantly — by each of those nodes. merge
+// restores single-store semantics over the union of the per-node answers:
 //
 //  1. Exact duplicates (same span, same per-tick membership) collapse to
-//     one copy, kept by the canonical owner — the shard owning the cell of
-//     the crowd's first cluster centroid (lowest shard index when the owner
-//     holds no copy).
+//     one copy, kept by the canonical owner — the node owning the cell of
+//     the crowd's first cluster centroid (the first copy when the owner
+//     holds none).
 //  2. Partial views — a crowd whose every cluster is contained in another
-//     shard's view of the same ticks — are absorbed: the halo gave some
-//     shard a complete picture, the cropped one adds nothing.
+//     node's crowd over the same ticks — are absorbed: the halo gave some
+//     node a complete picture, the cropped one adds nothing.
 //  3. Fragments that overlap but don't contain each other (a moving crowd
-//     seen entering by one shard and leaving by another) are stitched
+//     seen entering by one node and leaving by another) are stitched
 //     pairwise: their per-tick clusters are unioned into one crowd and
 //     gathering detection reruns on the result.
 //
-// Within one shard, Algorithm 1 never emits a crowd contained in another
+// Within one node, Algorithm 1 never emits a crowd contained in another
 // (a contained candidate would still have been extendable), and distinct
 // branched crowds share equal-or-disjoint clusters per tick, so absorption
-// and stitching — which require proper overlap — only ever fuse cross-shard
+// and stitching — which require proper overlap — only ever fuse cross-node
 // copies of the same underlying crowd, never two genuinely distinct ones.
-//
-// Within one engine the shards' crowds are built from views of the same
-// global *snapshot.Cluster values, so cross-shard copies of one crowd hold
-// pointer-identical clusters at every shared tick: duplicates are exact,
-// absorption reduces to a tick-range crop, and the set comparisons below
-// short-circuit on pointer equality instead of walking member lists. The
-// element-wise paths serve only MergeRemote (remote.go): cluster nodes
-// each cluster their own replicated trajectories, so cross-node copies
-// are equal by value only.
-package engine
+// Each node clusters its own replicas, so cross-node copies are equal by
+// value, not by pointer.
+package cluster
 
 import (
 	"sort"
@@ -46,30 +38,31 @@ import (
 	"repro/internal/trajectory"
 )
 
-// shardCrowd is one closed crowd as observed by one shard.
-type shardCrowd struct {
-	shard   int
+// entry is one closed crowd as answered by one node.
+type entry struct {
+	node    int // the answering node's index in the membership map; -1 while fused
 	crowd   *crowd.Crowd
 	gathers []*gathering.Gathering
 }
 
-// mergeStats reports what a merge pass did, for the engine counters.
-type mergeStats struct {
-	deduped  int // duplicate or absorbed copies dropped
-	stitched int // fragments fused into cross-shard crowds
+// merge deduplicates and stitches the per-node crowd lists and returns
+// the survivors sorted by crowd.Compare, the order a single engine's
+// Snapshot uses, so Limit truncation agrees with it. owner maps a point to
+// its owning node (the canonical-owner rule); gp are the gathering
+// thresholds used to re-detect gatherings on stitched crowds. Entries are
+// modified in place.
+func merge(entries []entry, owner func(geo.Point) int, gp gathering.Params) []entry {
+	if len(entries) >= 2 {
+		entries = stitch(absorb(dedup(entries, owner)), owner, gp)
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		return crowd.Compare(entries[i].crowd, entries[j].crowd) < 0
+	})
+	return entries
 }
 
-// mergeShards deduplicates and stitches the per-shard crowd lists. owner
-// maps a point to its owning shard (the canonical-owner rule); gp are the
-// gathering thresholds used to re-detect gatherings on stitched crowds.
-// Entries are modified in place and the surviving list is returned.
-func mergeShards(entries []shardCrowd, owner func(geo.Point) int, gp gathering.Params) ([]shardCrowd, mergeStats) {
-	var st mergeStats
-	if len(entries) < 2 {
-		return entries, st
-	}
-
-	// Stage 1: collapse exact duplicates onto the canonical owner.
+// dedup collapses exact duplicates onto the canonical owner.
+func dedup(entries []entry, owner func(geo.Point) int) []entry {
 	bySig := make(map[string][]int, len(entries))
 	order := make([]string, 0, len(entries))
 	for i := range entries {
@@ -86,25 +79,26 @@ func mergeShards(entries []shardCrowd, owner func(geo.Point) int, gp gathering.P
 		if len(group) > 1 {
 			want := owner(centroid(entries[win].crowd.At(0)))
 			for _, i := range group[1:] {
-				if entries[i].shard == want && entries[win].shard != want {
+				if entries[i].node == want && entries[win].node != want {
 					win = i
 				}
 			}
-			st.deduped += len(group) - 1
 		}
 		kept = append(kept, entries[win])
 	}
+	return kept
+}
 
-	// Stage 2: absorb partial views into a containing cross-shard copy.
+// absorb drops partial views contained in another node's copy.
+func absorb(kept []entry) []entry {
 	drop := make([]bool, len(kept))
 	for i := range kept {
 		for j := range kept {
-			if i == j || drop[j] || kept[i].shard == kept[j].shard {
+			if i == j || drop[j] || kept[i].node == kept[j].node {
 				continue
 			}
 			if crowdContains(kept[j].crowd, kept[i].crowd) {
 				drop[i] = true
-				st.deduped++
 				break
 			}
 		}
@@ -115,38 +109,33 @@ func mergeShards(entries []shardCrowd, owner func(geo.Point) int, gp gathering.P
 			merged = append(merged, kept[i])
 		}
 	}
+	return merged
+}
 
-	// Stage 3: stitch overlapping cross-shard fragments by iterated
-	// pairwise fusion. Stitchability is re-checked against the fused
-	// result after every fuse rather than closed transitively: a middle
-	// fragment may legitimately bridge a left and a right view of one
-	// moving crowd (the fused crowd then shares members with the far side
-	// at every shared tick), but two branched crowds with disjoint
-	// clusters at some shared tick must never be unioned just because a
-	// third fragment overlaps both.
-	frags := make([]int, len(merged)) // fragments consumed per surviving entry
-	for i := range frags {
-		frags[i] = 1
-	}
+// stitch fuses overlapping cross-node fragments by iterated pairwise
+// fusion. Stitchability is re-checked against the fused result after
+// every fuse rather than closed transitively: a middle fragment may
+// legitimately bridge a left and a right view of one moving crowd (the
+// fused crowd then shares members with the far side at every shared
+// tick), but two branched crowds with disjoint clusters at some shared
+// tick must never be unioned just because a third fragment overlaps both.
+func stitch(merged []entry, owner func(geo.Point) int, gp gathering.Params) []entry {
 	fusedAny := false
 	for {
 		found := false
 		for i := 0; i < len(merged) && !found; i++ {
 			for j := i + 1; j < len(merged); j++ {
-				// Same-shard entries are distinct discoveries by
-				// construction; fused entries (shard -1) may match anyone.
-				if merged[i].shard == merged[j].shard &&
-					merged[i].shard >= 0 {
+				// Same-node entries are distinct discoveries by
+				// construction; fused entries (node -1) may match anyone.
+				if merged[i].node == merged[j].node && merged[i].node >= 0 {
 					continue
 				}
 				if !stitchable(merged[i].crowd, merged[j].crowd) {
 					continue
 				}
 				fused := stitchCrowds([]*crowd.Crowd{merged[i].crowd, merged[j].crowd})
-				merged[i] = shardCrowd{shard: -1, crowd: fused}
-				frags[i] += frags[j]
+				merged[i] = entry{node: -1, crowd: fused}
 				merged = append(merged[:j], merged[j+1:]...)
-				frags = append(frags[:j], frags[j+1:]...)
 				found, fusedAny = true, true
 				break
 			}
@@ -156,17 +145,16 @@ func mergeShards(entries []shardCrowd, owner func(geo.Point) int, gp gathering.P
 		}
 	}
 	if !fusedAny {
-		return merged, st
+		return merged
 	}
 	for i := range merged {
-		if merged[i].shard >= 0 {
+		if merged[i].node >= 0 {
 			continue
 		}
-		merged[i].shard = owner(centroid(merged[i].crowd.At(0)))
+		merged[i].node = owner(centroid(merged[i].crowd.At(0)))
 		merged[i].gathers = gathering.TADStar(merged[i].crowd, gp)
-		st.stitched += frags[i]
 	}
-	return merged, st
+	return merged
 }
 
 // centroid returns the mean of a cluster's points.
@@ -197,9 +185,6 @@ func crowdSig(cr *crowd.Crowd) string {
 
 // clusterSubset reports whether a's objects are all in b (both sorted).
 func clusterSubset(a, b *snapshot.Cluster) bool {
-	if a == b {
-		return true // shared cluster view
-	}
 	if a.Len() > b.Len() {
 		return false
 	}
@@ -218,9 +203,6 @@ func clusterSubset(a, b *snapshot.Cluster) bool {
 
 // clustersIntersect reports whether two clusters share an object.
 func clustersIntersect(a, b *snapshot.Cluster) bool {
-	if a == b {
-		return a.Len() > 0 // shared cluster view
-	}
 	i, j := 0, 0
 	for i < a.Len() && j < b.Len() {
 		switch {
@@ -257,14 +239,8 @@ func crowdContains(outer, inner *crowd.Crowd) bool {
 // shared tick. Distinct branched crowds fail this — where they diverge,
 // their clusters are disjoint (DBSCAN partitions each tick).
 func stitchable(a, b *crowd.Crowd) bool {
-	lo := a.Start
-	if b.Start > lo {
-		lo = b.Start
-	}
-	hi := a.End()
-	if b.End() < hi {
-		hi = b.End()
-	}
+	lo := max(a.Start, b.Start)
+	hi := min(a.End(), b.End())
 	if lo > hi {
 		return false
 	}
@@ -283,12 +259,8 @@ func stitchable(a, b *crowd.Crowd) bool {
 func stitchCrowds(frags []*crowd.Crowd) *crowd.Crowd {
 	start, end := frags[0].Start, frags[0].End()
 	for _, f := range frags[1:] {
-		if f.Start < start {
-			start = f.Start
-		}
-		if f.End() > end {
-			end = f.End()
-		}
+		start = min(start, f.Start)
+		end = max(end, f.End())
 	}
 	clusters := make([]*snapshot.Cluster, 0, int(end-start)+1)
 	var at []*snapshot.Cluster
@@ -305,22 +277,10 @@ func stitchCrowds(frags []*crowd.Crowd) *crowd.Crowd {
 }
 
 // unionClusters unions the member sets of clusters observed at one tick.
-// Replicated objects carry identical interpolated positions in every
-// shard, so duplicates are dropped by ID. Shared cluster views make the
-// union trivial: fragments of one crowd hold the same pointer at a shared
-// tick, so no member merge is needed.
+// Replicated objects carry identical interpolated positions on every
+// node, so duplicates are dropped by ID.
 func unionClusters(cls []*snapshot.Cluster) *snapshot.Cluster {
 	if len(cls) == 1 {
-		return cls[0]
-	}
-	same := true
-	for _, cl := range cls[1:] {
-		if cl != cls[0] {
-			same = false
-			break
-		}
-	}
-	if same {
 		return cls[0]
 	}
 	n := 0
@@ -348,42 +308,4 @@ func unionClusters(cls []*snapshot.Cluster) *snapshot.Cluster {
 		up = append(up, pts[i])
 	}
 	return snapshot.NewCluster(cls[0].T, uo, up)
-}
-
-// compareCrowds orders crowds deterministically: by start tick, lifetime,
-// then per-tick membership (size, then object IDs). It returns 0 only for
-// crowds with identical spans and memberships, so sorting snapshot results
-// with it makes Limit truncation independent of shard iteration order.
-func compareCrowds(a, b *crowd.Crowd) int {
-	if a.Start != b.Start {
-		if a.Start < b.Start {
-			return -1
-		}
-		return 1
-	}
-	if la, lb := a.Lifetime(), b.Lifetime(); la != lb {
-		if la < lb {
-			return -1
-		}
-		return 1
-	}
-	aCls, bCls := a.Clusters(), b.Clusters()
-	for i := range aCls {
-		ca, cb := aCls[i], bCls[i]
-		if ca.Len() != cb.Len() {
-			if ca.Len() < cb.Len() {
-				return -1
-			}
-			return 1
-		}
-		for k := range ca.Objects {
-			if ca.Objects[k] != cb.Objects[k] {
-				if ca.Objects[k] < cb.Objects[k] {
-					return -1
-				}
-				return 1
-			}
-		}
-	}
-	return 0
 }

@@ -1,4 +1,4 @@
-package engine
+package cluster
 
 import (
 	"testing"
@@ -34,8 +34,8 @@ func mkCrowd(start trajectory.Tick, ticks int, base geo.Point, ids ...trajectory
 
 func testGatherParams() gathering.Params { return gathering.Params{KC: 3, KP: 3, MP: 2} }
 
-// TestCentroidAllocs: the router takes every cluster's centroid once per
-// batch, so it must allocate nothing.
+// TestCentroidAllocs: the merge takes a crowd's first centroid for every
+// duplicate group and fused crowd, so it must allocate nothing.
 func TestCentroidAllocs(t *testing.T) {
 	cl := mkCluster(0, geo.Point{X: 100, Y: 100}, 1, 2, 3)
 	if got := centroid(cl); got != (geo.Point{X: 102, Y: 100}) {
@@ -47,59 +47,53 @@ func TestCentroidAllocs(t *testing.T) {
 }
 
 // TestMergeDedupExactDuplicates checks stage 1: identical copies from
-// several shards collapse to one, kept by the canonical owner.
+// several nodes collapse to one, kept by the canonical owner.
 func TestMergeDedupExactDuplicates(t *testing.T) {
 	site := geo.Point{X: 100, Y: 100}
-	entries := []shardCrowd{
-		{shard: 0, crowd: mkCrowd(5, 4, site, 1, 2, 3)},
-		{shard: 2, crowd: mkCrowd(5, 4, site, 1, 2, 3)},
-		{shard: 1, crowd: mkCrowd(5, 4, site, 1, 2, 3)},
+	entries := []entry{
+		{node: 0, crowd: mkCrowd(5, 4, site, 1, 2, 3)},
+		{node: 2, crowd: mkCrowd(5, 4, site, 1, 2, 3)},
+		{node: 1, crowd: mkCrowd(5, 4, site, 1, 2, 3)},
 	}
-	merged, st := mergeShards(entries, func(geo.Point) int { return 2 }, testGatherParams())
+	merged := merge(entries, func(geo.Point) int { return 2 }, testGatherParams())
 	if len(merged) != 1 {
 		t.Fatalf("kept %d copies, want 1", len(merged))
 	}
-	if merged[0].shard != 2 {
-		t.Fatalf("kept shard %d's copy, want canonical owner 2", merged[0].shard)
-	}
-	if st.deduped != 2 {
-		t.Fatalf("deduped = %d, want 2", st.deduped)
+	if merged[0].node != 2 {
+		t.Fatalf("kept node %d's copy, want canonical owner 2", merged[0].node)
 	}
 }
 
 // TestMergeAbsorbsPartialView checks stage 2: a crowd whose clusters are
-// per-tick subsets of another shard's view over a sub-span is dropped.
+// per-tick subsets of another node's crowd over a sub-span is dropped.
 func TestMergeAbsorbsPartialView(t *testing.T) {
 	site := geo.Point{X: 100, Y: 100}
 	full := mkCrowd(0, 6, site, 1, 2, 3, 4)
 	partial := mkCrowd(1, 4, site, 2, 3) // shorter span, fewer members
-	entries := []shardCrowd{
-		{shard: 0, crowd: full},
-		{shard: 1, crowd: partial},
+	entries := []entry{
+		{node: 0, crowd: full},
+		{node: 1, crowd: partial},
 	}
-	merged, st := mergeShards(entries, func(geo.Point) int { return 0 }, testGatherParams())
+	merged := merge(entries, func(geo.Point) int { return 0 }, testGatherParams())
 	if len(merged) != 1 || merged[0].crowd != full {
 		t.Fatalf("merge kept %d crowds, want just the full view", len(merged))
-	}
-	if st.deduped != 1 {
-		t.Fatalf("deduped = %d, want 1", st.deduped)
 	}
 }
 
 // TestMergeStitchesFragments checks stage 3: overlapping fragments from
-// different shards fuse into one crowd spanning their union, and gathering
+// different nodes fuse into one crowd spanning their union, and gathering
 // detection reruns on the result.
 func TestMergeStitchesFragments(t *testing.T) {
 	site := geo.Point{X: 100, Y: 100}
-	// Shard 0 saw the crowd entering ([0..5] with members 1-3), shard 1 saw
+	// Node 0 saw the crowd entering ([0..5] with members 1-3), node 1 saw
 	// it leaving ([3..9] with members 2-4): overlap [3..5] shares {2, 3}.
 	left := mkCrowd(0, 6, site, 1, 2, 3)
 	right := mkCrowd(3, 7, site, 2, 3, 4)
-	entries := []shardCrowd{
-		{shard: 0, crowd: left},
-		{shard: 1, crowd: right},
+	entries := []entry{
+		{node: 0, crowd: left},
+		{node: 1, crowd: right},
 	}
-	merged, st := mergeShards(entries, func(geo.Point) int { return 0 }, testGatherParams())
+	merged := merge(entries, func(geo.Point) int { return 0 }, testGatherParams())
 	if len(merged) != 1 {
 		t.Fatalf("merge kept %d crowds, want 1 fused", len(merged))
 	}
@@ -111,64 +105,25 @@ func TestMergeStitchesFragments(t *testing.T) {
 	if got := fused.At(3).Len(); got != 4 {
 		t.Fatalf("fused cluster at tick 3 has %d members, want 4", got)
 	}
-	if st.stitched != 2 {
-		t.Fatalf("stitched = %d, want 2", st.stitched)
-	}
 	if len(merged[0].gathers) == 0 {
 		t.Fatal("stitched crowd lost its gatherings (members 2,3 persist for all 10 ticks)")
 	}
 }
 
-// TestMergeKeepsBranchedCrowds checks that two genuinely distinct crowds —
-// same shard, or diverging to disjoint clusters — survive the merge.
+// TestMergeKeepsBranchedCrowds checks that two genuinely distinct crowds
+// diverging to disjoint clusters survive the merge untouched.
 func TestMergeKeepsBranchedCrowds(t *testing.T) {
 	site := geo.Point{X: 100, Y: 100}
 	far := geo.Point{X: 9000, Y: 9000}
-	// Same shard: never merged, even when identical.
-	a := mkCrowd(0, 4, site, 1, 2, 3)
-	b := mkCrowd(0, 4, site, 1, 2, 3)
-	merged, _ := mergeShards([]shardCrowd{
-		{shard: 0, crowd: a},
-		{shard: 0, crowd: b},
-	}, func(geo.Point) int { return 0 }, testGatherParams())
-	if len(merged) != 1 {
-		// Identical same-shard copies share a signature; they collapse in
-		// stage 1 regardless of shard. (Algorithm 1 never emits them.)
-		t.Logf("identical same-shard copies collapsed: %d kept", len(merged))
-	}
-	// Different shards, overlapping spans, disjoint members: distinct
+	// Different nodes, overlapping spans, disjoint members: distinct
 	// crowds at distinct sites must both survive.
 	c := mkCrowd(0, 4, site, 1, 2, 3)
 	d := mkCrowd(2, 4, far, 7, 8, 9)
-	merged, st := mergeShards([]shardCrowd{
-		{shard: 0, crowd: c},
-		{shard: 1, crowd: d},
+	merged := merge([]entry{
+		{node: 0, crowd: c},
+		{node: 1, crowd: d},
 	}, func(geo.Point) int { return 0 }, testGatherParams())
-	if len(merged) != 2 {
-		t.Fatalf("merge fused disjoint crowds: kept %d, want 2", len(merged))
-	}
-	if st.deduped != 0 || st.stitched != 0 {
-		t.Fatalf("merge touched disjoint crowds: %+v", st)
-	}
-}
-
-// TestCompareCrowdsOrdering checks the deterministic sort key.
-func TestCompareCrowdsOrdering(t *testing.T) {
-	site := geo.Point{X: 0, Y: 0}
-	early := mkCrowd(0, 4, site, 1, 2)
-	late := mkCrowd(2, 4, site, 1, 2)
-	short := mkCrowd(0, 3, site, 1, 2)
-	other := mkCrowd(0, 4, site, 1, 3)
-	if compareCrowds(early, late) >= 0 {
-		t.Fatal("earlier start must sort first")
-	}
-	if compareCrowds(short, early) >= 0 {
-		t.Fatal("shorter lifetime must sort first at equal start")
-	}
-	if compareCrowds(early, other) >= 0 {
-		t.Fatal("smaller member IDs must sort first at equal span")
-	}
-	if compareCrowds(early, early) != 0 {
-		t.Fatal("a crowd must compare equal to itself")
+	if len(merged) != 2 || merged[0].crowd != c || merged[1].crowd != d {
+		t.Fatalf("merge touched disjoint crowds: kept %d", len(merged))
 	}
 }

@@ -221,13 +221,18 @@ func (n *Node) HandleForward(w http.ResponseWriter, r *http.Request) {
 // rpc.LocalPath): the node's full, unfiltered local crowd set in the gob
 // wire format. Unfiltered deliberately — the coordinator must merge
 // before filtering so a canonical copy can absorb halo duplicates even
-// when the filter would drop it.
+// when the filter would drop it. A quarantined engine answers 503, so the
+// coordinator counts the node unreachable instead of merging an empty set.
 func (n *Node) HandleLocal(w http.ResponseWriter, r *http.Request) {
 	if !n.versionOK(r) {
 		http.Error(w, fmt.Sprintf("membership-map version mismatch (local %d)", n.cfg.Map.Version), http.StatusConflict)
 		return
 	}
 	res := n.cfg.Engine.Snapshot(engine.Query{})
+	if n.cfg.Engine.Quarantined() {
+		http.Error(w, engine.ErrQuarantined.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	set := rpc.CrowdSet{Ticks: res.Ticks}
 	for i, cr := range res.Crowds {
 		set.Entries = append(set.Entries, rpc.CrowdEntry{Crowd: cr, Gatherings: res.Gatherings[i]})
@@ -249,11 +254,11 @@ type PartialMeta struct {
 }
 
 // Query runs one scatter-gather snapshot query: fan the local-state read
-// across the membership (self included, read directly), merge the
-// answers with the engine's cross-shard merge at node granularity,
-// then filter and truncate exactly as a single store would. A dead, slow
-// or breaker-open peer degrades the answer to a partial result — its ID
-// listed in PartialMeta.Unreachable — and never fails the query.
+// across the membership (self included, read directly), merge the answers
+// (merge.go), then filter and truncate exactly as a single store would. A
+// dead, slow, quarantined or breaker-open peer degrades the answer to a
+// partial result — its ID listed in PartialMeta.Unreachable — and never
+// fails the query.
 func (n *Node) Query(ctx context.Context, q engine.Query) (*engine.Result, PartialMeta) {
 	type answer struct {
 		node int
@@ -279,9 +284,9 @@ func (n *Node) Query(ctx context.Context, q engine.Query) (*engine.Result, Parti
 	}
 
 	local := n.cfg.Engine.Snapshot(engine.Query{})
-	var entries []engine.RemoteEntry
+	var entries []entry
 	for i, cr := range local.Crowds {
-		entries = append(entries, engine.RemoteEntry{Node: n.selfIdx, Crowd: cr, Gatherings: local.Gatherings[i]})
+		entries = append(entries, entry{node: n.selfIdx, crowd: cr, gathers: local.Gatherings[i]})
 	}
 	minTicks := local.Ticks
 
@@ -300,25 +305,25 @@ func (n *Node) Query(ctx context.Context, q engine.Query) (*engine.Result, Parti
 			minTicks = a.set.Ticks
 		}
 		for _, en := range a.set.Entries {
-			entries = append(entries, engine.RemoteEntry{Node: a.node, Crowd: en.Crowd, Gatherings: en.Gatherings})
+			entries = append(entries, entry{node: a.node, crowd: en.Crowd, gathers: en.Gatherings})
 		}
 	}
 	if len(meta.Unreachable) > 0 {
 		n.counters.QueriesPartial.Add(1)
 	}
 
-	merged := engine.MergeRemote(entries, n.cfg.Map.OwnerIndex, n.cfg.GatherParams)
+	merged := merge(entries, n.cfg.Map.OwnerIndex, n.cfg.GatherParams)
 	res := &engine.Result{Ticks: minTicks}
 	meta.Ticks = minTicks
 	for _, en := range merged {
-		if q.GatheringsOnly && len(en.Gatherings) == 0 {
+		if q.GatheringsOnly && len(en.gathers) == 0 {
 			continue
 		}
-		if !q.Matches(en.Crowd) {
+		if !q.Matches(en.crowd) {
 			continue
 		}
-		res.Crowds = append(res.Crowds, en.Crowd)
-		res.Gatherings = append(res.Gatherings, en.Gatherings)
+		res.Crowds = append(res.Crowds, en.crowd)
+		res.Gatherings = append(res.Gatherings, en.gathers)
 		if q.Limit > 0 && len(res.Crowds) == q.Limit {
 			break
 		}

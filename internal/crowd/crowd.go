@@ -24,7 +24,9 @@
 package crowd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -271,6 +273,30 @@ func (c *Crowd) extend(cl *snapshot.Cluster) *Crowd {
 // String renders the crowd compactly.
 func (c *Crowd) String() string {
 	return fmt.Sprintf("Cr[%d..%d]", c.Start, c.End())
+}
+
+// Compare orders crowds deterministically: by start tick, lifetime, then
+// per-tick membership (size, then object IDs). It returns 0 only for
+// crowds with identical spans and memberships, so a result sorted by it
+// truncates the same way whatever order its crowds were collected in.
+func Compare(a, b *Crowd) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Lifetime(), b.Lifetime()); c != 0 {
+		return c
+	}
+	bCls := b.Clusters()
+	for i, ca := range a.Clusters() {
+		cb := bCls[i]
+		if c := cmp.Compare(ca.Len(), cb.Len()); c != 0 {
+			return c
+		}
+		if c := slices.Compare(ca.Objects, cb.Objects); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // Searcher finds, among the clusters of one tick, those within Hausdorff

@@ -10,8 +10,7 @@ import (
 
 // denseEngine returns a flushed engine holding the dense bench day (the
 // repository's Fig. 6 regime: 1,500 taxis, 96 ticks, clusters of hundreds
-// of points) ingested in 12-tick batches with gatherserve's defaults: two
-// shards, 3 km grid cells and a halo of 4×delta.
+// of points) ingested in 12-tick batches.
 func denseEngine(b *testing.B) *Engine {
 	b.Helper()
 	g := gen.Default()
@@ -27,7 +26,7 @@ func denseEngine(b *testing.B) *Engine {
 		KP: 8, MP: 8,
 		Searcher: "grid",
 	}
-	e, err := New(Config{Pipeline: pipe, Shards: 2, Partitioner: GridCell{CellSize: 3000, Halo: 4 * pipe.Delta}})
+	e, err := New(Config{Pipeline: pipe})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestCloseRacesInFlightAppend(t *testing.T) {
 	batches := testWorkload(t, 120, 48, 8)
 	for round := 0; round < 8; round++ {
-		e, err := New(Config{Pipeline: testPipeline(), Shards: 2})
+		e, err := New(Config{Pipeline: testPipeline()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestCloseRacesInFlightAppend(t *testing.T) {
 func TestCloseRacesFlush(t *testing.T) {
 	batches := testWorkload(t, 120, 48, 8)
 	for round := 0; round < 8; round++ {
-		e, err := New(Config{Pipeline: testPipeline(), Shards: 2})
+		e, err := New(Config{Pipeline: testPipeline()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestCloseRacesFlush(t *testing.T) {
 // engine closed under a stream of Appends.
 func TestCloseThenFlush(t *testing.T) {
 	batches := testWorkload(t, 120, 48, 8)
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 2})
+	e, err := New(Config{Pipeline: testPipeline()})
 	if err != nil {
 		t.Fatal(err)
 	}

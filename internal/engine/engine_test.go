@@ -3,18 +3,15 @@ package engine
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/crowd"
 	"repro/internal/experiments"
-	"repro/internal/gathering"
 	"repro/internal/gen"
 	"repro/internal/geo"
-	"repro/internal/incremental"
+	"repro/internal/snapshot"
 	"repro/internal/trajectory"
 )
 
@@ -55,64 +52,16 @@ func parkedDB(sites []geo.Point, perSite, ticks int) *trajectory.DB {
 	return db
 }
 
-// TestSingleShardMatchesStore checks that a one-shard engine is exactly
-// the incremental algorithm: same crowds, gatherings and ticks as a
-// directly-driven incremental.Store over the same batch sequence.
-func TestSingleShardMatchesStore(t *testing.T) {
-	pipe := testPipeline()
-	batches := testWorkload(t, 200, 96, 4)
-
-	e, err := New(Config{Pipeline: pipe, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for _, b := range batches {
-		if err := e.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Flush()
-
-	st, err := incremental.New(
-		crowd.Params{MC: pipe.MC, KC: pipe.KC, Delta: pipe.Delta},
-		gathering.Params{KC: pipe.KC, KP: pipe.KP, MP: pipe.MP},
-		pipe.SearcherFactory(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		st.Append(core.BuildCDB(b, pipe))
-	}
-
-	res := e.Snapshot(Query{})
-	if res.Ticks != st.Ticks() {
-		t.Fatalf("engine ticks %d, store ticks %d", res.Ticks, st.Ticks())
-	}
-	if got, want := len(res.Crowds), len(st.Crowds()); got != want {
-		t.Fatalf("engine found %d crowds, store %d", got, want)
-	}
-	if got, want := len(res.AllGatherings()), len(st.FlatGatherings()); got != want {
-		t.Fatalf("engine found %d gatherings, store %d", got, want)
-	}
-	if len(res.Crowds) == 0 {
-		t.Fatal("workload produced no crowds; test is vacuous")
-	}
-}
-
-// TestConcurrentAppendQuery hammers a multi-shard engine with appends and
-// snapshot queries from many goroutines at once; run with -race. The halo
-// makes boundary clusters shared views of several shards, so the read-time
-// merge dedups cross-shard copies. Every result a reader holds is recorded
-// by value whenever its frontier advances, and once ingest has drained
-// each record must still match the result it was taken from: shared
-// crowds, clusters and gatherings never change. A write racing a reader
-// shows as a DATA RACE, a later one as a changed record.
+// TestConcurrentAppendQuery hammers the engine with appends and snapshot
+// queries from many goroutines at once; run with -race. Every result a
+// reader holds is recorded by value whenever its frontier advances, and
+// once ingest has drained each record must still match the result it was
+// taken from: crowds, clusters and gatherings shared with the store never
+// change. A write racing a reader shows as a DATA RACE, a later one as a
+// changed record.
 func TestConcurrentAppendQuery(t *testing.T) {
 	batches := testWorkload(t, 200, 96, 8)
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 4, Workers: 4,
-		Partitioner: GridCell{CellSize: 4000, Halo: 1200}})
+	e, err := New(Config{Pipeline: testPipeline(), Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +139,6 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	if got.BatchesEnqueued != uint64(len(batches)) {
 		t.Fatalf("counted %d batches, want %d", got.BatchesEnqueued, len(batches))
 	}
-	if got.CrowdsDeduped == 0 {
-		t.Fatal("the merge deduped no crowd; the halo shares nothing")
-	}
 	held := 0
 	for r, recs := range records {
 		for _, rec := range recs {
@@ -205,8 +151,7 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	if held == 0 {
 		t.Fatal("no reader held a non-empty result")
 	}
-	t.Logf("%d held results unchanged; %d crowds deduped, %d clusters replicated",
-		held, got.CrowdsDeduped, got.ClustersReplicated)
+	t.Logf("%d held results unchanged", held)
 }
 
 // crowdValue is a crowd of a Result copied by value: its clusters'
@@ -251,16 +196,16 @@ func resultValue(res *Result) []crowdValue {
 	return out
 }
 
-// TestBackpressure holds the single shard inside ApplyFault so the queue
+// TestBackpressure holds the applier inside ApplyFault so the queue
 // fills deterministically: TryAppend must refuse, Append must block, a
-// parked Append must not stall TryAppend, and releasing the shard must
+// parked Append must not stall TryAppend, and releasing the applier must
 // drain everything.
 func TestBackpressure(t *testing.T) {
 	db := parkedDB([]geo.Point{{X: 1000, Y: 1000}}, 12, 8)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 1,
-		ApplyFault: func(_ int, seq uint64) {
+	e, err := New(Config{Pipeline: testPipeline(),
+		ApplyFault: func(seq uint64) {
 			if seq == 0 {
 				close(entered)
 				<-release
@@ -275,14 +220,14 @@ func TestBackpressure(t *testing.T) {
 		e.Close()
 	}()
 
-	// Batch 0 reaches the shard goroutine, which parks in ApplyFault.
+	// Batch 0 reaches the applier, which parks in ApplyFault.
 	if err := e.Append(db); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	// Batches 1 to shardQueue fill the shard's channel; the router takes
+	// Batches 1 to applyQueue fill the apply channel; the router takes
 	// the next batch and stalls sending it.
-	for i := 1; i <= shardQueue+1; i++ {
+	for i := 1; i <= applyQueue+1; i++ {
 		if err := e.Append(db); err != nil {
 			t.Fatalf("Append %d with room in the queue: %v", i, err)
 		}
@@ -321,11 +266,11 @@ func TestBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Append never unblocked after the shard was released")
+		t.Fatal("Append never unblocked after the applier was released")
 	}
 	e.Flush()
 
-	if want := (shardQueue + 3) * db.Domain.N; e.Ticks() != want {
+	if want := (applyQueue + 3) * db.Domain.N; e.Ticks() != want {
 		t.Fatalf("ticks = %d, want %d", e.Ticks(), want)
 	}
 	if res := e.Snapshot(Query{GatheringsOnly: true}); len(res.Crowds) == 0 {
@@ -338,8 +283,7 @@ func TestBackpressure(t *testing.T) {
 func TestQueryFilters(t *testing.T) {
 	sites := []geo.Point{{X: 1000, Y: 1000}, {X: 80000, Y: 80000}}
 	db := parkedDB(sites, 20, 40)
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 4,
-		Partitioner: GridCell{CellSize: 5000}})
+	e, err := New(Config{Pipeline: testPipeline()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,35 +323,32 @@ func TestQueryFilters(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsBadPartitioner checks partitioner validation: negative
-// cell sizes and halo margins below 4×δ are rejected, 4×δ is accepted,
-// and a zero cell size and halo resolve to their 10×δ and 4×δ defaults.
-func TestConfigRejectsBadPartitioner(t *testing.T) {
+// TestClusterOnceBuildsOnce checks the throughput invariant behind the
+// cluster-once pipeline: ClustersBuilt equals the clusters of one
+// snapshot.Build per batch, whatever the build's parallelism.
+func TestClusterOnceBuildsOnce(t *testing.T) {
+	db := parkedDB([]geo.Point{{X: 4995, Y: 1000}, {X: 1000, Y: 4995}, {X: 20000, Y: 20000}}, 12, 24)
 	pipe := testPipeline()
-	for _, g := range []GridCell{
-		{CellSize: -1},
-		{CellSize: 3000, Halo: -1},
-		{CellSize: 3000, Halo: pipe.Delta / 2},
-		{CellSize: 3000, Halo: pipe.Delta},
-	} {
-		_, err := New(Config{Pipeline: pipe, Partitioner: g})
-		if err == nil {
-			t.Errorf("GridCell %+v accepted", g)
-		} else if g.CellSize > 0 && !strings.Contains(err.Error(), "4×δ") {
-			t.Errorf("GridCell %+v refused without naming 4×δ: %v", g, err)
+	want := 0
+	for _, b := range db.Batches(12) {
+		want += snapshot.Build(b, pipe.SnapshotOptions(0)).NumClusters()
+	}
+	for _, workers := range []int{1, 4} {
+		e, err := New(Config{Pipeline: pipe, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	e, err := New(Config{Pipeline: pipe, Partitioner: GridCell{CellSize: 3000, Halo: 4 * pipe.Delta}})
-	if err != nil {
-		t.Fatalf("halo 4×δ refused: %v", err)
-	}
-	e.Close()
-	cfg := Config{Pipeline: pipe}.withDefaults()
-	if want := 10 * pipe.Delta; cfg.Partitioner.CellSize != want {
-		t.Errorf("zero CellSize resolved to %v, want 10×δ = %v", cfg.Partitioner.CellSize, want)
-	}
-	if want := 4 * pipe.Delta; cfg.Partitioner.Halo != want {
-		t.Errorf("zero Halo resolved to %v, want 4×δ = %v", cfg.Partitioner.Halo, want)
+		for _, b := range db.Batches(12) {
+			if err := e.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Flush()
+		cs := e.Counters().Snapshot()
+		e.Close()
+		if cs.ClustersBuilt != uint64(want) {
+			t.Errorf("workers=%d: ClustersBuilt = %d, want %d", workers, cs.ClustersBuilt, want)
+		}
 	}
 }
 
@@ -435,13 +376,12 @@ func TestCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRuns runs the same sharded ingest twice and
-// expects identical results (ordered appends, pure partitioner).
+// TestDeterministicAcrossRuns runs the same ingest twice, with a
+// parallel clustering build, and expects identical results.
 func TestDeterministicAcrossRuns(t *testing.T) {
 	batches := testWorkload(t, 150, 72, 3)
 	run := func() (int, int) {
-		e, err := New(Config{Pipeline: testPipeline(), Shards: 3,
-			Partitioner: GridCell{CellSize: 4000}})
+		e, err := New(Config{Pipeline: testPipeline(), Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,19 +12,18 @@ import (
 
 // FuzzLoadState asserts that LoadState, the reader of every engine
 // checkpoint, never panics on arbitrary bytes, as given or with their
-// shard sections' checksums recomputed; that a refused checkpoint
-// leaves the engine's frontier and answers exactly as they were; and that
-// an accepted one saves into bytes that load again into the same
-// frontier and answer. The seeds are real SaveState output of 1- and
-// 2-shard engines.
+// store sections' checksums recomputed; that a refused checkpoint leaves
+// the engine's frontier and answers exactly as they were; and that an
+// accepted one saves into bytes that load again into the same frontier
+// and answer. The seeds are real SaveState output and the same store
+// section written twice, as a build running -shards 2 laid it out.
 func FuzzLoadState(f *testing.F) {
 	pipe := testPipeline()
-	// Two sites in different 3 km cells, each parking 8 objects for 12
-	// ticks: small checkpoints with a gathering on each shard of the
-	// 2-shard engine.
+	// Two sites 4 km apart, each parking 8 objects for 12 ticks: a small
+	// checkpoint with a gathering on each site.
 	batches := parkedDB([]geo.Point{{X: 1000, Y: 1000}, {X: 5000, Y: 1000}}, 8, 12).Batches(6)
-	mk := func(shards int) *Engine {
-		e, err := New(Config{Pipeline: pipe, Shards: shards, Partitioner: GridCell{CellSize: 3000}})
+	mk := func() *Engine {
+		e, err := New(Config{Pipeline: pipe})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -40,55 +39,48 @@ func FuzzLoadState(f *testing.F) {
 	}
 
 	// The engines live across executions: every execution first resets
-	// its target to the base checkpoint, so a refused load has a
+	// the target to the base checkpoint, so a refused load has a
 	// non-empty state to preserve, and the engines' goroutines sit idle
 	// instead of adding per-execution coverage noise.
-	var target, again [2]*Engine
-	var base [2][]byte
-	for k := range target {
-		target[k], again[k] = mk(k+1), mk(k+1)
-		for _, b := range batches {
-			if err := target[k].Append(b); err != nil {
-				f.Fatal(err)
-			}
+	target, again := mk(), mk()
+	for _, b := range batches {
+		if err := target.Append(b); err != nil {
+			f.Fatal(err)
 		}
-		target[k].Flush()
-		base[k] = save(f, target[k])
-		f.Add(k == 1, base[k])
 	}
+	target.Flush()
+	base := save(f, target)
+	f.Add(base)
+	two := binary.LittleEndian.AppendUint32(nil, 2)
+	f.Add(append(append(two, base[4:]...), base[4:]...))
 
-	check := func(t *testing.T, k int, data []byte) {
-		e := target[k]
-		if err := e.LoadState(bytes.NewReader(base[k])); err != nil {
+	check := func(t *testing.T, data []byte) {
+		if err := target.LoadState(bytes.NewReader(base)); err != nil {
 			t.Fatalf("base checkpoint does not load: %v", err)
 		}
-		before, answer := shardSig(e), snapshotSig(e)
-		if err := e.LoadState(bytes.NewReader(data)); err != nil {
-			if after := shardSig(e); after != before {
-				t.Fatalf("refused checkpoint (%v) changed the shards:\n got %s\nwant %s", err, after, before)
+		before, answer := storeSig(target), snapshotSig(target)
+		if err := target.LoadState(bytes.NewReader(data)); err != nil {
+			if after := storeSig(target); after != before {
+				t.Fatalf("refused checkpoint (%v) changed the store:\n got %s\nwant %s", err, after, before)
 			}
-			if after := snapshotSig(e); after != answer {
+			if after := snapshotSig(target); after != answer {
 				t.Fatalf("refused checkpoint (%v) changed the answer:\n got %s\nwant %s", err, after, answer)
 			}
 			return
 		}
-		if err := again[k].LoadState(bytes.NewReader(save(t, e))); err != nil {
+		if err := again.LoadState(bytes.NewReader(save(t, target))); err != nil {
 			t.Fatalf("accepted checkpoint re-saves into bytes that do not load: %v", err)
 		}
-		if got, want := snapshotSig(again[k]), snapshotSig(e); got != want {
+		if got, want := snapshotSig(again), snapshotSig(target); got != want {
 			t.Fatalf("re-saved checkpoint loads into a different state:\n got %s\nwant %s", got, want)
 		}
 	}
-	f.Fuzz(func(t *testing.T, twoShards bool, data []byte) {
-		k := 0
-		if twoShards {
-			k = 1
-		}
-		check(t, k, data)
-		// A mutation inside a shard section almost never keeps that
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		// A mutation inside a store section almost never keeps that
 		// section's checksum right; resealing every whole section lets
-		// it reach the store decoder, and a later shard's refusal.
-		check(t, k, resealed(data))
+		// it reach the store decoder.
+		check(t, resealed(data))
 	})
 }
 
@@ -109,16 +101,12 @@ func resealed(data []byte) []byte {
 	return out
 }
 
-// shardSig renders the engine's frontier and the identity of every
-// shard's store: a refused LoadState must install nothing.
-func shardSig(e *Engine) string {
-	sig := fmt.Sprintf("ticks=%d", e.Ticks())
-	for i, sh := range e.shards {
-		sh.mu.RLock()
-		sig += fmt.Sprintf(" %d:%p/%v/%d", i, sh.store, sh.quarantined, sh.appliedTicks)
-		sh.mu.RUnlock()
-	}
-	return sig
+// storeSig renders the engine's frontier and the identity of its store:
+// a refused LoadState must install nothing.
+func storeSig(e *Engine) string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return fmt.Sprintf("ticks=%d %p/%v", e.Ticks(), e.store, e.quarantined)
 }
 
 // snapshotSig renders a full snapshot answer: its frontier, crowds and

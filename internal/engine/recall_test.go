@@ -2,16 +2,18 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
+	"repro/internal/experiments"
 	"repro/internal/gathering"
 	"repro/internal/gen"
 	"repro/internal/geo"
 	"repro/internal/incremental"
-	"repro/internal/stats"
 	"repro/internal/trajectory"
 )
 
@@ -37,18 +39,47 @@ func gatheringSigs(gs []*gathering.Gathering) []string {
 	return out
 }
 
-// recallDay returns the ROADMAP recall day (400 taxis, 144 ticks, seed 3)
-// in 16-tick batches, and the 10 gatherings a single incremental.Store
-// finds on it.
-func recallDay(t *testing.T) (pipe core.Config, batches []*trajectory.DB, base []string) {
-	t.Helper()
+// recallDay is the ROADMAP recall day: 400 taxis, 144 ticks, seed 3.
+func recallDay() *trajectory.DB {
 	cfg := gen.Default()
 	cfg.NumTaxis = 400
 	cfg.TicksPerDay = 144
 	cfg.Seed = 3
-	pipe = recallPipeline()
-	batches = gen.Generate(cfg).Batches(16)
+	return gen.Generate(cfg)
+}
 
+// randomSplit cuts db into consecutive batches of 1 to 24 ticks.
+func randomSplit(db *trajectory.DB, rng *rand.Rand) []*trajectory.DB {
+	var out []*trajectory.DB
+	for from := 0; from < db.Domain.N; {
+		n := min(1+rng.Intn(24), db.Domain.N-from)
+		out = append(out, db.SliceTicks(trajectory.Tick(from), n))
+		from += n
+	}
+	return out
+}
+
+// answerSigs renders closed crowds, in order, with their gatherings: span,
+// per-tick membership and each gathering's span and participators.
+func answerSigs(crowds []*crowd.Crowd, gathers [][]*gathering.Gathering) []string {
+	out := make([]string, len(crowds))
+	for i, cr := range crowds {
+		sig := fmt.Sprintf("%d:", cr.Start)
+		for _, cl := range cr.Clusters() {
+			sig += fmt.Sprintf("%v", cl.Objects)
+		}
+		out[i] = sig + fmt.Sprint(gatheringSigs(gathers[i]))
+	}
+	return out
+}
+
+// matchStore feeds batches to an engine built from cfg and to one
+// incremental.Store, requires the engine to answer exactly what the store
+// does — the same tick frontier and the same closed crowds, in
+// crowd.Compare order, with the same gatherings — and returns the store.
+func matchStore(t *testing.T, cfg Config, batches []*trajectory.DB) *incremental.Store {
+	t.Helper()
+	pipe := cfg.Pipeline
 	st, err := incremental.New(
 		crowd.Params{MC: pipe.MC, KC: pipe.KC, Delta: pipe.Delta},
 		gathering.Params{KC: pipe.KC, KP: pipe.KP, MP: pipe.MP},
@@ -57,97 +88,127 @@ func recallDay(t *testing.T) (pipe core.Config, batches []*trajectory.DB, base [
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches {
-		st.Append(core.BuildCDB(b, pipe))
-	}
-	base = gatheringSigs(st.FlatGatherings())
-	if len(base) != 10 {
-		t.Fatalf("baseline found %d gatherings, the ROADMAP scenario has 10", len(base))
-	}
-	return pipe, batches, base
-}
-
-// engineSigs ingests batches into a fresh engine and returns its
-// gatherings' signatures and counters.
-func engineSigs(t *testing.T, cfg Config, batches []*trajectory.DB) ([]string, stats.EngineCounterSnapshot) {
-	t.Helper()
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	for _, b := range batches {
+		st.Append(core.BuildCDB(b, pipe))
 		if err := e.Append(b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e.Flush()
-	return gatheringSigs(e.Snapshot(Query{}).AllGatherings()), e.Counters().Snapshot()
+
+	crowds, gathers := st.Crowds(), st.Gatherings()
+	idx := make([]int, len(crowds))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return crowd.Compare(crowds[idx[a]], crowds[idx[b]]) < 0 })
+	wantCrowds := make([]*crowd.Crowd, len(idx))
+	wantGathers := make([][]*gathering.Gathering, len(idx))
+	for k, i := range idx {
+		wantCrowds[k], wantGathers[k] = crowds[i], gathers[i]
+	}
+
+	res := e.Snapshot(Query{})
+	if res.Ticks != st.Ticks() || e.Ticks() != st.Ticks() {
+		t.Fatalf("engine at %d ticks (Ticks() %d), store at %d", res.Ticks, e.Ticks(), st.Ticks())
+	}
+	got, want := answerSigs(res.Crowds, res.Gatherings), answerSigs(wantCrowds, wantGathers)
+	if !slices.Equal(got, want) {
+		t.Fatalf("engine answer differs from the store over %d batches:\n got %v\nwant %v", len(batches), got, want)
+	}
+	return st
 }
 
-// TestShardedRecallParity is the regression guard for the halo/merge fix:
-// the recall day must yield the identical gathering set from a single
-// incremental.Store and from GridCell engines at 1–16 shards with 3 km
-// cells and a 4×δ halo. Before halo replication the 4-shard engine found
-// 3 of the baseline's 10 gatherings. The 16-shard case exercises the
-// stitching path (no single shard sees some boundary crowds whole there
-// — see BENCH_recall.json).
+// TestEngineMatchesStore is the engine's parity property: under seeded
+// random batch splits and Workers from 1 to 4, an engine answers exactly
+// what one incremental.Store answers when fed the same batches (see
+// matchStore). The inputs are the recall day, on which the store finds
+// the ROADMAP scenario's 10 gatherings under every split (Theorem 2), and
+// a small clear-weather day.
+func TestEngineMatchesStore(t *testing.T) {
+	inputs := []struct {
+		name       string
+		pipe       core.Config
+		db         *trajectory.DB
+		gatherings int // gatherings the store finds; -1 for any but none
+	}{
+		{"recall", recallPipeline(), recallDay(), 10},
+		{"clear", testPipeline(), experiments.Workload(experiments.Scale{Taxis: 200, TicksPerDay: 96, Seed: 1}, gen.Clear), -1},
+	}
+	for _, in := range inputs {
+		for seed := int64(1); seed <= 8; seed++ {
+			batches := randomSplit(in.db, rand.New(rand.NewSource(seed)))
+			workers := 1 + int(seed-1)%4
+			t.Run(fmt.Sprintf("%s/seed=%d/workers=%d", in.name, seed, workers), func(t *testing.T) {
+				st := matchStore(t, Config{Pipeline: in.pipe, Workers: workers}, batches)
+				if n := len(st.FlatGatherings()); n == 0 || in.gatherings >= 0 && n != in.gatherings {
+					t.Fatalf("the store found %d gatherings over %d batches, want %d", n, len(batches), in.gatherings)
+				}
+			})
+		}
+	}
+}
+
+// TestSingleShardMatchesStore checks that the engine is exactly the
+// incremental algorithm on a fixed split: a clear 200-taxi day in four
+// batches gives the same frontier, crowds and gatherings as a directly
+// driven incremental.Store.
+func TestSingleShardMatchesStore(t *testing.T) {
+	st := matchStore(t, Config{Pipeline: testPipeline()}, testWorkload(t, 200, 96, 4))
+	if len(st.Crowds()) == 0 {
+		t.Fatal("workload produced no crowds; test is vacuous")
+	}
+}
+
+// TestShardedRecallParity: the recall day in 16-tick batches yields the
+// store's answer, with its 10 gatherings, at per-tick DBSCAN parallelism
+// (Workers) 1 to 16. Each case keeps the name it had when the engine
+// could split into that many stores, so a run selected by name still
+// finds it.
 func TestShardedRecallParity(t *testing.T) {
-	pipe, batches, base := recallDay(t)
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got, cs := engineSigs(t, Config{
-				Pipeline:    pipe,
-				Shards:      shards,
-				Partitioner: GridCell{CellSize: 3000, Halo: 4 * pipe.Delta},
-			}, batches)
-			if len(got) != len(base) {
-				t.Errorf("found %d gatherings, baseline has %d", len(got), len(base))
-			}
-			compareSigSets(t, got, base)
-			if shards == 1 {
-				return
-			}
-			if cs.ClustersReplicated == 0 {
-				t.Error("halo replication never fired on the boundary-heavy scenario")
-			}
-			if cs.CrowdsDeduped == 0 {
-				t.Error("snapshot merge never deduplicated a boundary crowd")
+	batches := recallDay().Batches(16)
+	for _, n := range []int{1, 2, 4, 8, 16} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			st := matchStore(t, Config{Pipeline: recallPipeline(), Workers: n}, batches)
+			if got := len(st.FlatGatherings()); got != 10 {
+				t.Fatalf("found %d gatherings, the ROADMAP scenario has 10", got)
 			}
 		})
 	}
 }
 
 // TestZeroConfigRecallParity: an engine configured with nothing but its
-// pipeline and a shard count must find the single store's gatherings on
-// the recall day. With a zero Partitioner once meaning "no halo", 2 to 16
-// shards found 9 of the 10 and reported no error.
+// pipeline yields the store's answer, with its 10 gatherings, on the
+// recall day fed in batches of 2 to 16 ticks. Each case keeps the name it
+// had when the engine could split into that many stores, so a run
+// selected by name still finds it.
 func TestZeroConfigRecallParity(t *testing.T) {
-	pipe, batches, base := recallDay(t)
-	for _, shards := range []int{2, 4, 8, 16} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got, _ := engineSigs(t, Config{Pipeline: pipe, Shards: shards}, batches)
-			if len(got) != len(base) {
-				t.Errorf("found %d gatherings, baseline has %d", len(got), len(base))
+	db := recallDay()
+	for _, n := range []int{2, 4, 8, 16} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			st := matchStore(t, Config{Pipeline: recallPipeline()}, db.Batches(n))
+			if got := len(st.FlatGatherings()); got != 10 {
+				t.Fatalf("found %d gatherings over %d-tick batches, the ROADMAP scenario has 10", got, n)
 			}
-			compareSigSets(t, got, base)
 		})
 	}
 }
 
 // TestSnapshotLimitDeterministic checks that Limit truncates the
 // deterministically-sorted result: for every k, the Limit-k answer is the
-// prefix of the full answer, independent of shard iteration order.
+// prefix of the full answer.
 func TestSnapshotLimitDeterministic(t *testing.T) {
 	sites := []geo.Point{
 		{X: 1000, Y: 1000}, {X: 40000, Y: 1000},
 		{X: 1000, Y: 40000}, {X: 40000, Y: 40000}, {X: 80000, Y: 80000},
 	}
 	db := parkedDB(sites, 12, 24)
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 4,
-		Partitioner: GridCell{CellSize: 5000}})
+	e, err := New(Config{Pipeline: testPipeline()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +228,7 @@ func TestSnapshotLimitDeterministic(t *testing.T) {
 		t.Fatalf("Ticks = %d after flush, want %d", full.Ticks, db.Domain.N)
 	}
 	for i := 1; i < len(full.Crowds); i++ {
-		if compareCrowds(full.Crowds[i-1], full.Crowds[i]) >= 0 {
+		if crowd.Compare(full.Crowds[i-1], full.Crowds[i]) >= 0 {
 			t.Fatalf("snapshot not sorted at %d: %v !< %v", i, full.Crowds[i-1], full.Crowds[i])
 		}
 	}
@@ -177,7 +238,7 @@ func TestSnapshotLimitDeterministic(t *testing.T) {
 			t.Fatalf("Limit %d returned %d crowds", k, len(res.Crowds))
 		}
 		for i, cr := range res.Crowds {
-			if compareCrowds(cr, full.Crowds[i]) != 0 {
+			if crowd.Compare(cr, full.Crowds[i]) != 0 {
 				t.Fatalf("Limit %d result[%d] = %v, want prefix of full answer (%v)",
 					k, i, cr, full.Crowds[i])
 			}

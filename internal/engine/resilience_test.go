@@ -1,5 +1,5 @@
 // Resilience tests: the admission stage in front of the engine (messy
-// stream ≡ in-order replay), quarantine of panicking shards, and the
+// stream ≡ in-order replay), quarantine after an apply panic, and the
 // SaveState/LoadState checkpoint roundtrip. The fault vocabulary comes
 // from internal/chaos; everything is seeded and deterministic.
 
@@ -7,7 +7,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -62,47 +61,48 @@ func compareSigSets(t *testing.T, got, want []string) {
 	}
 }
 
-// TestMessyStreamParity is the ISSUE's property test: a stream perturbed
-// with reordering (within the watermark), duplicate deliveries and object
-// churn, pushed through the admission stage, must yield the identical
-// gathering set as in-order replay of the same batches — at 1, 4 and 8
-// shards with the default 4×δ halo. Each subtest name keeps the
-// "/halo=true" leaf it had beside a halo-off run, so a run selected by
-// name still finds it.
+// TestMessyStreamParity is the admission property test: a stream
+// perturbed with reordering (within the watermark), duplicate deliveries
+// and object churn, pushed through the admission stage, must yield the
+// identical gathering set as in-order replay of the same batches. It runs
+// three perturbation seeds. Each case keeps the name it had when the
+// engine could split into that many stores (the seed was derived from
+// the count), so a run selected by name still finds it.
 func TestMessyStreamParity(t *testing.T) {
 	pipe := testPipeline()
 	batches := churn(testWorkload(t, 250, 96, 8))
+	mk := func() *Engine {
+		e, err := New(Config{Pipeline: pipe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
 
-	for _, shards := range []int{1, 4, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d/halo=true", shards), func(t *testing.T) {
-			mk := func() *Engine {
-				e, err := New(Config{
-					Pipeline:    pipe,
-					Shards:      shards,
-					Partitioner: GridCell{CellSize: 3000},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e
-			}
+	base := mk()
+	defer base.Close()
+	for _, b := range batches {
+		if err := base.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base.Flush()
+	want := gatheringSigs(base.Snapshot(Query{}).AllGatherings())
+	if len(want) == 0 {
+		t.Fatal("in-order run found no gatherings; parity would be vacuous")
+	}
 
-			base := mk()
-			defer base.Close()
-			for _, b := range batches {
-				if err := base.Append(b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			base.Flush()
-			want := gatheringSigs(base.Snapshot(Query{}).AllGatherings())
-			if len(want) == 0 {
-				t.Fatal("in-order run found no gatherings; parity would be vacuous")
-			}
-
+	for _, c := range []struct {
+		name string
+		seed int64
+	}{
+		{"shards=1/halo=true", 2200},
+		{"shards=4/halo=true", 5200},
+		{"shards=8/halo=true", 9200},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			evs := chaos.Perturb(batches, chaos.Config{
-				Seed:        int64(shards)*1000 + int64(4*pipe.Delta),
+				Seed:        c.seed,
 				ReorderProb: 0.35, MaxDelay: 3, DupProb: 0.3,
 			})
 			rc := &stats.ResilienceCounters{}
@@ -152,7 +152,7 @@ func TestDroppedBatchNeverSilent(t *testing.T) {
 	batches := testWorkload(t, 150, 48, 6)
 	per := batches[0].Domain.N
 
-	e, err := New(Config{Pipeline: pipe, Shards: 2, Partitioner: GridCell{CellSize: 3000}})
+	e, err := New(Config{Pipeline: pipe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,52 +201,46 @@ func TestDroppedBatchNeverSilent(t *testing.T) {
 	}
 }
 
-// TestApplyPanicQuarantines: an injected panic during a shard apply must
-// quarantine that shard — not crash the process, not deadlock the worker
-// pool, not poison snapshots — and be visible in the counters.
+// TestApplyPanicQuarantines: an injected panic during an apply must
+// quarantine the engine — not crash the process, not deadlock the
+// pipeline, not answer from a poisoned store — be visible in the counters,
+// and heal on a checkpoint restore.
 func TestApplyPanicQuarantines(t *testing.T) {
-	sites := []geo.Point{
-		{X: 1000, Y: 1000}, {X: 40000, Y: 1000},
-		{X: 1000, Y: 40000}, {X: 40000, Y: 40000},
-	}
+	sites := []geo.Point{{X: 1000, Y: 1000}, {X: 40000, Y: 1000}}
 	db := parkedDB(sites, 12, 24)
-	e, err := New(Config{
-		Pipeline:    testPipeline(),
-		Shards:      4,
-		Partitioner: GridCell{CellSize: 5000},
-		ApplyFault:  chaos.FaultAt([2]int{0, 1}),
-	})
-	if err != nil {
-		t.Fatal(err)
+	mk := func(fault func(uint64)) *Engine {
+		e, err := New(Config{Pipeline: testPipeline(), ApplyFault: fault})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
 	}
-	defer e.Close()
-
+	e := mk(chaos.FaultAt(1))
 	for _, b := range db.Batches(6) {
 		if err := e.Append(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Flush() // returning at all proves the pool did not deadlock
+	e.Flush() // returning at all proves the pipeline did not deadlock
 
-	if q := e.Quarantined(); len(q) != 1 || q[0] != 0 {
-		t.Fatalf("Quarantined() = %v, want [0]", q)
+	if !e.Quarantined() {
+		t.Fatal("Quarantined() = false after an apply panic")
 	}
-	cs := e.Counters().Snapshot()
-	if cs.ApplyPanics != 1 {
+	if cs := e.Counters().Snapshot(); cs.ApplyPanics != 1 {
 		t.Errorf("ApplyPanics = %d, want 1", cs.ApplyPanics)
 	}
-	if cs.ShardsQuarantined != 1 {
-		t.Errorf("ShardsQuarantined = %d, want 1", cs.ShardsQuarantined)
-	}
-
-	// Later appends and snapshots keep working on the surviving shards.
+	// Later appends drain and advance the frontier; the poisoned store
+	// answers nothing.
 	if err := e.Append(parkedDB(sites, 12, 4)); err != nil {
 		t.Fatal(err)
 	}
 	e.Flush()
-	res := e.Snapshot(Query{})
-	if res == nil {
-		t.Fatal("Snapshot returned nil after a quarantine")
+	if e.Ticks() != 28 {
+		t.Errorf("frontier at %d ticks after quarantine, want 28", e.Ticks())
+	}
+	if res := e.Snapshot(Query{}); res.Ticks != 0 || len(res.Crowds) != 0 {
+		t.Errorf("quarantined engine answered %d crowds at tick %d, want none at 0", len(res.Crowds), res.Ticks)
 	}
 
 	// A poisoned store must never reach a checkpoint.
@@ -254,6 +248,24 @@ func TestApplyPanicQuarantines(t *testing.T) {
 	if err := e.SaveState(&buf); err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("SaveState on a quarantined engine: err = %v, want a quarantine refusal", err)
 	}
+
+	// A restore from a healthy engine's checkpoint heals it.
+	healthy := mk(nil)
+	if err := healthy.Append(db); err != nil {
+		t.Fatal(err)
+	}
+	healthy.Flush()
+	if err := healthy.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if e.Quarantined() {
+		t.Fatal("LoadState left the engine quarantined")
+	}
+	compareSigSets(t, gatheringSigs(e.Snapshot(Query{}).AllGatherings()),
+		gatheringSigs(healthy.Snapshot(Query{}).AllGatherings()))
 }
 
 // TestSaveLoadRoundtrip: checkpointing mid-stream and restoring into a
@@ -264,11 +276,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	batches := testWorkload(t, 200, 96, 4)
 
 	mk := func() *Engine {
-		e, err := New(Config{
-			Pipeline:    pipe,
-			Shards:      4,
-			Partitioner: GridCell{CellSize: 3000, Halo: 4 * pipe.Delta},
-		})
+		e, err := New(Config{Pipeline: pipe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,11 +319,12 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 }
 
 // TestLoadStateMismatches: a checkpoint must refuse to restore into an
-// engine with a different shard count or different thresholds.
+// engine with different thresholds. (A checkpoint with more than one
+// store section is TestShardCountMismatch's, in internal/recovery.)
 func TestLoadStateMismatches(t *testing.T) {
 	pipe := testPipeline()
 	batches := testWorkload(t, 100, 24, 2)
-	e1, err := New(Config{Pipeline: pipe, Shards: 2, Partitioner: GridCell{CellSize: 3000}})
+	e1, err := New(Config{Pipeline: pipe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,18 +341,9 @@ func TestLoadStateMismatches(t *testing.T) {
 	}
 	saved := buf.Bytes()
 
-	e2, err := New(Config{Pipeline: pipe, Shards: 4, Partitioner: GridCell{CellSize: 3000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if err := e2.LoadState(bytes.NewReader(saved)); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("shard-count mismatch: err = %v, want a -shards complaint", err)
-	}
-
 	wrong := pipe
 	wrong.MC = pipe.MC + 2
-	e3, err := New(Config{Pipeline: wrong, Shards: 2, Partitioner: GridCell{CellSize: 3000}})
+	e3, err := New(Config{Pipeline: wrong})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +354,12 @@ func TestLoadStateMismatches(t *testing.T) {
 }
 
 // TestLoadStateRefreshesSnapshot: a query answered before LoadState must
-// not be served again after it. The memoized merge is keyed on applied
-// shard tasks, and a restore installs new stores without applying any.
+// not be served again after it. The memoised read must see a restore,
+// which installs a new store without applying any batch.
 func TestLoadStateRefreshesSnapshot(t *testing.T) {
 	pipe := testPipeline()
 	mk := func() *Engine {
-		e, err := New(Config{Pipeline: pipe, Shards: 2, Partitioner: GridCell{CellSize: 3000}})
+		e, err := New(Config{Pipeline: pipe})
 		if err != nil {
 			t.Fatal(err)
 		}

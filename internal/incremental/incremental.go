@@ -43,7 +43,7 @@ import (
 // Gatherings. It retains the time domain and the clusters its crowds and
 // gatherings reference, never a per-tick cluster list (the package doc
 // says why that loses nothing). A Store is not safe for concurrent use:
-// inside the engine the owning shard's lock guards searcher, interior,
+// inside the engine the engine's lock guards searcher, interior,
 // interiorGathers, tail, tailGathers, tailDetectors and the three read
 // caches.
 type Store struct {

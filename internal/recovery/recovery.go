@@ -1,5 +1,5 @@
 // Package recovery makes the streaming engine durable: it composes the
-// write-ahead log (internal/wal) and the engine's per-shard checkpoints
+// write-ahead log (internal/wal) and the engine's checkpoints
 // (engine.SaveState/LoadState) into a crash-recovery protocol with one
 // invariant — a batch the admission stage released is either in the
 // current checkpoint or in the WAL, so a killed process restores an
@@ -44,9 +44,10 @@ import (
 
 // A checkpoint file is a 20-byte header — magic "GCKP", uint32 version,
 // uint64 next sequence, uint32 crc32 (IEEE) of those 16 bytes, all
-// little-endian — followed by engine.SaveState's shard sections, each of
-// which carries its own checksum. Version 1 held gob-encoded shards and
-// no header checksum; it is refused, not read.
+// little-endian — followed by engine.SaveState's output: a section count
+// of 1 and the store's section, which carries its own checksum. Version 1
+// held gob-encoded shards and no header checksum; it is refused, not
+// read.
 const (
 	ckptMagic   = "GCKP"
 	ckptVersion = 2

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -29,14 +30,9 @@ func testPipeline() core.Config {
 	}
 }
 
-func newEngine(t *testing.T, shards int) *engine.Engine {
+func newEngine(t *testing.T) *engine.Engine {
 	t.Helper()
-	pipe := testPipeline()
-	e, err := engine.New(engine.Config{
-		Pipeline:    pipe,
-		Shards:      shards,
-		Partitioner: engine.GridCell{CellSize: 3000, Halo: 4 * pipe.Delta},
-	})
+	e, err := engine.New(engine.Config{Pipeline: testPipeline()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +110,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 		t.Fatalf("workload sliced into %d batches, the test plan expects 8", len(batches))
 	}
 
-	base := newEngine(t, 4)
+	base := newEngine(t)
 	defer base.Close()
 	for _, b := range batches {
 		if err := base.Append(b); err != nil {
@@ -140,7 +136,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 	// batch 5 is logged but the process "dies" before applying it — the
 	// worst-case crash window of the write-ahead protocol. No Close: a
 	// crash never closes.
-	e1 := newEngine(t, 4)
+	e1 := newEngine(t)
 	m1, err := Open(e1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +152,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 
 	// Second incarnation: restore + replay (batches 3, 4 from the WAL and
 	// the orphaned 5), then finish the stream and shut down cleanly.
-	e2 := newEngine(t, 4)
+	e2 := newEngine(t)
 	m2, err := Open(e2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +178,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 
 	// Third incarnation: everything is in the final checkpoint, nothing in
 	// the WAL; the state comes back without a single append.
-	e3 := newEngine(t, 4)
+	e3 := newEngine(t)
 	m3, err := Open(e3, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +197,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 // configured is a no-op — gatherserve runs exactly as before when the
 // durability flags are off.
 func TestNoPathsIsPassThrough(t *testing.T) {
-	e := newEngine(t, 2)
+	e := newEngine(t)
 	defer e.Close()
 	m, err := Open(e, Options{})
 	if err != nil {
@@ -217,28 +213,42 @@ func TestNoPathsIsPassThrough(t *testing.T) {
 	}
 }
 
-// TestShardCountMismatch: restoring a checkpoint into an engine with a
-// different -shards must fail loudly instead of guessing.
+// TestShardCountMismatch: a checkpoint with two store sections, as a
+// build running -shards 2 wrote, is refused with an error naming the
+// count and the flag, and leaves the engine as it was.
 func TestShardCountMismatch(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{CheckpointPath: filepath.Join(dir, "ckpt")}
+	good := writeCheckpoint(t)
+	// SaveState output is a uint32 section count, then each section as a
+	// uint64 length and its bytes.
+	section := good[headerSize+4:]
+	two := append([]byte(nil), good[:headerSize]...)
+	two = binary.LittleEndian.AppendUint32(two, 2)
+	two = append(append(two, section...), section...)
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(path, two, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := newEngine(t)
+	defer e.Close()
 	batches := workload(t)
-
-	e1 := newEngine(t, 2)
-	m1, err := Open(e1, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range batches[:2] {
+		if err := e.Append(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	feed(t, m1, e1, batches, 0, 2)
-	if err := m1.Close(); err != nil {
-		t.Fatal(err)
+	e.Flush()
+	ticks, before := e.Ticks(), sigs(e)
+	if len(before) == 0 {
+		t.Fatal("the engine holds no gathering; an unchanged state would prove nothing")
 	}
-	e1.Close()
 
-	e2 := newEngine(t, 4)
-	defer e2.Close()
-	if _, err := Open(e2, opts); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("Open with mismatched shard count: err = %v, want a -shards complaint", err)
+	_, err := Open(e, Options{CheckpointPath: path})
+	if err == nil || !strings.Contains(err.Error(), "2 store sections") || !strings.Contains(err.Error(), "-shards 2") {
+		t.Fatalf("Open of a two-section checkpoint: err = %v, want one naming 2 store sections and -shards 2", err)
+	}
+	if e.Ticks() != ticks || !slices.Equal(sigs(e), before) {
+		t.Fatalf("the refused checkpoint changed the engine: %d ticks %v, was %d ticks %v", e.Ticks(), sigs(e), ticks, before)
 	}
 }
 
@@ -246,7 +256,7 @@ func TestShardCountMismatch(t *testing.T) {
 // skip is a caller bug and must error, not corrupt the log.
 func TestLogOutOfOrder(t *testing.T) {
 	dir := t.TempDir()
-	e := newEngine(t, 2)
+	e := newEngine(t)
 	defer e.Close()
 	m, err := Open(e, Options{WALPath: filepath.Join(dir, "wal")})
 	if err != nil {
@@ -270,7 +280,7 @@ func TestWALPredatingCheckpoint(t *testing.T) {
 	}
 	batches := workload(t)
 
-	e1 := newEngine(t, 2)
+	e1 := newEngine(t)
 	m1, err := Open(e1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -294,16 +304,16 @@ func TestWALPredatingCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2 := newEngine(t, 2)
+	e2 := newEngine(t)
 	defer e2.Close()
 	if _, err := Open(e2, opts); err == nil || !strings.Contains(err.Error(), "jumps") {
 		t.Fatalf("Open over a mismatched WAL: err = %v, want a sequence-jump complaint", err)
 	}
 }
 
-// writeCheckpoint feeds a 2-shard engine two sites in different grid
-// cells, each parking 8 objects for 12 ticks, in two batches, and returns
-// the small checkpoint its Close writes: a gathering on each site.
+// writeCheckpoint feeds an engine two sites 4 km apart, each parking 8
+// objects for 12 ticks, in two batches, and returns the small checkpoint
+// its Close writes: a gathering on each site.
 func writeCheckpoint(t *testing.T) []byte {
 	t.Helper()
 	db := &trajectory.DB{Domain: trajectory.TimeDomain{Step: 1, N: 12}}
@@ -317,7 +327,7 @@ func writeCheckpoint(t *testing.T) []byte {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "ckpt")
-	e := newEngine(t, 2)
+	e := newEngine(t)
 	defer e.Close()
 	m, err := Open(e, Options{CheckpointPath: path})
 	if err != nil {
@@ -346,9 +356,9 @@ func TestCheckpointByteFlips(t *testing.T) {
 	good := writeCheckpoint(t)
 	path := filepath.Join(t.TempDir(), "ckpt")
 	// A refused Open leaves the engine as it was (LoadState installs
-	// nothing until every shard decodes), so one fresh engine serves every
+	// nothing until the store decodes), so one fresh engine serves every
 	// flip until the first one Open accepts, which fails the test.
-	e := newEngine(t, 2)
+	e := newEngine(t)
 	defer e.Close()
 	for i := range good {
 		bad := append([]byte(nil), good...)
@@ -383,7 +393,7 @@ func TestVersion1CheckpointRefused(t *testing.T) {
 	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, 2)
+	e := newEngine(t)
 	defer e.Close()
 	_, err := Open(e, Options{CheckpointPath: path})
 	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {

@@ -14,7 +14,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -48,8 +47,6 @@ type Config struct {
 	Step     float64       // -step: tick width in input time units
 	Batch    int           // -batch: ticks per ingest batch
 	Interval time.Duration // -interval: delay between batches; 0 replays at full speed
-
-	Shards int // -shards: engine shards; 0 = one store, N > 1 opts into the 4×δ halo and the read-time merge
 
 	Eps      float64 // -eps: DBSCAN epsilon in metres
 	MinPts   int     // -minpts: DBSCAN density threshold
@@ -138,14 +135,10 @@ func New(cfg Config) (*Server, error) {
 	p := &ec.Pipeline
 	p.Eps, p.MinPts, p.MC, p.KC, p.Delta = cfg.Eps, cfg.MinPts, cfg.MC, cfg.KC, cfg.Delta
 	p.KP, p.MP, p.Searcher = cfg.KP, cfg.MP, cfg.Searcher
-	// Zero keeps the default of one store; a negative count fails the
-	// engine's validation.
-	ec.Shards = cmp.Or(cfg.Shards, ec.Shards)
 	eng, err := gatherings.NewEngine(ec)
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("engine: %d shards", ec.Shards)
 
 	s := &Server{cfg: cfg, eng: eng, resil: &stats.ResilienceCounters{}, clCounts: &stats.ClusterCounters{}}
 	if cfg.Cluster != "" {
@@ -326,9 +319,7 @@ func (s *Server) routes() *http.ServeMux {
 			s.clCounts.Snapshot().Fprint(w)
 			fmt.Fprintf(w, "peer breakers:       %s\n", strings.Join(s.node.BreakerStates(), " "))
 		}
-		if q := s.eng.Quarantined(); len(q) > 0 {
-			fmt.Fprintf(w, "quarantined shards:  %v\n", q)
-		}
+		fmt.Fprintf(w, "quarantined:         %t\n", s.eng.Quarantined())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.node != nil && s.node.Degraded() {
@@ -342,6 +333,10 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !s.Ready() {
 			http.Error(w, "recovering: checkpoint restore / WAL replay in progress", http.StatusServiceUnavailable)
+			return
+		}
+		if s.eng.Quarantined() {
+			http.Error(w, gatherings.ErrEngineQuarantined.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		fmt.Fprintln(w, "ok")
@@ -361,6 +356,8 @@ func (s *Server) routes() *http.ServeMux {
 // GeoJSON. X-Gather-Ticks is the answer's tick frontier (in a cluster the
 // minimum over the members that answered: its staleness bound); peers that
 // did not answer are named in X-Gather-Unreachable, with X-Gather-Partial.
+// A quarantined engine answers 503: its store no longer holds the stream's
+// state, so an empty answer would be wrong, not merely stale.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, gatheringsOnly bool) {
 	q, err := parseQuery(r, gatheringsOnly)
 	if err != nil {
@@ -381,6 +378,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, gatheringsOn
 		}
 	} else {
 		res = s.eng.Snapshot(q)
+	}
+	if s.eng.Quarantined() {
+		http.Error(w, gatherings.ErrEngineQuarantined.Error(), http.StatusServiceUnavailable)
+		return
 	}
 	w.Header().Set("X-Gather-Ticks", strconv.Itoa(res.Ticks))
 	w.Header().Set("Content-Type", "application/geo+json")

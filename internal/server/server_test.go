@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -26,7 +25,7 @@ import (
 // testConfig is the pipeline TestClusterChaos (cmd/gatherserve) runs.
 func testConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Ticks, cfg.Batch, cfg.Shards = 96, 12, 2
+	cfg.Ticks, cfg.Batch = 96, 12
 	cfg.Eps, cfg.MinPts = 200, 5
 	cfg.MC, cfg.KC, cfg.Delta = 8, 8, 300
 	cfg.KP, cfg.MP = 6, 6
@@ -42,11 +41,11 @@ func testFeed() *gatherings.DB {
 	return gen.Generate(g)
 }
 
-// singleStore is the reference answer: one single-shard engine fed the
-// same batches in order, exported as /gatherings would.
+// singleStore is the reference answer: one engine fed the same batches
+// in order, exported as /gatherings would.
 func singleStore(t *testing.T, cfg Config, feed *gatherings.DB) []byte {
 	t.Helper()
-	ec := gatherings.EngineConfig{Pipeline: gatherings.DefaultConfig(), Shards: 1}
+	ec := gatherings.EngineConfig{Pipeline: gatherings.DefaultConfig()}
 	p := &ec.Pipeline
 	p.Eps, p.MinPts, p.MC, p.KC, p.Delta = cfg.Eps, cfg.MinPts, cfg.MC, cfg.KC, cfg.Delta
 	p.KP, p.MP, p.Searcher = cfg.KP, cfg.MP, cfg.Searcher
@@ -115,23 +114,44 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestZeroShardsIsOneStore: a zero Shards, gatherserve's default
-// -shards 0, builds one store whatever the host's CPU count, so its
-// checkpoint holds exactly one store section.
-func TestZeroShardsIsOneStore(t *testing.T) {
-	cfg := testConfig()
-	cfg.Shards = 0
+// TestQuarantineAnswers503: once an apply panic quarantines the engine,
+// /gatherings, /crowds and /readyz answer 503 and name the quarantine,
+// and /stats says so, instead of serving the poisoned store's empty
+// answer as a 200.
+func TestQuarantineAnswers503(t *testing.T) {
+	cfg, feed := testConfig(), testFeed()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var buf bytes.Buffer
-	if err := s.Engine().SaveState(&buf); err != nil {
+	// The engine New built, swapped for one whose second apply panics.
+	s.eng.Close()
+	ec := gatherings.DefaultEngineConfig()
+	p := &ec.Pipeline
+	p.Eps, p.MinPts, p.MC, p.KC, p.Delta = cfg.Eps, cfg.MinPts, cfg.MC, cfg.KC, cfg.Delta
+	p.KP, p.MP = cfg.KP, cfg.MP
+	ec.ApplyFault = func(seq uint64) {
+		if seq == 1 {
+			panic("injected apply fault")
+		}
+	}
+	if s.eng, err = gatherings.NewEngine(ec); err != nil {
 		t.Fatal(err)
 	}
-	if n := binary.LittleEndian.Uint32(buf.Bytes()); n != 1 {
-		t.Fatalf("Shards 0 built %d shards on %d CPUs, want 1", n, runtime.GOMAXPROCS(0))
+	if err := s.Run(context.Background(), feed); err != nil {
+		t.Fatal(err)
+	}
+
+	h := s.Handler()
+	for _, target := range []string{"/gatherings", "/crowds?limit=2", "/readyz"} {
+		rec := get(h, target)
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "quarantined") {
+			t.Errorf("%s on a quarantined engine: %d %q, want 503 naming the quarantine", target, rec.Code, rec.Body)
+		}
+	}
+	if body := get(h, "/stats").Body.String(); !strings.Contains(body, "quarantined:         true") {
+		t.Errorf("/stats does not report the quarantine:\n%s", body)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // searches and set operations are linear merges.
 //
 // Clusters are shared, not copied: every crowd that covers the tick and
-// every shard whose halo overlaps the cluster holds the same pointer, so
+// every snapshot answer holding such a crowd holds the same pointer, so
 // no field or element changes once NewCluster or Build returns.
 type Cluster struct {
 	T       trajectory.Tick

@@ -8,57 +8,50 @@ import (
 
 // EngineCounters are the live activity counters of the streaming engine:
 // how much work entered the ingest queue, how much has been applied to the
-// shards, and what the query side is reading back. All fields are atomic,
+// store, and what the query side is reading back. All fields are atomic,
 // so the engine's goroutines and query handlers update them without locks;
 // read a consistent-enough view with Snapshot.
 type EngineCounters struct {
 	// Ingest side.
 	BatchesEnqueued atomic.Uint64 // Append/TryAppend calls accepted
 	BatchesRejected atomic.Uint64 // TryAppend calls refused by a busy router
-	TasksApplied    atomic.Uint64 // per-shard cluster databases applied to a store
+	TasksApplied    atomic.Uint64 // batches' cluster databases applied to the store
 	TicksIngested   atomic.Uint64 // ticks appended (counted once per batch)
-	ClustersBuilt   atomic.Uint64 // snapshot clusters built by the global per-batch DBSCAN pass, each once
-	// ClustersReplicated counts cluster views delivered to shards beyond the
-	// owner (always zero with one shard). Unlike ClustersBuilt it scales
-	// with the replication factor; their ratio is the halo overhead.
-	ClustersReplicated atomic.Uint64
+	ClustersBuilt   atomic.Uint64 // snapshot clusters built by the per-batch DBSCAN pass
 
 	// Query side.
 	Queries            atomic.Uint64 // snapshot queries served
 	CrowdsReturned     atomic.Uint64 // crowds returned across all queries
 	GatheringsReturned atomic.Uint64 // gatherings returned across all queries
-	// CrowdsDeduped and CrowdsStitched advance when the cross-shard merge
-	// recomputes — at most once per applied shard task, not per query (the
-	// merged state is memoized between applies), and never with one shard
-	// — so they track replication activity, not query rate.
-	CrowdsDeduped  atomic.Uint64 // duplicate/partial boundary-crowd copies dropped by the snapshot merge
-	CrowdsStitched atomic.Uint64 // crowd fragments fused into cross-shard crowds by the snapshot merge
 
-	// Fault side. A panic while applying a sub-batch to a shard's store is
-	// recovered by the shard goroutine instead of taking the process down:
-	// the shard is quarantined — its store is no longer trusted, later
-	// sub-batches are discarded, snapshots skip it — until a checkpoint
-	// restore replaces it. Both counters advancing means data loss is bounded to
-	// the quarantined shards, never silent.
-	ApplyPanics       atomic.Uint64 // panics recovered in the shard-apply path
-	ShardsQuarantined atomic.Uint64 // shards retired by a recovered apply panic
+	// Fault side. A panic while applying a batch to the store is recovered
+	// by the applier instead of taking the process down: the engine is
+	// quarantined — its store is no longer trusted, later batches are
+	// discarded, snapshots answer nothing — until a checkpoint restore
+	// replaces it.
+	ApplyPanics atomic.Uint64 // panics recovered in the apply path
 }
 
 // EngineCounterSnapshot is a point-in-time copy of EngineCounters.
 type EngineCounterSnapshot struct {
-	BatchesEnqueued    uint64
-	BatchesRejected    uint64
-	TasksApplied       uint64
-	TicksIngested      uint64
-	ClustersBuilt      uint64
+	BatchesEnqueued uint64
+	BatchesRejected uint64
+	TasksApplied    uint64
+	TicksIngested   uint64
+	ClustersBuilt   uint64
+	// Deprecated: ClustersReplicated is always zero: the engine is one
+	// store and replicates nothing. ROADMAP item 16 deletes it.
 	ClustersReplicated uint64
 	Queries            uint64
 	CrowdsReturned     uint64
 	GatheringsReturned uint64
-	CrowdsDeduped      uint64
-	CrowdsStitched     uint64
-	ApplyPanics        uint64
-	ShardsQuarantined  uint64
+	// Deprecated: CrowdsDeduped is always zero: no read-time merge runs
+	// in the engine. ROADMAP item 16 deletes it.
+	CrowdsDeduped uint64
+	// Deprecated: CrowdsStitched is always zero: no read-time merge runs
+	// in the engine. ROADMAP item 16 deletes it.
+	CrowdsStitched uint64
+	ApplyPanics    uint64
 }
 
 // Snapshot reads every counter once. Counters advance independently, so
@@ -71,14 +64,10 @@ func (c *EngineCounters) Snapshot() EngineCounterSnapshot {
 		TasksApplied:       c.TasksApplied.Load(),
 		TicksIngested:      c.TicksIngested.Load(),
 		ClustersBuilt:      c.ClustersBuilt.Load(),
-		ClustersReplicated: c.ClustersReplicated.Load(),
 		Queries:            c.Queries.Load(),
 		CrowdsReturned:     c.CrowdsReturned.Load(),
 		GatheringsReturned: c.GatheringsReturned.Load(),
-		CrowdsDeduped:      c.CrowdsDeduped.Load(),
-		CrowdsStitched:     c.CrowdsStitched.Load(),
 		ApplyPanics:        c.ApplyPanics.Load(),
-		ShardsQuarantined:  c.ShardsQuarantined.Load(),
 	}
 }
 
@@ -86,17 +75,13 @@ func (c *EngineCounters) Snapshot() EngineCounterSnapshot {
 func (s EngineCounterSnapshot) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "batches enqueued:    %d\n", s.BatchesEnqueued)
 	fmt.Fprintf(w, "batches rejected:    %d\n", s.BatchesRejected)
-	fmt.Fprintf(w, "shard tasks applied: %d\n", s.TasksApplied)
+	fmt.Fprintf(w, "batches applied:     %d\n", s.TasksApplied)
 	fmt.Fprintf(w, "ticks ingested:      %d\n", s.TicksIngested)
 	fmt.Fprintf(w, "clusters built:      %d\n", s.ClustersBuilt)
-	fmt.Fprintf(w, "clusters replicated: %d\n", s.ClustersReplicated)
 	fmt.Fprintf(w, "queries served:      %d\n", s.Queries)
 	fmt.Fprintf(w, "crowds returned:     %d\n", s.CrowdsReturned)
 	fmt.Fprintf(w, "gatherings returned: %d\n", s.GatheringsReturned)
-	fmt.Fprintf(w, "crowds deduped:      %d\n", s.CrowdsDeduped)
-	fmt.Fprintf(w, "crowds stitched:     %d\n", s.CrowdsStitched)
 	fmt.Fprintf(w, "apply panics:        %d\n", s.ApplyPanics)
-	fmt.Fprintf(w, "shards quarantined:  %d\n", s.ShardsQuarantined)
 }
 
 // ResilienceCounters are the live counters of the streaming-resilience
@@ -119,7 +104,7 @@ type ResilienceCounters struct {
 	TicksDropped     atomic.Uint64 // ticks carried by late/abandoned batches, lost to the stores
 
 	// Durability side.
-	CheckpointsWritten atomic.Uint64 // per-shard checkpoint files committed (written, synced, renamed)
+	CheckpointsWritten atomic.Uint64 // checkpoint files committed (written, synced, renamed)
 	WALReplayed        atomic.Uint64 // batches re-applied from the write-ahead log at startup
 }
 
