@@ -10,6 +10,7 @@ package gatherings_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/gathering"
 	"repro/internal/gen"
 	"repro/internal/geo"
+	"repro/internal/geojson"
 	"repro/internal/incremental"
 	"repro/internal/patterns"
 	"repro/internal/snapshot"
@@ -384,6 +386,31 @@ func BenchmarkEngineQuerySnapshot(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkExport measures the GeoJSON rendering every /gatherings read
+// runs, on the dense bench day's full answer from a loaded engine.
+func BenchmarkExport(b *testing.B) {
+	batches := benchEngineBatches()
+	eng, err := engine.New(engine.Config{Pipeline: benchEnginePipeline()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	for _, batch := range batches {
+		if err := eng.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng.Flush()
+	res := eng.Snapshot(engine.Query{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := geojson.Export(io.Discard, res.Crowds, res.Gatherings, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // ---- ablations (DESIGN.md §5) ----------------------------------------------

@@ -37,6 +37,7 @@ package admit
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/stats"
@@ -88,11 +89,13 @@ type Emit struct {
 	Filler bool
 }
 
-// slot is one reorder-ring entry.
+// slot is one reorder-ring entry. fp is the parked batch's fingerprint,
+// taken when it was offered and recorded when it is released.
 type slot struct {
 	occupied bool
 	seq      uint64
 	batch    *trajectory.DB
+	fp       uint64
 }
 
 // Admitter re-sequences a batch stream. Create one with New. mu guards
@@ -187,7 +190,7 @@ func (a *Admitter) Offer(seq uint64, batch *trajectory.DB, out []Emit) []Emit {
 	out = a.releaseRun(out)
 
 	if seq == a.next {
-		out = a.release(out, seq, batch, false)
+		out = a.release(out, batch, fp)
 		// The arrival may complete a buffered run.
 		return a.releaseRun(out)
 	}
@@ -198,7 +201,7 @@ func (a *Admitter) Offer(seq uint64, batch *trajectory.DB, out []Emit) []Emit {
 		a.counters.BatchesDuplicate.Add(1)
 		return out
 	}
-	s.occupied, s.seq, s.batch = true, seq, batch
+	s.occupied, s.seq, s.batch, s.fp = true, seq, batch, fp
 	a.buffered++
 	a.counters.BatchesReordered.Add(1)
 	return out
@@ -227,7 +230,7 @@ func (a *Admitter) releaseRun(out []Emit) []Emit {
 		b := s.batch
 		s.occupied, s.batch = false, nil
 		a.buffered--
-		out = a.release(out, a.next, b, false)
+		out = a.release(out, b, s.fp)
 	}
 }
 
@@ -239,7 +242,7 @@ func (a *Admitter) releaseNext(out []Emit) []Emit {
 		b := s.batch
 		s.occupied, s.batch = false, nil
 		a.buffered--
-		return a.release(out, a.next, b, false)
+		return a.release(out, b, s.fp)
 	}
 	// Abandoned: remember it so a late arrival is told apart from a
 	// duplicate, emit a filler to keep tick domains aligned.
@@ -248,18 +251,19 @@ func (a *Admitter) releaseNext(out []Emit) []Emit {
 	}
 	a.counters.BatchesDropped.Add(1)
 	a.counters.TicksDropped.Add(uint64(a.per))
-	return a.release(out, a.next, a.filler(a.next), true)
+	seq := a.next
+	a.next++
+	return append(out, Emit{Seq: seq, Batch: a.filler(seq), Filler: true})
 }
 
-// release appends one ordered emission and advances the frontier.
-func (a *Admitter) release(out []Emit, seq uint64, b *trajectory.DB, filler bool) []Emit {
-	if !filler {
-		a.fps[a.fpAt] = fingerprint(b)
-		a.fpAt = (a.fpAt + 1) % len(a.fps)
-		a.counters.BatchesAdmitted.Add(1)
-	}
-	a.next = seq + 1
-	return append(out, Emit{Seq: seq, Batch: b, Filler: filler})
+// release emits the admitted batch b at the frontier, records its
+// fingerprint fp (taken by Offer) and advances the frontier.
+func (a *Admitter) release(out []Emit, b *trajectory.DB, fp uint64) []Emit {
+	a.fps[a.fpAt] = fp
+	a.fpAt = (a.fpAt + 1) % len(a.fps)
+	a.counters.BatchesAdmitted.Add(1)
+	a.next++
+	return append(out, Emit{Seq: a.next - 1, Batch: b})
 }
 
 // seenFP reports whether fp matches a recently released batch.
@@ -305,50 +309,63 @@ func (a *Admitter) filler(seq uint64) *trajectory.DB {
 }
 
 // fingerprint hashes a batch's identity — its tick window and the shape
-// of its trajectories — without walking every sample: FNV-1a over the
-// domain, the trajectory count, and each trajectory's ID, length and
-// endpoint samples. Two legitimate batches always differ in Domain.Start,
-// so a collision requires identical windows, which is what a duplicate
-// is.
+// of its trajectories — without walking every sample: the domain, the
+// trajectory count, and each trajectory's ID, length and endpoint
+// samples, one 64-bit word at a time. Offer takes it once per batch; a
+// parked batch carries it in its ring slot until release records it. Two
+// legitimate batches always differ in Domain.Start, so a collision
+// requires identical windows, which is what a duplicate is.
+//
+// Each word goes through one xxHash64 round (add the word times a prime,
+// rotate, multiply by a prime) and the result through murmur3's
+// finaliser. Every step is a bijection of the running hash for a fixed
+// word and of the word for a fixed hash, so batches that differ in
+// exactly one hashed word — a one-ulp move of one endpoint — always get
+// different fingerprints.
 func fingerprint(db *trajectory.DB) uint64 {
-	h := fnvOffset
-	h = fnvFloat(h, db.Domain.Start)
-	h = fnvFloat(h, db.Domain.Step)
-	h = fnvUint(h, uint64(db.Domain.N))
-	h = fnvUint(h, uint64(len(db.Trajs)))
+	h := uint64(hashSeed)
+	h = mix(h, math.Float64bits(db.Domain.Start))
+	h = mix(h, math.Float64bits(db.Domain.Step))
+	h = mix(h, uint64(db.Domain.N))
+	h = mix(h, uint64(len(db.Trajs)))
 	for i := range db.Trajs {
 		tr := &db.Trajs[i]
-		h = fnvUint(h, uint64(tr.ID))
-		h = fnvUint(h, uint64(len(tr.Samples)))
+		h = mix(h, uint64(tr.ID))
+		h = mix(h, uint64(len(tr.Samples)))
 		if n := len(tr.Samples); n > 0 {
-			h = fnvSample(h, tr.Samples[0])
-			h = fnvSample(h, tr.Samples[n-1])
+			h = mixSample(h, tr.Samples[0])
+			h = mixSample(h, tr.Samples[n-1])
 		}
 	}
+	h = avalanche(h)
 	if h == 0 {
-		h = fnvOffset // 0 is the empty-slot sentinel in the fps ring
+		h = hashSeed // 0 is the empty-slot sentinel in the fps ring
 	}
 	return h
 }
 
 const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
+	hashSeed   = 0x27d4eb2f165667c5 // xxHash64's prime 5
+	hashPrime1 = 0x9e3779b185ebca87
+	hashPrime2 = 0xc2b2ae3d27d4eb4f
 )
 
-func fnvUint(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
+func mix(h, v uint64) uint64 {
+	return bits.RotateLeft64(h+v*hashPrime2, 31) * hashPrime1
 }
 
-func fnvFloat(h uint64, f float64) uint64 { return fnvUint(h, math.Float64bits(f)) }
+func mixSample(h uint64, s trajectory.Sample) uint64 {
+	h = mix(h, math.Float64bits(s.Time))
+	h = mix(h, math.Float64bits(s.P.X))
+	return mix(h, math.Float64bits(s.P.Y))
+}
 
-func fnvSample(h uint64, s trajectory.Sample) uint64 {
-	h = fnvFloat(h, s.Time)
-	h = fnvFloat(h, s.P.X)
-	return fnvFloat(h, s.P.Y)
+// avalanche is murmur3's 64-bit finaliser.
+func avalanche(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

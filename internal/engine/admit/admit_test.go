@@ -1,8 +1,10 @@
 package admit
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/stats"
 	"repro/internal/trajectory"
 )
@@ -237,5 +239,57 @@ func TestOfferAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Offer allocates %.1f times per in-order batch, want 0", allocs)
+	}
+}
+
+// TestFingerprintDistinguishesBatches: every 2-tick batch of a generated
+// day gets its own fingerprint, an identical copy of a batch gets the
+// same one, and moving any one endpoint coordinate by one ulp changes it.
+func TestFingerprintDistinguishesBatches(t *testing.T) {
+	g := gen.Default()
+	g.NumTaxis = 200
+	g.TicksPerDay = 96
+	batches := gen.Generate(g).Batches(2)
+	seen := make(map[uint64]int, len(batches))
+	for i, b := range batches {
+		fp := fingerprint(b)
+		if j, ok := seen[fp]; ok {
+			t.Fatalf("batches %d and %d share fingerprint %#x", j, i, fp)
+		}
+		seen[fp] = i
+	}
+
+	orig := batches[len(batches)/2]
+	cp := &trajectory.DB{Domain: orig.Domain, Trajs: make([]trajectory.Trajectory, len(orig.Trajs))}
+	for i, tr := range orig.Trajs {
+		cp.Trajs[i] = trajectory.Trajectory{ID: tr.ID, Samples: append([]trajectory.Sample(nil), tr.Samples...)}
+	}
+	want := fingerprint(orig)
+	if got := fingerprint(cp); got != want {
+		t.Fatalf("identical copy fingerprints %#x, original %#x", got, want)
+	}
+	moved := 0
+	for i := range cp.Trajs {
+		ss := cp.Trajs[i].Samples
+		if len(ss) == 0 {
+			continue
+		}
+		for _, s := range []*trajectory.Sample{&ss[0], &ss[len(ss)-1]} {
+			for _, c := range []*float64{&s.P.X, &s.P.Y} {
+				old := *c
+				*c = math.Nextafter(old, math.Inf(1))
+				if fingerprint(cp) == want {
+					t.Fatalf("trajectory %d: one-ulp move of an endpoint coordinate %v kept the fingerprint", cp.Trajs[i].ID, old)
+				}
+				*c = old
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the batch has no samples to move")
+	}
+	if got := fingerprint(cp); got != want {
+		t.Fatalf("restored copy fingerprints %#x, original %#x", got, want)
 	}
 }

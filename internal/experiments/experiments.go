@@ -451,7 +451,10 @@ func Fig7(sc Scale) []Table {
 
 // Fig8 reproduces the incremental study: (a) crowd extension vs
 // re-computation as days are appended; (b) gathering update vs
-// re-computation as the old/new crowd length ratio r varies.
+// re-computation as the old/new crowd length ratio r varies. Next to the
+// milliseconds, each row carries a deterministic work count: (a) the
+// clusters the grid searcher's index filter passes to refinement, (b)
+// the TAD* Test steps run, summed over the data point's crowds.
 func Fig8(sc Scale) []Table {
 	cfg := pipelineConfig()
 	cp := crowd.Params{MC: cfg.MC, KC: cfg.KC, Delta: cfg.Delta}
@@ -467,34 +470,41 @@ func Fig8(sc Scale) []Table {
 	full := gen.Generate(genCfg)
 	fullCDB := buildCDB(full, cfg)
 
+	var extSearcher *crowd.GridSearcher
 	store, err := incremental.New(cp, gp, func() crowd.Searcher {
-		return &crowd.GridSearcher{Delta: cp.Delta}
+		extSearcher = &crowd.GridSearcher{Delta: cp.Delta}
+		return extSearcher
 	})
 	if err != nil {
 		panic(err)
 	}
 	aT := Table{
-		Title:  "Fig 8a: crowd discovery (ms) after each daily update",
-		Header: []string{"days", "re-computation", "crowd extension"},
+		Title:  "Fig 8a: crowd discovery (ms, candidates) after each daily update",
+		Header: []string{"days", "re-computation", "crowd extension", "re-computation candidates", "extension candidates"},
 	}
 	for d := 0; d < days; d++ {
 		lo := d * sc.TicksPerDay
 		slice := fullCDB.Slice(trajectory.Tick(lo), sc.TicksPerDay)
 		batch := &snapshot.CDB{Domain: slice.Domain, Clusters: slice.Clusters}
 
+		before := extSearcher.Candidates
 		ext := timeIt(func() { store.Append(batch) })
+		extSearcher.FlushStats()
 
 		soFar := fullCDB.Slice(0, lo+sc.TicksPerDay)
+		reSearcher := &crowd.GridSearcher{Delta: cp.Delta}
 		re := timeIt(func() {
-			crowd.Discover(soFar, cp, &crowd.GridSearcher{Delta: cp.Delta})
+			crowd.Discover(soFar, cp, reSearcher)
 		})
-		aT.Rows = append(aT.Rows, []string{fmt.Sprint(d + 1), ms(re), ms(ext)})
+		reSearcher.FlushStats()
+		aT.Rows = append(aT.Rows, []string{fmt.Sprint(d + 1), ms(re), ms(ext),
+			fmt.Sprint(reSearcher.Candidates), fmt.Sprint(extSearcher.Candidates - before)})
 	}
 
 	// (b) gathering update vs ratio r on synthetic extended crowds.
 	bT := Table{
-		Title:  "Fig 8b: gathering detection (ms/crowd) vs old/new ratio r",
-		Header: []string{"r", "re-computation", "gathering update"},
+		Title:  "Fig 8b: gathering detection (ms/crowd, Test steps) vs old/new ratio r",
+		Header: []string{"r", "re-computation", "gathering update", "re-computation tests", "update tests"},
 	}
 	// The Fig. 8b crowds are long (240 ticks) with a large committed core
 	// and a churn-only cluster every 6 ticks, so TAD* recursion — the part
@@ -525,9 +535,12 @@ func Fig8(sc Scale) []Table {
 		for i := range crowds {
 			dets[i] = gathering.NewDetector(crowds[i].Sub(0, oldLen), gpb)
 		}
+		reTests := 0
 		re := timeIt(func() {
 			for _, cr := range crowds {
-				gathering.TADStar(cr, gpb)
+				d := gathering.NewDetector(cr, gpb) // TADStar, counted
+				_ = d.Run()
+				reTests += d.Tests
 			}
 		}) / time.Duration(len(crowds))
 		up := timeIt(func() {
@@ -536,7 +549,12 @@ func Fig8(sc Scale) []Table {
 				_ = dets[i].RunIncremental(oldLen, oldGs[i])
 			}
 		}) / time.Duration(len(crowds))
-		bT.Rows = append(bT.Rows, []string{fmt.Sprintf("%.1f", ratio), ms(re), ms(up)})
+		upTests := 0
+		for _, d := range dets {
+			upTests += d.Tests
+		}
+		bT.Rows = append(bT.Rows, []string{fmt.Sprintf("%.1f", ratio), ms(re), ms(up),
+			fmt.Sprint(reTests), fmt.Sprint(upTests)})
 	}
 	return []Table{aT, bT}
 }

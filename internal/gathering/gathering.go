@@ -231,6 +231,12 @@ type Detector struct {
 	// the signature word width grows, since stale-width vectors would
 	// re-allocate on first use anyway.
 	spare []bitvec.Vector
+
+	// Tests counts the Test steps this detector has run: one per
+	// sub-crowd examined by Run or RunIncremental, the whole crowd
+	// included. It is the deterministic work measure of the gathering
+	// update against re-computation (Fig. 8b).
+	Tests int
 }
 
 // NewDetector builds the signatures for cr: one scan of the crowd
@@ -347,6 +353,7 @@ func (d *Detector) Clone() *Detector {
 // + ticks); proper sub-ranges count with a masked popcount per object —
 // the Test step of TAD*.
 func (d *Detector) test(lo, hi int, alive []int32) (par []int32, invalid []int) {
+	d.Tests++
 	// Nearly every alive object of a surviving crowd is a participator, so
 	// presizing par to the candidate count trades a sliver of memory for
 	// growth-free appends on the recursion's hottest call. invalid is left
