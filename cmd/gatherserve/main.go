@@ -38,11 +38,11 @@
 // /readyz answer 503 naming it, and /stats shows "quarantined: true",
 // until a restart restores the last checkpoint.
 //
-// With -cluster map.json -node <id> the server is one node of a cluster
-// (internal/cluster): the node with -in is the ingest front and forwards
-// per-owner sub-batches to the others; reads are scatter-gather and a dead
-// peer degrades them to HTTP 200 with X-Gather-Partial and
-// X-Gather-Unreachable. All nodes must run the same map and pipeline flags.
+// With -cluster map.json -node <id> the server is one replica of a
+// cluster (internal/cluster): the node with -in is the ingest front and
+// forwards every batch whole to the others, so every node runs the whole
+// feed. Any node answers reads from its own engine; its X-Gather-Ticks is
+// the staleness bound. All nodes must run the same map and pipeline flags.
 //
 // -wal-sync picks the WAL durability point: always (fsync per append),
 // checkpoint (fsync only at checkpoints), off (the OS decides). See
@@ -100,7 +100,7 @@ func main() {
 
 	flag.StringVar(&cfg.Cluster, "cluster", cfg.Cluster, "membership map JSON: run as one node of a multi-node cluster (requires -node)")
 	flag.StringVar(&cfg.Node, "node", cfg.Node, "this node's id in the -cluster membership map")
-	flag.DurationVar(&cfg.ForwardDeadline, "forward-deadline", cfg.ForwardDeadline, "total retry wall-time for one forwarded sub-batch before it is dropped and counted")
+	flag.DurationVar(&cfg.ForwardDeadline, "forward-deadline", cfg.ForwardDeadline, "total retry wall-time for one forwarded batch before it is dropped and counted")
 	flag.DurationVar(&cfg.AttemptTimeout, "attempt-timeout", cfg.AttemptTimeout, "timeout of a single cluster HTTP attempt")
 	flag.IntVar(&cfg.BreakerThreshold, "breaker-threshold", cfg.BreakerThreshold, "consecutive peer failures that open its circuit breaker")
 	flag.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", cfg.BreakerCooldown, "how long an open breaker waits before a half-open probe")

@@ -180,7 +180,7 @@ func (s *Store) Save(w io.Writer) error { return s.inner.Save(w) }
 // LoadStore restores a store saved with Save, reading r to its end. The
 // configuration supplies the searcher; the thresholds are restored from
 // the snapshot itself. A corrupt section, or one saved in another format
-// version (version 1 was encoding/gob), is refused with an error.
+// version (version 1 was a gob stream), is refused with an error.
 func LoadStore(r io.Reader, cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -3,16 +3,14 @@ package cluster
 import (
 	"encoding/json"
 	"testing"
-
-	"repro/internal/geo"
 )
 
 // FuzzParseMap asserts the membership-map decoder never panics or
 // allocates beyond its input on arbitrary bytes, and that a map it
-// accepts assigns every slot in [0, Slots) to exactly one node, routes
-// any point to a node, and survives a JSON round trip unchanged.
+// accepts has a positive version and at least one node, finds every node
+// at its own index, and survives a JSON round trip unchanged.
 func FuzzParseMap(f *testing.F) {
-	seed, err := json.Marshal(testMap(3000, 2400))
+	seed, err := json.Marshal(testMap())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -25,23 +23,12 @@ func FuzzParseMap(f *testing.F) {
 		if err != nil {
 			return
 		}
-		owned := make([]int, m.Slots)
-		for ni, n := range m.Nodes {
-			for _, s := range n.Slots {
-				owned[s]++
-				if m.slotOwner[s] != ni {
-					t.Fatalf("slot %d: owner index %d, listed by node %d", s, m.slotOwner[s], ni)
-				}
-			}
+		if m.Version < 1 || len(m.Nodes) == 0 {
+			t.Fatalf("accepted map with version %d and %d nodes", m.Version, len(m.Nodes))
 		}
-		for s, c := range owned {
-			if c != 1 {
-				t.Fatalf("slot %d listed %d times", s, c)
-			}
-		}
-		for _, p := range []geo.Point{{X: 0, Y: 0}, {X: -1e9, Y: 1e9}, {X: 12345.6, Y: -7.5}} {
-			if i := m.OwnerIndex(p); i < 0 || i >= len(m.Nodes) {
-				t.Fatalf("OwnerIndex(%v) = %d outside [0, %d)", p, i, len(m.Nodes))
+		for i, n := range m.Nodes {
+			if n.Addr == "" || m.Index(n.ID) != i {
+				t.Fatalf("node %d (%q at %q): Index %d", i, n.ID, n.Addr, m.Index(n.ID))
 			}
 		}
 		enc, err := json.Marshal(m)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -18,7 +17,7 @@ import (
 	"repro/internal/wal"
 )
 
-// Forward is one sub-batch received from the ingest front, ready for the
+// Forward is one batch received from the ingest front, ready for the
 // node's admit→WAL→engine pipeline.
 type Forward struct {
 	Seq   uint64
@@ -30,11 +29,9 @@ type NodeConfig struct {
 	// Map is the validated membership map; Self must name one of its nodes.
 	Map  *Map
 	Self NodeID
-	// Engine is the node's local engine, the target of received forwards
-	// and the local leg of scatter-gather reads.
+	// Engine is the node's own engine, which the deprecated Query reads.
 	Engine *engine.Engine
-	// GatherParams re-detects gatherings when the cross-node merge fuses
-	// crowd fragments; use the same thresholds as the engine pipeline.
+	// Deprecated: replicas merge nothing, so nothing reads GatherParams.
 	GatherParams gathering.Params
 	// Counters receives the cluster data-plane counts (shared with the
 	// peers); nil counts into a private sink.
@@ -57,14 +54,12 @@ type NodeConfig struct {
 	Logf             func(format string, args ...any)
 }
 
-// Node is one member's runtime: the server side of the data plane (accept
-// forwards into an inbox, answer local-state reads) plus the client side
-// (route and forward sub-batches to owners, scatter-gather queries across
-// the membership).
+// Node is one member's runtime: the server side of the data plane
+// (accept forwards into an inbox) plus the client side (forward every
+// batch to every peer).
 type Node struct {
 	cfg      NodeConfig
-	selfIdx  int
-	peers    []*rpc.Peer // parallel to Map.Nodes; nil at selfIdx
+	peers    []*rpc.Peer // parallel to Map.Nodes; nil at Self
 	counters *stats.ClusterCounters
 	in       chan Forward
 
@@ -96,7 +91,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{
 		cfg:      cfg,
-		selfIdx:  selfIdx,
 		peers:    make([]*rpc.Peer, len(cfg.Map.Nodes)),
 		counters: cfg.Counters,
 		in:       make(chan Forward, cfg.InboxDepth),
@@ -136,20 +130,19 @@ func (n *Node) Close() {
 // goroutine consumes it and runs each item through admit→WAL→engine.
 func (n *Node) Inbox() <-chan Forward { return n.in }
 
-// Route cuts one ingest batch into per-node sub-batches, enqueues every
-// remote sub-batch for ordered forwarding to its owner, and returns the
-// local sub-batch for the caller (the front's own ingest loop) to apply.
+// Route encodes one ingest batch once as a WAL record payload, enqueues
+// that payload for ordered forwarding to every peer, and returns the
+// whole batch for the caller (the front's own ingest loop) to admit.
 // Only the ingest front calls Route; the single-dispatcher contract of
 // the peers is its single ingest goroutine.
 func (n *Node) Route(seq uint64, batch *trajectory.DB) *trajectory.DB {
-	subs := n.cfg.Map.RouteBatch(batch)
-	for i, sub := range subs {
-		if i == n.selfIdx {
-			continue
+	payload := wal.EncodePayload(nil, seq, batch)
+	for _, p := range n.peers {
+		if p != nil {
+			p.Forward(seq, payload)
 		}
-		n.peers[i].Forward(seq, wal.EncodePayload(nil, seq, sub))
 	}
-	return subs[n.selfIdx]
+	return batch
 }
 
 // claimProducer enforces the one-producer-per-run rule.
@@ -170,7 +163,7 @@ func (n *Node) versionOK(r *http.Request) bool {
 }
 
 // HandleForward is the receive side of the forwarding data plane (POST
-// rpc.ForwardPath). It answers 204 for accepted sub-batches — duplicates
+// rpc.ForwardPath). It answers 204 for accepted batches — duplicates
 // included, since the pipeline's admission stage classifies and drops
 // them, which is exactly what makes sender retries idempotent — 409 for
 // a map-version mismatch or a second producer (decisive: the sender must
@@ -217,118 +210,25 @@ func (n *Node) HandleForward(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// HandleLocal is the read side of the scatter-gather plane (GET
-// rpc.LocalPath): the node's full, unfiltered local crowd set in the gob
-// wire format. Unfiltered deliberately — the coordinator must merge
-// before filtering so a canonical copy can absorb halo duplicates even
-// when the filter would drop it. A quarantined engine answers 503, so the
-// coordinator counts the node unreachable instead of merging an empty set.
-func (n *Node) HandleLocal(w http.ResponseWriter, r *http.Request) {
-	if !n.versionOK(r) {
-		http.Error(w, fmt.Sprintf("membership-map version mismatch (local %d)", n.cfg.Map.Version), http.StatusConflict)
-		return
-	}
-	res := n.cfg.Engine.Snapshot(engine.Query{})
-	if n.cfg.Engine.Quarantined() {
-		http.Error(w, engine.ErrQuarantined.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	set := rpc.CrowdSet{Ticks: res.Ticks}
-	for i, cr := range res.Crowds {
-		set.Entries = append(set.Entries, rpc.CrowdEntry{Crowd: cr, Gatherings: res.Gatherings[i]})
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := rpc.EncodeCrowdSet(w, set); err != nil && n.cfg.Logf != nil {
-		n.cfg.Logf("cluster: encoding local state: %v", err)
-	}
-}
+// HandleLocal answers 404: replicas serve no peer reads.
+//
+// Deprecated: reads are local, so nothing calls a peer's rpc.LocalPath.
+func (n *Node) HandleLocal(w http.ResponseWriter, r *http.Request) { http.NotFound(w, r) }
 
-// PartialMeta qualifies a scatter-gather answer.
+// PartialMeta qualifies an answer of the deprecated Query.
+//
+// Deprecated: a replica's answer is never partial.
 type PartialMeta struct {
-	// Unreachable lists the members whose state is missing from the
-	// answer (request failed or breaker open). Empty means complete.
-	Unreachable []NodeID
-	// Ticks is the minimum ingested tick frontier across the members
-	// that did answer — the staleness bound of the result.
-	Ticks int
+	Unreachable []NodeID // always empty
+	Ticks       int      // the node's tick frontier
 }
 
-// Query runs one scatter-gather snapshot query: fan the local-state read
-// across the membership (self included, read directly), merge the answers
-// (merge.go), then filter and truncate exactly as a single store would. A
-// dead, slow, quarantined or breaker-open peer degrades the answer to a
-// partial result — its ID listed in PartialMeta.Unreachable — and never
-// fails the query.
-func (n *Node) Query(ctx context.Context, q engine.Query) (*engine.Result, PartialMeta) {
-	type answer struct {
-		node int
-		set  rpc.CrowdSet
-		err  error
-	}
-	answers := make(chan answer, len(n.peers)) // every sender can finish
-	fanned := 0
-	for i, p := range n.peers {
-		if p == nil {
-			continue
-		}
-		fanned++
-		go func(i int, p *rpc.Peer) {
-			body, err := p.Get(ctx, rpc.LocalPath)
-			if err != nil {
-				answers <- answer{node: i, err: err}
-				return
-			}
-			set, err := rpc.DecodeCrowdSet(bytes.NewReader(body))
-			answers <- answer{node: i, set: set, err: err}
-		}(i, p)
-	}
-
-	local := n.cfg.Engine.Snapshot(engine.Query{})
-	var entries []entry
-	for i, cr := range local.Crowds {
-		entries = append(entries, entry{node: n.selfIdx, crowd: cr, gathers: local.Gatherings[i]})
-	}
-	minTicks := local.Ticks
-
-	var meta PartialMeta
-	for ; fanned > 0; fanned-- {
-		a := <-answers
-		if a.err != nil {
-			meta.Unreachable = append(meta.Unreachable, n.cfg.Map.Nodes[a.node].ID)
-			n.counters.PeersUnreachable.Add(1)
-			if n.cfg.Logf != nil {
-				n.cfg.Logf("cluster: query: %v", a.err)
-			}
-			continue
-		}
-		if a.set.Ticks < minTicks {
-			minTicks = a.set.Ticks
-		}
-		for _, en := range a.set.Entries {
-			entries = append(entries, entry{node: a.node, crowd: en.Crowd, gathers: en.Gatherings})
-		}
-	}
-	if len(meta.Unreachable) > 0 {
-		n.counters.QueriesPartial.Add(1)
-	}
-
-	merged := merge(entries, n.cfg.Map.OwnerIndex, n.cfg.GatherParams)
-	res := &engine.Result{Ticks: minTicks}
-	meta.Ticks = minTicks
-	for _, en := range merged {
-		if q.GatheringsOnly && len(en.gathers) == 0 {
-			continue
-		}
-		if !q.Matches(en.crowd) {
-			continue
-		}
-		res.Crowds = append(res.Crowds, en.crowd)
-		res.Gatherings = append(res.Gatherings, en.gathers)
-		if q.Limit > 0 && len(res.Crowds) == q.Limit {
-			break
-		}
-	}
-	return res, meta
+// Query answers q from this node's own engine, with an empty Unreachable.
+//
+// Deprecated: read the engine's Snapshot; the node adds nothing to it.
+func (n *Node) Query(_ context.Context, q engine.Query) (*engine.Result, PartialMeta) {
+	res := n.cfg.Engine.Snapshot(q)
+	return res, PartialMeta{Ticks: res.Ticks}
 }
 
 // BreakerStates reports each peer's circuit-breaker position, for /stats.

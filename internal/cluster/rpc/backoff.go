@@ -1,8 +1,8 @@
 // Package rpc is the cluster's HTTP data plane: a per-peer client that
-// forwards ingest sub-batches with per-request deadlines, capped
-// exponential backoff with seeded jitter and a circuit breaker, plus
-// scatter-gather reads — the retry/timeout machinery a cluster of
-// gatherserve nodes needs to survive each other's failures.
+// forwards ingest batches with per-request deadlines, capped exponential
+// backoff with seeded jitter and a circuit breaker — the retry/timeout
+// machinery a cluster of gatherserve replicas needs to survive each
+// other's failures.
 package rpc
 
 import (

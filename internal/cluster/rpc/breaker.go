@@ -32,7 +32,7 @@ func (s BreakerState) String() string {
 
 // Breaker is a per-peer circuit breaker: after Threshold consecutive
 // failures it opens and fails requests fast (a dead peer must not pin
-// every forward and query on its timeout); after Cooldown it lets a single
+// every forward on its timeout); after Cooldown it lets a single
 // half-open probe through, closing again on success and re-opening on
 // failure. Callers pair every Allow()==true with exactly one Report.
 // mu guards state, fails and openedAt.

@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,11 +14,10 @@ import (
 
 // HTTP surface of the cluster data plane, shared by client and server.
 const (
-	// ForwardPath accepts one ingest sub-batch (a WAL record payload:
+	// ForwardPath accepts one ingest batch (a WAL record payload:
 	// seq | domain | trajectories) by POST.
 	ForwardPath = "/cluster/forward"
-	// LocalPath answers GET with the node's full unfiltered local crowd
-	// set in the gob wire format.
+	// Deprecated: replicas serve no peer reads; nothing routes LocalPath.
 	LocalPath = "/cluster/local"
 
 	// HeaderProducer names the sending producer; a node accepts forwards
@@ -31,10 +29,6 @@ const (
 	// HeaderSeq duplicates the payload's sequence number for logs.
 	HeaderSeq = "X-Gather-Seq"
 )
-
-// ErrBreakerOpen is returned by Get when the peer's circuit breaker is
-// refusing requests.
-var ErrBreakerOpen = errors.New("rpc: circuit breaker open")
 
 // queueDepth is a peer's forward queue capacity. When the queue is full
 // Forward blocks: backpressure reaches the ingest loop rather than
@@ -81,7 +75,7 @@ type forwardItem struct {
 
 // Peer is the client side of one remote node: an ordered forwarding queue
 // drained by a single goroutine with retry, backoff and a circuit
-// breaker, plus single-attempt reads for the scatter-gather query path.
+// breaker.
 //
 // Forward delivery is strictly in sequence order per peer — a later item
 // is not attempted until the earlier one is delivered or dropped — which
@@ -127,8 +121,8 @@ func NewPeer(cfg PeerConfig) *Peer {
 	return p
 }
 
-// Forward enqueues one sub-batch payload (wal.EncodePayload of seq and
-// the sub-batch) for ordered delivery. It blocks when the queue is full —
+// Forward enqueues one batch payload (wal.EncodePayload of seq and the
+// batch) for ordered delivery. It blocks when the queue is full —
 // backpressure, not unbounded buffering. The payload must not be mutated
 // after the call. Forward must not be called after Close.
 func (p *Peer) Forward(seq uint64, payload []byte) {
@@ -215,41 +209,4 @@ func (p *Peer) post(it forwardItem) (int, error) {
 		return resp.StatusCode, fmt.Errorf("rpc: peer %s answered %s", p.cfg.ID, resp.Status)
 	}
 	return resp.StatusCode, nil
-}
-
-// Get fetches pathAndQuery from the peer in one attempt under the
-// attempt timeout, reporting the outcome to the breaker. Fails fast with
-// ErrBreakerOpen while the breaker refuses the peer.
-func (p *Peer) Get(ctx context.Context, pathAndQuery string) ([]byte, error) {
-	if !p.breaker.Allow() {
-		return nil, fmt.Errorf("peer %s: %w", p.cfg.ID, ErrBreakerOpen)
-	}
-	actx, cancel := context.WithTimeout(ctx, p.cfg.AttemptTimeout)
-	defer cancel()
-	body, err := p.get(actx, pathAndQuery)
-	p.breaker.Report(err == nil)
-	return body, err
-}
-
-// get performs one GET attempt.
-func (p *Peer) get(ctx context.Context, pathAndQuery string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+p.cfg.Addr+pathAndQuery, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(HeaderMapVersion, fmt.Sprint(p.cfg.MapVersion))
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("rpc: peer %s answered %s: %.200s", p.cfg.ID, resp.Status, body)
-	}
-	return body, nil
 }

@@ -1,10 +1,6 @@
 package rpc
 
 import (
-	"bytes"
-	"context"
-	"encoding/gob"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,13 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gathering"
-	"repro/internal/geo"
-	"repro/internal/snapshot"
 	"repro/internal/stats"
-	"repro/internal/trajectory"
-
-	"repro/internal/crowd"
 )
 
 func TestBackoffJitterBoundsAndDeterminism(t *testing.T) {
@@ -97,70 +87,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	if c.BreakerCloses.Load() != 1 {
 		t.Fatalf("BreakerCloses = %d, want 1", c.BreakerCloses.Load())
-	}
-}
-
-func testCrowdSet(t testing.TB) CrowdSet {
-	t.Helper()
-	mk := func(tick trajectory.Tick, objs ...trajectory.ObjectID) *snapshot.Cluster {
-		pts := make([]geo.Point, len(objs))
-		for i := range pts {
-			pts[i] = geo.Point{X: float64(100*i) + float64(tick), Y: float64(tick)}
-		}
-		return snapshot.NewCluster(tick, objs, pts)
-	}
-	c0, c1, c2 := mk(0, 1, 2, 3), mk(1, 1, 2, 3), mk(2, 1, 2)
-	cr1 := crowd.New(0, []*snapshot.Cluster{c0, c1, c2})
-	cr2 := crowd.New(1, []*snapshot.Cluster{c1, c2}) // shares c1, c2
-	return CrowdSet{
-		Ticks: 3,
-		Entries: []CrowdEntry{
-			{Crowd: cr1, Gatherings: []*gathering.Gathering{{
-				Crowd: cr1.Sub(0, 2), Lo: 0, Hi: 2, Participators: []trajectory.ObjectID{1, 2},
-			}}},
-			{Crowd: cr2},
-		},
-	}
-}
-
-func TestCrowdSetRoundTrip(t *testing.T) {
-	set := testCrowdSet(t)
-	var buf bytes.Buffer
-	if err := EncodeCrowdSet(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCrowdSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Ticks != set.Ticks {
-		t.Fatalf("Ticks = %d, want %d", got.Ticks, set.Ticks)
-	}
-	if len(got.Entries) != len(set.Entries) {
-		t.Fatalf("%d entries, want %d", len(got.Entries), len(set.Entries))
-	}
-	for i, en := range got.Entries {
-		want := set.Entries[i]
-		if en.Crowd.Start != want.Crowd.Start || en.Crowd.Lifetime() != want.Crowd.Lifetime() {
-			t.Fatalf("entry %d: crowd %v, want %v", i, en.Crowd, want.Crowd)
-		}
-		for j, cl := range en.Crowd.Clusters() {
-			w := want.Crowd.Clusters()[j]
-			if cl.T != w.T || len(cl.Objects) != len(w.Objects) {
-				t.Fatalf("entry %d cluster %d: %v, want %v", i, j, cl, w)
-			}
-		}
-		if len(en.Gatherings) != len(want.Gatherings) {
-			t.Fatalf("entry %d: %d gatherings, want %d", i, len(en.Gatherings), len(want.Gatherings))
-		}
-	}
-	// Clusters shared between crowds must stay shared (reference encoding).
-	if got.Entries[0].Crowd.Clusters()[1] != got.Entries[1].Crowd.Clusters()[0] {
-		t.Fatal("shared cluster decoded into two copies")
-	}
-	// A gathering's sub-crowd shares its parent's clusters.
-	if got.Entries[0].Gatherings[0].Crowd.Clusters()[0] != got.Entries[0].Crowd.Clusters()[0] {
-		t.Fatal("gathering sub-crowd lost cluster sharing")
 	}
 }
 
@@ -312,106 +238,4 @@ func TestPeerForwardDeadline(t *testing.T) {
 	if c.ForwardsRetried.Load() == 0 {
 		t.Fatal("expected at least one retry before the drop")
 	}
-}
-
-// TestPeerGetFailsFastWhenOpen: once the breaker opens, Get refuses
-// immediately instead of waiting out another timeout.
-func TestPeerGetFailsFastWhenOpen(t *testing.T) {
-	c := &stats.ClusterCounters{}
-	p := NewPeer(PeerConfig{
-		ID: "b", Addr: "127.0.0.1:1",
-		Counters:         c,
-		AttemptTimeout:   20 * time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: time.Minute,
-	})
-	defer p.Close()
-	for i := 0; i < 2; i++ {
-		if _, err := p.Get(context.Background(), "/x"); err == nil {
-			t.Fatal("expected connection failure")
-		}
-	}
-	start := time.Now()
-	_, err := p.Get(context.Background(), "/x")
-	if err == nil || !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("open-breaker Get took %v, want immediate", d)
-	}
-}
-
-// corruptCrowdSet encodes testCrowdSet after applying corrupt to its wire
-// form, for tests that feed DecodeCrowdSet malformed peer answers.
-func corruptCrowdSet(t *testing.T, corrupt func(*wireCrowdSet)) *bytes.Buffer {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeCrowdSet(&buf, testCrowdSet(t)); err != nil {
-		t.Fatal(err)
-	}
-	var dto wireCrowdSet
-	if err := gob.NewDecoder(&buf).Decode(&dto); err != nil {
-		t.Fatal(err)
-	}
-	corrupt(&dto)
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&dto); err != nil {
-		t.Fatal(err)
-	}
-	return &buf
-}
-
-// TestDecodeCrowdSetRejectsRaggedCluster: a peer answer whose cluster has
-// more objects than points must be an error, not a panic — the decoder
-// runs in the coordinator's per-peer goroutine, where a panic would kill
-// the process.
-func TestDecodeCrowdSetRejectsRaggedCluster(t *testing.T) {
-	buf := corruptCrowdSet(t, func(d *wireCrowdSet) {
-		d.Clusters[0].Objects = []trajectory.ObjectID{2, 1}
-		d.Clusters[0].Points = d.Clusters[0].Points[:1]
-	})
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("DecodeCrowdSet panicked: %v", r)
-		}
-	}()
-	if _, err := DecodeCrowdSet(buf); err == nil || !strings.Contains(err.Error(), "objects but") {
-		t.Fatalf("DecodeCrowdSet error %v, want a ragged-cluster error", err)
-	}
-}
-
-// FuzzDecodeCrowdSet asserts that the scatter-gather answer decoder never
-// panics on arbitrary bytes, and that any set it accepts re-encodes and
-// decodes to the same crowds and gatherings.
-func FuzzDecodeCrowdSet(f *testing.F) {
-	for _, set := range []CrowdSet{testCrowdSet(f), {Ticks: 7}} {
-		var buf bytes.Buffer
-		if err := EncodeCrowdSet(&buf, set); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		set, err := DecodeCrowdSet(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := EncodeCrowdSet(&buf, set); err != nil {
-			t.Fatalf("accepted set does not encode: %v", err)
-		}
-		again, err := DecodeCrowdSet(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded set does not decode: %v", err)
-		}
-		if again.Ticks != set.Ticks || len(again.Entries) != len(set.Entries) {
-			t.Fatalf("round trip changed the set: %d ticks/%d entries, want %d/%d",
-				again.Ticks, len(again.Entries), set.Ticks, len(set.Entries))
-		}
-		for i, en := range again.Entries {
-			if en.Crowd.Start != set.Entries[i].Crowd.Start || en.Crowd.Lifetime() != set.Entries[i].Crowd.Lifetime() ||
-				len(en.Gatherings) != len(set.Entries[i].Gatherings) {
-				t.Fatalf("round trip changed entry %d", i)
-			}
-		}
-	})
 }

@@ -392,9 +392,8 @@ type Query struct {
 	Limit int
 }
 
-// Matches reports whether cr passes the window and bounds filters. The
-// cluster read path calls it after its cross-node merge.
-func (q Query) Matches(cr *crowd.Crowd) bool {
+// matches reports whether cr passes the window and bounds filters.
+func (q Query) matches(cr *crowd.Crowd) bool {
 	if q.Window != nil && (cr.Start > q.Window.To || cr.End() < q.Window.From) {
 		return false
 	}
@@ -448,7 +447,7 @@ func (e *Engine) Snapshot(q Query) *Result {
 		if q.Limit > 0 && len(res.Crowds) == q.Limit {
 			break
 		}
-		if q.GatheringsOnly && len(en.gathers) == 0 || !q.Matches(en.crowd) {
+		if q.GatheringsOnly && len(en.gathers) == 0 || !q.matches(en.crowd) {
 			continue
 		}
 		res.Crowds = append(res.Crowds, en.crowd)

@@ -43,7 +43,7 @@ import (
 // same path as the store that was saved.
 //
 // Load refuses, with an error, a section of any other version (version 1
-// was an encoding/gob stream and is not read), a checksum mismatch, and
+// was a gob stream and is not read), a checksum mismatch, and
 // any table or reference the store could not have written.
 
 const (

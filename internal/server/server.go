@@ -7,10 +7,10 @@
 // WAL before it is applied, so a killed server restores the checkpoint,
 // replays the log and resumes with an identical gathering set, dropping
 // the batches a restarted feed re-delivers as duplicates. In a cluster
-// the server given a feed is the ingest front, forwarding each batch's
-// remote sub-batches to their owners; reads are scatter-gather and
-// degrade to a partial answer (HTTP 200, X-Gather-Partial) when a peer
-// is unreachable.
+// every node is a replica: the server given a feed is the ingest front
+// and forwards each whole batch to every peer, each node runs the same
+// pipeline on the whole feed, and every node answers reads from its own
+// engine, with its frontier in X-Gather-Ticks as the staleness bound.
 package server
 
 import (
@@ -30,7 +30,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/rpc"
 	"repro/internal/engine/admit"
-	"repro/internal/gathering"
 	"repro/internal/geo"
 	"repro/internal/geojson"
 	"repro/internal/recovery"
@@ -63,7 +62,7 @@ type Config struct {
 
 	Cluster          string        // -cluster: membership map JSON; empty = standalone
 	Node             string        // -node: this node's id in the map
-	ForwardDeadline  time.Duration // -forward-deadline: retry wall-time for one forwarded sub-batch
+	ForwardDeadline  time.Duration // -forward-deadline: retry wall-time for one forwarded batch
 	AttemptTimeout   time.Duration // -attempt-timeout: one cluster HTTP attempt
 	BreakerThreshold int           // -breaker-threshold: consecutive failures that open a peer's breaker
 	BreakerCooldown  time.Duration // -breaker-cooldown: open time before a half-open probe
@@ -148,7 +147,6 @@ func New(cfg Config) (*Server, error) {
 				Map:              m,
 				Self:             cluster.NodeID(cfg.Node),
 				Engine:           eng,
-				GatherParams:     gathering.Params{KC: cfg.KC, KP: cfg.KP, MP: cfg.MP},
 				Counters:         s.clCounts,
 				Ready:            s.Ready,
 				AttemptTimeout:   cfg.AttemptTimeout,
@@ -181,8 +179,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Run restores the checkpoint, replays the WAL, marks the server ready and
 // runs the ingest loop until feed is exhausted or ctx is done, checked
 // between batches. It admits feed's batches in order (a cluster front
-// first forwards their remote sub-batches), or with a nil feed the
-// forwards a cluster member receives. After recovery every return takes
+// first forwards each to every peer), or with a nil feed the forwards a
+// cluster member receives. After recovery every return takes
 // one exit path: drain admission (unless applying failed), flush the
 // engine, write the final checkpoint and close the WAL. Call Run once.
 func (s *Server) Run(ctx context.Context, feed *gatherings.DB) error {
@@ -292,7 +290,7 @@ func (s *Server) apply(mgr *recovery.Manager, emits []admit.Emit) error {
 	return nil
 }
 
-// Close drains the cluster forward queues (every enqueued sub-batch still
+// Close drains the cluster forward queues (every enqueued batch still
 // gets its full retry budget), then flushes and closes the engine. Call
 // it once, after Run has returned; queries stay valid afterwards.
 func (s *Server) Close() {
@@ -324,7 +322,8 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.node != nil && s.node.Degraded() {
 			// Alive but with an open peer breaker: still 200, since the
-			// node serves partial answers, but visibly degraded.
+			// node answers reads from its own engine, but visibly
+			// degraded: that peer may be falling behind.
 			fmt.Fprintln(w, "degraded")
 			return
 		}
@@ -343,7 +342,6 @@ func (s *Server) routes() *http.ServeMux {
 	})
 	if s.node != nil {
 		mux.HandleFunc(rpc.ForwardPath, s.node.HandleForward)
-		mux.HandleFunc(rpc.LocalPath, s.node.HandleLocal)
 	}
 	if s.cfg.Pprof {
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
@@ -352,33 +350,18 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// serveQuery answers one snapshot query, local or scatter-gather, as
-// GeoJSON. X-Gather-Ticks is the answer's tick frontier (in a cluster the
-// minimum over the members that answered: its staleness bound); peers that
-// did not answer are named in X-Gather-Unreachable, with X-Gather-Partial.
-// A quarantined engine answers 503: its store no longer holds the stream's
-// state, so an empty answer would be wrong, not merely stale.
+// serveQuery answers one snapshot query from the server's own engine as
+// GeoJSON. X-Gather-Ticks is the answer's tick frontier, which in a
+// cluster is this replica's staleness bound. A quarantined engine answers
+// 503: its store no longer holds the stream's state, so an empty answer
+// would be wrong, not merely stale.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, gatheringsOnly bool) {
 	q, err := parseQuery(r, gatheringsOnly)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var res *gatherings.EngineResult
-	if s.node != nil {
-		var meta cluster.PartialMeta
-		res, meta = s.node.Query(r.Context(), q)
-		if len(meta.Unreachable) > 0 {
-			ids := make([]string, len(meta.Unreachable))
-			for i, id := range meta.Unreachable {
-				ids[i] = string(id)
-			}
-			w.Header().Set("X-Gather-Partial", "true")
-			w.Header().Set("X-Gather-Unreachable", strings.Join(ids, ","))
-		}
-	} else {
-		res = s.eng.Snapshot(q)
-	}
+	res := s.eng.Snapshot(q)
 	if s.eng.Quarantined() {
 		http.Error(w, gatherings.ErrEngineQuarantined.Error(), http.StatusServiceUnavailable)
 		return

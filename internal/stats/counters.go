@@ -149,34 +149,30 @@ func (s ResilienceCounterSnapshot) Fprint(w io.Writer) {
 }
 
 // ClusterCounters are the live counters of the multi-node layer: what the
-// forwarding data plane sent, retried and gave up on, what the
-// breaker did to failing peers, and how often reads had to degrade to
-// partial answers. All fields are atomic, as with the other counter sets.
+// forwarding data plane sent, retried and gave up on, and what the
+// breaker did to failing peers. All fields are atomic, as with the other
+// counter sets.
 //
 // The forwarding contract these counters audit mirrors the admission one:
-// a sub-batch handed to a peer forwarder is eventually exactly one of
+// a batch handed to a peer forwarder is eventually exactly one of
 // delivered (ForwardsSent) or abandoned (ForwardsDropped) — never silently
 // lost. Retries of the same (producer, seq) are idempotent at the receiver
 // (its admission stage classifies them as duplicates), so ForwardsRetried
 // can exceed ForwardsSent without double-applying anything.
 type ClusterCounters struct {
 	// Forward data plane, sender side.
-	ForwardsSent    atomic.Uint64 // sub-batches delivered to a peer (2xx)
+	ForwardsSent    atomic.Uint64 // batches delivered to a peer (2xx)
 	ForwardsRetried atomic.Uint64 // delivery attempts that failed and were retried
-	ForwardsDropped atomic.Uint64 // sub-batches abandoned after the retry deadline
+	ForwardsDropped atomic.Uint64 // batches abandoned after the retry deadline
 
 	// Forward data plane, receiver side.
-	ForwardsReceived atomic.Uint64 // forwarded sub-batches accepted into admission
+	ForwardsReceived atomic.Uint64 // forwarded batches accepted into admission
 	ForwardsRejected atomic.Uint64 // forwards refused (map-version mismatch, not ready, bad payload)
 
 	// Per-peer circuit breakers.
 	BreakerOpens  atomic.Uint64 // closed→open transitions (peer declared unhealthy)
 	BreakerProbes atomic.Uint64 // half-open probe requests let through
 	BreakerCloses atomic.Uint64 // open→closed transitions (probe succeeded)
-
-	// Scatter-gather read side.
-	QueriesPartial   atomic.Uint64 // scatter-gather answers missing at least one peer
-	PeersUnreachable atomic.Uint64 // per-query count of peers that contributed nothing
 }
 
 // ClusterCounterSnapshot is a point-in-time copy of ClusterCounters.
@@ -189,7 +185,8 @@ type ClusterCounterSnapshot struct {
 	BreakerOpens     uint64
 	BreakerProbes    uint64
 	BreakerCloses    uint64
-	QueriesPartial   uint64
+	// Deprecated: reads are local, so no peer is ever unreachable to a
+	// read; always 0.
 	PeersUnreachable uint64
 }
 
@@ -205,8 +202,6 @@ func (c *ClusterCounters) Snapshot() ClusterCounterSnapshot {
 		BreakerOpens:     c.BreakerOpens.Load(),
 		BreakerProbes:    c.BreakerProbes.Load(),
 		BreakerCloses:    c.BreakerCloses.Load(),
-		QueriesPartial:   c.QueriesPartial.Load(),
-		PeersUnreachable: c.PeersUnreachable.Load(),
 	}
 }
 
@@ -221,6 +216,4 @@ func (s ClusterCounterSnapshot) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "breaker opens:       %d\n", s.BreakerOpens)
 	fmt.Fprintf(w, "breaker probes:      %d\n", s.BreakerProbes)
 	fmt.Fprintf(w, "breaker closes:      %d\n", s.BreakerCloses)
-	fmt.Fprintf(w, "queries partial:     %d\n", s.QueriesPartial)
-	fmt.Fprintf(w, "peers unreachable:   %d\n", s.PeersUnreachable)
 }

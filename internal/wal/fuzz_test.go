@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzDecodePayload asserts the record decoder — the reader of every WAL
-// record and every forwarded sub-batch — never panics on arbitrary bytes,
+// record and every forwarded batch — never panics on arbitrary bytes,
 // and that anything it accepts re-encodes to its clip: decoding the
 // re-encoding yields each trajectory's Window over the batch's ticks.
 // When the samples are time-sorted, as every trajectory is meant to be,
