@@ -29,7 +29,10 @@ import (
 // forwards retried across the outage — and at the end every node's
 // gathering set must be identical to a single-store in-order replay of
 // the same CSV. Along the way, a query issued while a peer is blackholed
-// must come back 200 with its staleness marker, never a 5xx.
+// must come back 200 with its staleness marker, never a 5xx. The kill
+// lands after the first batch, with at least five of the eight batches
+// still to feed, and the front must have retried a forward by the time
+// the blackhole ends, so the outage is one the feed had to cross.
 func TestClusterChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster test")
@@ -149,7 +152,7 @@ func TestClusterChaos(t *testing.T) {
 			"-retry-seed", "7",
 		}
 		if i == 0 {
-			args = append(args, "-in", csvPath, "-interval", "400ms")
+			args = append(args, "-in", csvPath, "-interval", "800ms")
 		}
 		cmd := exec.Command(bin, args...)
 		cmd.Stdout = &prefixWriter{t: t, prefix: ids[i]}
@@ -198,19 +201,22 @@ func TestClusterChaos(t *testing.T) {
 		resp, _, err := get(addr, "/readyz")
 		return err == nil && resp.StatusCode == http.StatusOK
 	}
-	ticksApplied := func(addr string) int {
+	// statCount reads counter name from addr's /stats, or -1 when the
+	// node does not answer or shows no such line.
+	statCount := func(addr, name string) int {
 		_, body, err := get(addr, "/stats")
 		if err != nil {
 			return -1
 		}
-		var n int
+		n := -1
 		for _, line := range strings.Split(body, "\n") {
-			if strings.HasPrefix(line, "ticks applied:") {
-				fmt.Sscanf(strings.TrimSpace(strings.TrimPrefix(line, "ticks applied:")), "%d", &n)
+			if rest, ok := strings.CutPrefix(line, name+":"); ok {
+				fmt.Sscanf(strings.TrimSpace(rest), "%d", &n)
 			}
 		}
 		return n
 	}
+	ticksApplied := func(addr string) int { return statCount(addr, "ticks applied") }
 
 	for _, p := range ports {
 		p := p
@@ -221,14 +227,20 @@ func TestClusterChaos(t *testing.T) {
 	proxies[2].SetLatency(20 * time.Millisecond)
 	proxies[2].SetMode(chaos.ProxyLatency)
 
-	// Mid-stream: SIGKILL node b, let the front retry into the hole,
-	// flap node c's link while the stream is in flight, then restart b
-	// with the same WAL and checkpoint.
-	waitFor("mid-stream", 60*time.Second, func() bool { return ticksApplied(ports[0]) >= 24 })
+	// Mid-stream: SIGKILL node b as soon as the front has applied its
+	// first batch, let the front retry into the hole, flap node c's link
+	// while the stream is in flight, then restart b with the same WAL
+	// and checkpoint. At 800 ms a batch, seven batches remain to feed
+	// when the first is applied. The kill must land with at most two
+	// applied, so at least five batches are fed after it.
+	waitFor("mid-stream", 60*time.Second, func() bool { return ticksApplied(ports[0]) >= 12 })
 	if err := cmds[1].Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
 	cmds[1].Wait()
+	if n := ticksApplied(ports[0]); n < 12 || n > 2*12 {
+		t.Fatalf("node b was killed with the front at %d of 96 ticks; want one or two of its eight batches applied", n)
+	}
 	t.Log("node b killed")
 
 	proxies[2].SetMode(chaos.ProxyBlackhole)
@@ -245,6 +257,9 @@ func TestClusterChaos(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 	}
 	proxies[2].SetMode(chaos.ProxyLatency) // link heals
+	if n := statCount(ports[0], "forwards retried"); n < 1 {
+		t.Fatalf("after b's outage and c's blackhole the front shows %d forwards retried, want at least 1", n)
+	}
 
 	cmds[1] = nodeCmd(1)
 	if err := cmds[1].Start(); err != nil {
@@ -294,14 +309,8 @@ func TestClusterChaos(t *testing.T) {
 	}
 	// The generous forward deadline must have carried every batch
 	// across b's outage; a drop would mean silent data loss.
-	for _, line := range strings.Split(stats, "\n") {
-		if strings.HasPrefix(line, "forwards dropped:") {
-			var n int
-			fmt.Sscanf(strings.TrimSpace(strings.TrimPrefix(line, "forwards dropped:")), "%d", &n)
-			if n != 0 {
-				t.Errorf("front dropped %d forwards:\n%s", n, stats)
-			}
-		}
+	if n := statCount(ports[0], "forwards dropped"); n != 0 {
+		t.Errorf("front dropped %d forwards:\n%s", n, stats)
 	}
 
 	// Clean shutdown for all three.

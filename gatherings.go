@@ -60,7 +60,10 @@ type (
 	// DB is a moving-object database.
 	DB = trajectory.DB
 
-	// Cluster is a snapshot cluster (Definition 1).
+	// Cluster is a snapshot cluster (Definition 1). In a Store's or an
+	// Engine's answers, only crowds that can still grow (those ending at
+	// the last tick ingested) hold clusters with Points; a final crowd's
+	// clusters are point-free summaries that keep T, Objects and MBR.
 	Cluster = snapshot.Cluster
 	// CDB is the per-tick snapshot cluster database.
 	CDB = snapshot.CDB
@@ -118,6 +121,12 @@ func NewCrowd(start Tick, clusters []*Cluster) *Crowd {
 // recent tick are saved and resumed, and gathering detection on extended
 // crowds reuses previously found gatherings (Theorem 2).
 //
+// Streaming results carry Points only on crowds that can still grow. A
+// crowd that ends before the last tick is final, and the store keeps a
+// copy of it whose clusters are point-free summaries (T, Objects and MBR),
+// with gatherings over that copy. A crowd an earlier answer handed out is
+// never changed, so it keeps its points.
+//
 // A Store is not safe for concurrent use: it is the single-goroutine
 // facade over the incremental pipeline. For concurrent ingest and
 // queries use engine.Engine, which owns the lock guarding the underlying
@@ -173,14 +182,16 @@ func (s *Store) AllGatherings() []*Gathering { return s.inner.FlatGatherings() }
 // Save serialises the store's incremental state (closed crowds,
 // gatherings, the resumable candidate set and the snapshot clusters they
 // reference) so discovery can continue in a later process via LoadStore.
-// The output is one versioned, checksummed section (version 2); see
-// internal/incremental for its layout.
+// The output is one versioned, checksummed section (version 3, which
+// writes a final crowd's clusters as their MBRs); see internal/incremental
+// for its layout.
 func (s *Store) Save(w io.Writer) error { return s.inner.Save(w) }
 
 // LoadStore restores a store saved with Save, reading r to its end. The
 // configuration supplies the searcher; the thresholds are restored from
-// the snapshot itself. A corrupt section, or one saved in another format
-// version (version 1 was a gob stream), is refused with an error.
+// the snapshot itself. Sections of versions 2 and 3 load; a corrupt
+// section, or one saved in another format version (version 1 was a gob
+// stream), is refused with an error.
 func LoadStore(r io.Reader, cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

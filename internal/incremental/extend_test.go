@@ -163,3 +163,27 @@ func TestAppendAllocsFlatAsHistoryGrows(t *testing.T) {
 			deep, deepBatches, shallow, shallowBatches, ratio)
 	}
 }
+
+// TestCompactAllocs: compacting a final crowd of L clusters with g
+// gatherings allocates a summary per cluster, the new crowd (its node and
+// memo), a gathering and a sub-crowd (node and memo) per gathering, and
+// the two slices: L+3g+4. It copies and writes nothing; summaries already
+// memoised are not made again.
+func TestCompactAllocs(t *testing.T) {
+	s := gatheringStore(t)
+	cr, gs := s.tail[0], s.tailGathers[s.tail[0]]
+	L, g := cr.Lifetime(), len(gs)
+	if g == 0 {
+		t.Fatal("seed crowd has no gatherings")
+	}
+	// The presized memo is one more allocation unless escape analysis
+	// keeps it on the stack.
+	if n := testing.AllocsPerRun(20, func() { make(summaries, L).compact(cr, gs) }); n != float64(L+3*g+4) && n != float64(L+3*g+5) {
+		t.Fatalf("compact with a cold memo allocates %.0f times, want %d, or %d with the memo", n, L+3*g+4, L+3*g+5)
+	}
+	warm := summaries{}
+	warm.compact(cr, gs)
+	if n := testing.AllocsPerRun(20, func() { warm.compact(cr, gs) }); n != float64(3*g+4) {
+		t.Fatalf("compact with a warm memo allocates %.0f times, want %d", n, 3*g+4)
+	}
+}

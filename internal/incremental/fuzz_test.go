@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -64,9 +66,18 @@ func saveDTO(t testing.TB, s *Store) *storeDTO {
 	return dto
 }
 
+// tailCluster returns the saved cluster at the last tick of the
+// checkpoint's first tail crowd: a cluster that keeps its points.
+func tailCluster(d *storeDTO) *clusterDTO {
+	cr := d.Tail[0]
+	last := len(cr.Index) - 1
+	return &d.Ticks[int(cr.Start)+last][cr.Index[last]]
+}
+
 // malformedCases corrupts one field of gatheringStore's checkpoint per
 // case; want is a fragment of the error Load must return. A case with a
-// seed name is also the FuzzLoad corpus file of that name.
+// seed name is also the FuzzLoad corpus file of that name. Tick 0's
+// first cluster belongs to the interior crowd, so it is point-free.
 var malformedCases = []struct {
 	name, seed string
 	corrupt    func(d *storeDTO)
@@ -83,14 +94,30 @@ var malformedCases = []struct {
 		cr.Index[1] = len(d.Ticks[cr.Start+1])
 	}, "at position 1"},
 	{"objects and points differ", "ragged-cluster", func(d *storeDTO) {
-		c := &d.Ticks[0][0]
+		c := tailCluster(d)
 		c.Points = c.Points[:1]
 	}, "objects but"},
 	{"crowd with no clusters", "crowd-no-clusters", func(d *storeDTO) { d.Interior[0].Index = nil }, "no clusters"},
 	{"cluster with no objects", "cluster-no-objects", func(d *storeDTO) {
-		c := &d.Ticks[0][0]
+		c := tailCluster(d)
 		c.Objects, c.Points = nil, nil
 	}, "no objects"},
+	{"point-free cluster with a non-finite MBR", "summary-mbr-nonfinite", func(d *storeDTO) {
+		d.Ticks[0][0].MBR.MaxY = math.Inf(1)
+	}, "non-finite MBR"},
+	{"point-free cluster with a NaN MBR", "", func(d *storeDTO) {
+		d.Ticks[0][0].MBR.MinX = math.NaN()
+	}, "non-finite MBR"},
+	{"point-free cluster with an inverted MBR", "summary-mbr-inverted", func(d *storeDTO) {
+		m := &d.Ticks[0][0].MBR
+		m.MinX, m.MaxX = m.MaxX, m.MinX
+	}, "inverted MBR"},
+	{"point-free cluster inverted in y", "", func(d *storeDTO) {
+		d.Ticks[0][0].MBR.MinY = d.Ticks[0][0].MBR.MaxY + 1
+	}, "inverted MBR"},
+	{"tail cluster without points", "tail-point-free", func(d *storeDTO) {
+		tailCluster(d).Points = nil
+	}, "holds point-free cluster"},
 	{"object IDs not ascending", "objects-not-ascending", func(d *storeDTO) {
 		d.Ticks[0][0].Objects = []trajectory.ObjectID{102, 100, 100}
 	}, "object IDs not strictly ascending"},
@@ -116,6 +143,10 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		len(base.Interior[0].Index) < 2 || len(base.InteriorGs[0][0].Participators) < 2 ||
 		len(base.Tail) == 0 || len(base.TailGs[0]) == 0 || len(base.Ticks[0][0].Objects) != 3 {
 		t.Fatalf("seed store lacks an interior or tail crowd with gatherings: %+v", base)
+	}
+	if m := base.Ticks[0][0].MBR; len(base.Ticks[0][0].Points) != 0 || !(m.MinX < m.MaxX) ||
+		len(tailCluster(base).Points) != 3 {
+		t.Fatalf("seed store lacks a point-free interior cluster of some width or a tail cluster with points: %+v", base)
 	}
 	for _, tc := range malformedCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,23 +174,18 @@ func TestLoadRejectsMalformed(t *testing.T) {
 // and each malformed seed is refused for its own reason, not for a stale
 // magic, version or checksum.
 func TestFuzzLoadCorpusRoles(t *testing.T) {
-	want := map[string]string{"empty-store": "", "gathering-store": ""}
+	want := map[string]string{"empty-store": "", "gathering-store": "", "gathering-store-v3": ""}
 	for _, tc := range malformedCases {
 		if tc.seed != "" {
 			want[tc.seed] = tc.want
 		}
 	}
+	v3, err := decodeStore(corpusSeed(t, "gathering-store-v3"))
+	if err != nil || v3.Version != persistVersion || !slices.ContainsFunc(v3.Ticks[0], func(c clusterDTO) bool { return c.pointFree(v3.Version) }) {
+		t.Fatalf("gathering-store-v3 is not a version-%d section with a point-free cluster at tick 0: %v", persistVersion, err)
+	}
 	for seed, frag := range want {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoad", seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
-		data, uerr := strconv.Unquote(strings.TrimSuffix(lit, ")"))
-		if !ok || uerr != nil {
-			t.Fatalf("%s: not a one-[]byte corpus file: %v", seed, uerr)
-		}
-		_, err = Load([]byte(data), gridFactory(1))
+		_, err := Load(corpusSeed(t, seed), gridFactory(1))
 		switch {
 		case frag == "" && err != nil:
 			t.Errorf("%s: %v, want it to load", seed, err)
@@ -167,6 +193,21 @@ func TestFuzzLoadCorpusRoles(t *testing.T) {
 			t.Errorf("%s: Load error %v, want one mentioning %q", seed, err, frag)
 		}
 	}
+}
+
+// corpusSeed returns the bytes of the FuzzLoad corpus file seed.
+func corpusSeed(t *testing.T, seed string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoad", seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		t.Fatalf("%s: not a one-[]byte corpus file: %v", seed, err)
+	}
+	return []byte(data)
 }
 
 // FuzzLoad asserts that Load, the reader of every checkpointed shard,

@@ -27,6 +27,14 @@
 // returns. The cut is lossless, since no later Append or read can reach
 // the clusters it drops, and it makes retained memory and checkpoint
 // size grow with the crowds found rather than with the stream age.
+//
+// A crowd that closes before the last tick is final: no later Append
+// extends it, and its gatherings are found when it closes. Nothing reads
+// its clusters' points again, so the store keeps a compacted copy of it
+// whose clusters are point-free summaries (snapshot.NewSummary) and whose
+// gatherings are re-pointed at the copy. The copy is new; a reader that
+// already holds the crowd keeps its points. Streaming results thus carry
+// Points only on crowds that can still grow.
 package incremental
 
 import (
@@ -42,7 +50,9 @@ import (
 // cluster batches with Append, and read the current answer from Crowds and
 // Gatherings. It retains the time domain and the clusters its crowds and
 // gatherings reference, never a per-tick cluster list (the package doc
-// says why that loses nothing). A Store is not safe for concurrent use:
+// says why that loses nothing). Only the tail candidates, which can still
+// grow, hold clusters with Points; interior crowds hold summaries. A
+// Store is not safe for concurrent use:
 // inside the engine the engine's lock guards searcher, interior,
 // interiorGathers, tail, tailGathers, tailDetectors and the three read
 // caches.
@@ -61,7 +71,9 @@ type Store struct {
 	domain trajectory.TimeDomain
 
 	// closed crowds whose last cluster is strictly before the most recent
-	// tick; they can never be extended again (Lemma 4).
+	// tick; they can never be extended again (Lemma 4). Each is the
+	// compacted copy Append made, with point-free clusters, and its
+	// gatherings are sub-crowds of that copy.
 	interior        []*crowd.Crowd
 	interiorGathers [][]*gathering.Gathering
 
@@ -151,9 +163,14 @@ func (s *Store) Append(batch *snapshot.CDB) {
 	lastTick := trajectory.Tick(s.domain.N - 1)
 	newTailGathers := make(map[*crowd.Crowd][]*gathering.Gathering, len(res.Tail))
 	newTailDetectors := make(map[*crowd.Crowd]*gathering.Detector, len(res.Tail))
+	var sums summaries
 	for _, cr := range res.Crowds {
 		gs, det := s.detect(cr, originOf(cr, oldN), claims)
 		if cr.End() < lastTick {
+			if sums == nil {
+				sums = summaries{}
+			}
+			cr, gs = sums.compact(cr, gs)
 			s.interior = append(s.interior, cr)
 			s.interiorGathers = append(s.interiorGathers, gs)
 		} else {
@@ -167,6 +184,44 @@ func (s *Store) Append(batch *snapshot.CDB) {
 	s.tailGathers = newTailGathers
 	s.tailDetectors = newTailDetectors
 	s.refreshCaches()
+}
+
+// summaries memoises the summary (snapshot.NewSummary) of each cluster,
+// so the crowds compacted with one memo keep sharing their clusters.
+type summaries map[*snapshot.Cluster]*snapshot.Cluster
+
+// of returns c itself when it is already point-free, else its summary.
+func (m summaries) of(c *snapshot.Cluster) *snapshot.Cluster {
+	if c.Points == nil {
+		return c
+	}
+	sc, ok := m[c]
+	if !ok {
+		sc = snapshot.NewSummary(c.T, c.Objects, c.MBR())
+		m[c] = sc
+	}
+	return sc
+}
+
+// compact returns a copy of the final crowd cr whose clusters are
+// summaries, and its gatherings gs re-pointed at sub-crowds of the copy,
+// so the store retains none of cr's points. Nothing is written: a reader
+// holding cr, its clusters or gs keeps them as they were.
+func (m summaries) compact(cr *crowd.Crowd, gs []*gathering.Gathering) (*crowd.Crowd, []*gathering.Gathering) {
+	cls := cr.Clusters()
+	sum := make([]*snapshot.Cluster, len(cls))
+	for i, c := range cls {
+		sum[i] = m.of(c)
+	}
+	out := crowd.New(cr.Start, sum)
+	if len(gs) == 0 {
+		return out, gs
+	}
+	outGs := make([]*gathering.Gathering, len(gs))
+	for i, g := range gs {
+		outGs[i] = &gathering.Gathering{Crowd: out.Sub(g.Lo, g.Hi), Lo: g.Lo, Hi: g.Hi, Participators: g.Participators}
+	}
+	return out, outGs
 }
 
 // originOf returns the old tail candidate that cr grew from when

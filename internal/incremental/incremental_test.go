@@ -38,10 +38,13 @@ func cdbFromRows(start trajectory.Tick, rows [][]float64) *snapshot.CDB {
 	return cdb
 }
 
+// signature renders a crowd as its start and the row of each cluster.
+// clusterAt builds one-point clusters, so a cluster's row is its MBR's
+// MinY, which a final crowd's point-free summary keeps too.
 func signature(c *crowd.Crowd) string {
 	s := fmt.Sprintf("%d:", c.Start)
 	for _, cl := range c.Clusters() {
-		s += fmt.Sprintf("%.1f,", cl.Points[0].Y)
+		s += fmt.Sprintf("%.1f,", cl.MBR().MinY)
 	}
 	return s
 }

@@ -17,7 +17,7 @@ import (
 // The incremental state is what makes gathering discovery a maintainable
 // database service rather than a one-shot job, so it must survive process
 // restarts. Save/Load write a Store as one self-checking section in an
-// explicit, versioned layout:
+// explicit, versioned layout (version 3):
 //
 //	header:   magic "GSTO" | version byte
 //	params:   varint MC, KC | float64 Delta | varint KC, KP, MP
@@ -25,7 +25,8 @@ import (
 //	clusters: uvarint ticks | per tick: uvarint clusters | per cluster:
 //	          varint T | uvarint objects | varint first ID | uvarint ID
 //	          delta per further object | uvarint points | float64 x, y
-//	          per point
+//	          per point, or, for a point-free cluster (0 points), its MBR
+//	          as float64 MinX, MinY, MaxX, MaxY
 //	crowds:   interior, then tail: uvarint crowds | per crowd:
 //	          varint start | uvarint clusters | varint index per tick
 //	gathers:  interior, then tail: uvarint lists | per list: uvarint
@@ -37,24 +38,41 @@ import (
 // Snapshot clusters are written once, listed under their tick, and a
 // crowd names the cluster it holds at each of its ticks by its index in
 // that tick's list, so shared clusters stay shared after a round trip.
-// Each tick lists only the clusters some saved crowd references. A tail
+// Each tick lists only the clusters some saved crowd references. The
+// clusters of interior crowds are summaries (snapshot.NewSummary), so
+// they are written point-free; a tail candidate's clusters keep their
+// points, which the next Append's Hausdorff tests read. A tail
 // candidate with no cached gatherings has the list "none", told apart
 // from an empty list, so a loaded store runs the next Append down the
 // same path as the store that was saved.
 //
-// Load refuses, with an error, a section of any other version (version 1
-// was a gob stream and is not read), a checksum mismatch, and
-// any table or reference the store could not have written.
+// Version 2 is the same layout without point-free clusters: every
+// cluster carries its points. Load still reads it, and summarises its
+// interior crowds' clusters as Append would have, so both versions load
+// to the same shape. Load refuses, with an error, a section of any other
+// version (version 1 was a gob stream and is not read), a checksum
+// mismatch, and any table or reference the store could not have written.
 
 const (
 	storeMagic     = "GSTO"
-	persistVersion = 2
+	persistVersion = 3
+	// oldestVersion is the oldest store section Load reads.
+	oldestVersion = 2
 )
 
+// clusterDTO is one saved cluster: Points, or for a point-free cluster of
+// version 3 or later, MBR.
 type clusterDTO struct {
 	T       trajectory.Tick
 	Objects []trajectory.ObjectID
 	Points  []geo.Point
+	MBR     geo.Rect
+}
+
+// pointFree reports whether c, read from a section of the given version,
+// is a summary rather than a cluster with points.
+func (c *clusterDTO) pointFree(version int) bool {
+	return version >= 3 && len(c.Points) == 0
 }
 
 // crowdDTO is one saved crowd: its cluster at tick Start+i is entry
@@ -107,9 +125,9 @@ func (s *Store) Save(w io.Writer) error {
 					return d, fmt.Errorf("incremental: crowd %v outside the %d-tick domain", cr, len(dto.Ticks))
 				}
 				idx = len(dto.Ticks[t])
-				dto.Ticks[t] = append(dto.Ticks[t], clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points})
+				dto.Ticks[t] = append(dto.Ticks[t], clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points, MBR: c.MBR()})
 				indexOf[c] = idx
-				size += 16 + 18*len(c.Points)
+				size += 48 + 2*len(c.Objects) + 16*len(c.Points)
 			}
 			d.Index[i] = idx
 		}
@@ -174,6 +192,12 @@ func appendStore(b []byte, d *storeDTO) []byte {
 				b = appendFloat(b, p.X)
 				b = appendFloat(b, p.Y)
 			}
+			if c.pointFree(d.Version) {
+				b = appendFloat(b, c.MBR.MinX)
+				b = appendFloat(b, c.MBR.MinY)
+				b = appendFloat(b, c.MBR.MaxX)
+				b = appendFloat(b, c.MBR.MaxY)
+			}
 		}
 	}
 	for _, crs := range [][]crowdDTO{d.Interior, d.Tail} {
@@ -227,18 +251,19 @@ func appendFloat(b []byte, f float64) []byte {
 // its body. It checks only the framing; Load validates the content.
 func decodeStore(data []byte) (*storeDTO, error) {
 	if len(data) < len(storeMagic)+1+4 || string(data[:len(storeMagic)]) != storeMagic {
-		return nil, fmt.Errorf("incremental: not a version-%d store section (no %q magic); version-1 gob stores are not read",
-			persistVersion, storeMagic)
+		return nil, fmt.Errorf("incremental: not a version-%d or version-%d store section (no %q magic); version-1 gob stores are not read",
+			oldestVersion, persistVersion, storeMagic)
 	}
-	if v := data[len(storeMagic)]; v != persistVersion {
-		return nil, fmt.Errorf("incremental: unsupported store version %d, this build reads version %d", v, persistVersion)
+	v := int(data[len(storeMagic)])
+	if v < oldestVersion || v > persistVersion {
+		return nil, fmt.Errorf("incremental: unsupported store version %d, this build reads versions %d and %d", v, oldestVersion, persistVersion)
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, fmt.Errorf("incremental: store section checksum mismatch")
 	}
 	r := reader{p: body[len(storeMagic)+1:]}
-	d := &storeDTO{Version: persistVersion}
+	d := &storeDTO{Version: v}
 	d.CrowdParams = crowd.Params{MC: r.int(), KC: r.int(), Delta: r.float()}
 	d.GatherParams = gathering.Params{KC: r.int(), KP: r.int(), MP: r.int()}
 	d.Domain = trajectory.TimeDomain{Start: r.float(), Step: r.float(), N: r.count(0)}
@@ -251,6 +276,9 @@ func decodeStore(data []byte) (*storeDTO, error) {
 			c.T = trajectory.Tick(r.int())
 			c.Objects = r.ids()
 			c.Points = r.points()
+			if c.pointFree(v) {
+				c.MBR = geo.Rect{MinX: r.float(), MinY: r.float(), MaxX: r.float(), MaxY: r.float()}
+			}
 		}
 	}
 	for _, crs := range []*[]crowdDTO{&d.Interior, &d.Tail} {
@@ -385,7 +413,9 @@ func (r *reader) points() []geo.Point {
 // searcher factory. Each cluster keeps the exactly-sized Objects and
 // Points arrays it was decoded into, and is built only when a crowd
 // references it, so clusters no crowd references are dropped with the
-// decoded table. Load keeps no reference to data.
+// decoded table. Interior crowds get summaries of their clusters, as
+// Append gives them, and a tail crowd must hold points at every tick.
+// Load keeps no reference to data.
 func Load(data []byte, newSearcher func() crowd.Searcher) (*Store, error) {
 	dto, err := decodeStore(data)
 	if err != nil {
@@ -407,7 +437,8 @@ func Load(data []byte, newSearcher func() crowd.Searcher) (*Store, error) {
 	for t, cs := range dto.Ticks {
 		built[t] = make([]*snapshot.Cluster, len(cs))
 		for i, c := range cs {
-			if len(c.Objects) != len(c.Points) {
+			pointFree := c.pointFree(dto.Version)
+			if !pointFree && len(c.Objects) != len(c.Points) {
 				return nil, fmt.Errorf("incremental: cluster %d at tick %d has %d objects but %d points",
 					i, t, len(c.Objects), len(c.Points))
 			}
@@ -417,9 +448,23 @@ func Load(data []byte, newSearcher func() crowd.Searcher) (*Store, error) {
 			if !strictlyAscending(c.Objects) {
 				return nil, fmt.Errorf("incremental: cluster %d at tick %d has object IDs not strictly ascending", i, t)
 			}
+			if pointFree {
+				m := c.MBR
+				for _, f := range []float64{m.MinX, m.MinY, m.MaxX, m.MaxY} {
+					if math.IsNaN(f) || math.IsInf(f, 0) {
+						return nil, fmt.Errorf("incremental: point-free cluster %d at tick %d has a non-finite MBR %v", i, t, m)
+					}
+				}
+				if m.MinX > m.MaxX || m.MinY > m.MaxY {
+					return nil, fmt.Errorf("incremental: point-free cluster %d at tick %d has an inverted MBR %v", i, t, m)
+				}
+			}
 		}
 	}
-	decodeCrowd := func(d crowdDTO) (*crowd.Crowd, error) {
+	sums := summaries{}
+	// decodeCrowd builds the crowd d names. An interior crowd holds the
+	// summaries of its clusters; a tail crowd must hold their points.
+	decodeCrowd := func(d crowdDTO, interior bool) (*crowd.Crowd, error) {
 		if len(d.Index) == 0 {
 			return nil, fmt.Errorf("incremental: crowd starting at tick %d has no clusters", d.Start)
 		}
@@ -432,9 +477,20 @@ func Load(data []byte, newSearcher func() crowd.Searcher) (*Store, error) {
 			}
 			c := built[t][idx]
 			if c == nil {
-				dc := dto.Ticks[t][idx]
-				c = snapshot.NewCluster(dc.T, dc.Objects, dc.Points)
+				dc := &dto.Ticks[t][idx]
+				if dc.pointFree(dto.Version) {
+					c = snapshot.NewSummary(dc.T, dc.Objects, dc.MBR)
+				} else {
+					c = snapshot.NewCluster(dc.T, dc.Objects, dc.Points)
+				}
 				built[t][idx] = c
+			}
+			switch {
+			case interior:
+				c = sums.of(c)
+			case c.Points == nil:
+				return nil, fmt.Errorf("incremental: tail crowd starting at tick %d holds point-free cluster %d at tick %d",
+					d.Start, idx, t)
 			}
 			cls[i] = c
 		}
@@ -468,7 +524,7 @@ func Load(data []byte, newSearcher func() crowd.Searcher) (*Store, error) {
 	// origin by its lifetime at the last tick.
 	last := trajectory.Tick(dto.Domain.N - 1)
 	for i, d := range dto.Interior {
-		cr, err := decodeCrowd(d)
+		cr, err := decodeCrowd(d, true)
 		if err != nil {
 			return nil, err
 		}
@@ -484,7 +540,7 @@ func Load(data []byte, newSearcher func() crowd.Searcher) (*Store, error) {
 		s.interiorGathers = append(s.interiorGathers, gs)
 	}
 	for i, d := range dto.Tail {
-		cr, err := decodeCrowd(d)
+		cr, err := decodeCrowd(d, false)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/crowd"
 	"repro/internal/gathering"
+	"repro/internal/geo"
 	"repro/internal/snapshot"
 	"repro/internal/trajectory"
 )
@@ -103,14 +104,18 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsWrongVersion: a section of another format version is
-// refused, not decoded as this one, and so is a version-1 store, which
-// was an encoding/gob stream; the error names both versions.
+// TestLoadRejectsWrongVersion: a section of a format version this build
+// does not read is refused, not decoded as one it does, and so is a
+// version-1 store, which was an encoding/gob stream. Each error names the
+// versions that are read, 2 and 3.
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	dto := saveDTO(t, gatheringStore(t))
-	dto.Version = persistVersion + 1
-	if _, err := Load(appendStore(nil, dto), gridFactory(1)); err == nil || !strings.Contains(err.Error(), "unsupported store version") {
-		t.Fatalf("Load of version %d: %v, want an unsupported-version error", dto.Version, err)
+	for _, v := range []int{oldestVersion - 1, persistVersion + 1} {
+		dto := saveDTO(t, gatheringStore(t))
+		dto.Version = v
+		_, err := Load(appendStore(nil, dto), gridFactory(1))
+		if err == nil || !strings.Contains(err.Error(), "unsupported store version") || !strings.Contains(err.Error(), "versions 2 and 3") {
+			t.Fatalf("Load of version %d: %v, want an unsupported-version error naming versions 2 and 3", v, err)
+		}
 	}
 
 	var v1 bytes.Buffer
@@ -118,8 +123,9 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := Load(v1.Bytes(), gridFactory(1))
-	if err == nil || !strings.Contains(err.Error(), "version-1") || !strings.Contains(err.Error(), "version-2") {
-		t.Fatalf("Load of a version-1 gob store: %v, want an error naming versions 1 and 2", err)
+	if err == nil || !strings.Contains(err.Error(), "version-1") ||
+		!strings.Contains(err.Error(), "version-2") || !strings.Contains(err.Error(), "version-3") {
+		t.Fatalf("Load of a version-1 gob store: %v, want an error naming version 1 and the versions read, 2 and 3", err)
 	}
 }
 
@@ -142,5 +148,62 @@ func TestSaveEmptyStore(t *testing.T) {
 	loaded.Append(cdbFromRows(0, [][]float64{{0}, {0}}))
 	if len(loaded.Crowds()) != 1 {
 		t.Fatalf("append after load: %v", signatures(loaded.Crowds()))
+	}
+}
+
+// TestLoadVersion2: the version-2 gathering-store corpus file, written
+// before final crowds kept summaries, loads to the shape of the current
+// version's checkpoint of the same store: interior clusters point-free,
+// the same crowds and gatherings. After the next Append both, and the
+// store itself, answer the same.
+func TestLoadVersion2(t *testing.T) {
+	data := corpusSeed(t, "gathering-store")
+	if v := data[len(storeMagic)]; v != 2 {
+		t.Fatalf("corpus file holds a version-%d section, want version 2", v)
+	}
+	v2, err := Load(data, gridFactory(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := gatheringStore(t)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := Load(buf.Bytes(), gridFactory(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{v2, v3} {
+		if len(st.interior) != 1 {
+			t.Fatalf("%d interior crowds, want 1", len(st.interior))
+		}
+		for _, c := range st.interior[0].Clusters() {
+			if c.Points != nil {
+				t.Fatalf("interior cluster at tick %d holds %d points", c.T, len(c.Points))
+			}
+		}
+	}
+	if got, want := saveDTO(t, v2), saveDTO(t, v3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("version-2 and version-3 sections load to different stores:\n%+v\n%+v", got, want)
+	}
+
+	next := &snapshot.CDB{Domain: trajectory.TimeDomain{Step: 1, N: 3}, Clusters: make([][]*snapshot.Cluster, 3)}
+	for i := range next.Clusters {
+		tick := trajectory.Tick(8 + i)
+		next.Clusters[i] = []*snapshot.Cluster{snapshot.NewCluster(tick,
+			[]trajectory.ObjectID{200, 201, 202}, []geo.Point{{X: 0, Y: 10}, {X: 0.1, Y: 10}, {X: 0.2, Y: 10}})}
+	}
+	for _, st := range []*Store{s, v2, v3} {
+		st.Append(next)
+	}
+	want := gatheringSigs(s)
+	if len(want) != 2 {
+		t.Fatalf("store answers %v after the next batch, want two gatherings", want)
+	}
+	for name, st := range map[string]*Store{"version 2": v2, "version 3": v3} {
+		if got := gatheringSigs(st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after the next batch:\n got %v\nwant %v", name, got, want)
+		}
 	}
 }

@@ -89,6 +89,34 @@ func referencedClusters(s *Store) map[*snapshot.Cluster]bool {
 	return out
 }
 
+// fedKey names a fed cluster by its tick and its Objects array. A final
+// crowd's summary of the cluster is a new value sharing that array, so
+// the key maps a summary to the cluster it summarises.
+type fedKey struct {
+	t     trajectory.Tick
+	first *trajectory.ObjectID
+}
+
+func keyOf(c *snapshot.Cluster) fedKey { return fedKey{c.T, &c.Objects[0]} }
+
+// heldKey is a referenced fed cluster and whether it is held as a
+// point-free summary.
+type heldKey struct {
+	fed       fedKey
+	pointFree bool
+}
+
+// referencedKeys returns the fed clusters s references, each as points or
+// as a summary. Summaries of one fed cluster made by different Appends
+// count once, as they load once.
+func referencedKeys(s *Store) map[heldKey]bool {
+	out := map[heldKey]bool{}
+	for c := range referencedClusters(s) {
+		out[heldKey{keyOf(c), c.Points == nil}] = true
+	}
+	return out
+}
+
 // reachableClusters returns the address of every snapshot cluster
 // reachable from root through pointers, interfaces, struct fields
 // (unexported ones too), the full capacity of slices and arrays, map keys
@@ -158,26 +186,36 @@ func reachableClusters(root any) map[uintptr]bool {
 // TestStoreRetainsOnlyReferencedClusters: after every Append, each
 // cluster reachable from the store is one a crowd or gathering references,
 // or one of the last two ticks, which the grid searcher indexes for the
-// next resume. The store holds no cluster list for any past tick.
+// next resume. The store holds no cluster list for any past tick. A
+// referenced cluster is a fed one or a final crowd's summary of one,
+// matched to it by (T, &Objects[0]).
 func TestStoreRetainsOnlyReferencedClusters(t *testing.T) {
 	tickOf := map[uintptr]trajectory.Tick{}
+	fed := map[fedKey]bool{}
 	retentionStream(t, func(s *Store, batch *snapshot.CDB) {
 		for _, cs := range batch.Clusters {
 			for _, c := range cs {
 				tickOf[reflect.ValueOf(c).Pointer()] = c.T
+				fed[keyOf(c)] = true
 			}
 		}
-		want := map[uintptr]bool{}
+		want := map[uintptr]*snapshot.Cluster{}
 		for c := range referencedClusters(s) {
-			want[reflect.ValueOf(c).Pointer()] = true
+			want[reflect.ValueOf(c).Pointer()] = c
 		}
 		last := trajectory.Tick(s.Ticks() - 1)
 		for p := range reachableClusters(s) {
+			if c, ok := want[p]; ok {
+				if !fed[keyOf(c)] {
+					t.Fatalf("the store references a cluster of tick %d it was never fed", c.T)
+				}
+				continue
+			}
 			tick, ok := tickOf[p]
 			if !ok {
 				t.Fatalf("the store reaches a cluster it was never fed")
 			}
-			if !want[p] && tick < last-1 {
+			if tick < last-1 {
 				t.Fatalf("after %d ticks the store still reaches a cluster of tick %d that no crowd references", s.Ticks(), tick)
 			}
 		}
@@ -218,16 +256,18 @@ func TestSavedClustersAreReferenced(t *testing.T) {
 
 // fullHistoryDTO encodes s the way checkpoints were written while the
 // store kept every cluster since tick 0: full lists each tick's clusters
-// in their original order, referenced or not, and crowds point into it.
+// in their original order, referenced or not, with their points, and
+// crowds point into it. A summary points at the fed cluster it
+// summarises, found by (T, &Objects[0]).
 func fullHistoryDTO(t *testing.T, s *Store, full *snapshot.CDB) *storeDTO {
 	t.Helper()
 	dto := saveDTO(t, s)
-	indexOf := map[*snapshot.Cluster]int{}
+	indexOf := map[fedKey]int{}
 	dto.Ticks = make([][]clusterDTO, len(full.Clusters))
 	for tick, cs := range full.Clusters {
 		for i, c := range cs {
 			dto.Ticks[tick] = append(dto.Ticks[tick], clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points})
-			indexOf[c] = i
+			indexOf[keyOf(c)] = i
 		}
 	}
 	encode := func(crs []*crowd.Crowd) []crowdDTO {
@@ -235,7 +275,11 @@ func fullHistoryDTO(t *testing.T, s *Store, full *snapshot.CDB) *storeDTO {
 		for i, cr := range crs {
 			out[i] = crowdDTO{Start: cr.Start}
 			for _, c := range cr.Clusters() {
-				out[i].Index = append(out[i].Index, indexOf[c])
+				idx, ok := indexOf[keyOf(c)]
+				if !ok {
+					t.Fatalf("crowd %v holds a cluster of tick %d that was never fed", cr, c.T)
+				}
+				out[i].Index = append(out[i].Index, idx)
 			}
 		}
 		return out
@@ -260,7 +304,8 @@ func gatheringSigs(s *Store) []string {
 // TestLoadFullHistoryCheckpoint: a checkpoint that lists every cluster
 // since tick 0 loads to the same crowds and gatherings, keeps answering
 // like the store it came from, and saves again without the clusters no
-// crowd references.
+// crowd references: one entry per fed cluster the store holds as points
+// and one per fed cluster it holds as a summary.
 func TestLoadFullHistoryCheckpoint(t *testing.T) {
 	r := rand.New(rand.NewSource(307))
 	cp := crowd.Params{MC: 2, KC: 3, Delta: 1}
@@ -291,7 +336,7 @@ func TestLoadFullHistoryCheckpoint(t *testing.T) {
 		}
 		return n
 	}
-	if got, want := count(resaved), len(referencedClusters(s)); got != want || got >= count(old) {
+	if got, want := count(resaved), len(referencedKeys(s)); got != want || got >= count(old) {
 		t.Fatalf("re-saved checkpoint lists %d clusters, want the %d referenced of %d", got, want, count(old))
 	}
 
@@ -300,5 +345,95 @@ func TestLoadFullHistoryCheckpoint(t *testing.T) {
 	loaded.Append(next)
 	if got, want := gatheringSigs(loaded), gatheringSigs(s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("gatherings diverge after the next batch:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestInteriorClustersHoldNoPoints: after every Append of a randomized
+// stream, and after a Save/Load round trip in the current version and in
+// version 2, every cluster reachable from an interior crowd or its
+// gatherings is a point-free summary with the T, Objects and MBR of the
+// fed cluster it summarises, and each tail candidate's last cluster
+// still holds its points.
+func TestInteriorClustersHoldNoPoints(t *testing.T) {
+	fed := map[fedKey]*snapshot.Cluster{}
+	fedOf := func(c *snapshot.Cluster) *snapshot.Cluster {
+		f := fed[keyOf(c)]
+		if f == nil {
+			t.Fatalf("the store holds a cluster of tick %d it was never fed", c.T)
+		}
+		return f
+	}
+	summaries, tails := 0, 0
+	// check inspects st, whose i-th interior crowd and j-th tail candidate
+	// are those of ref, the store that was fed.
+	check := func(st, ref *Store, how string) {
+		listed := map[uintptr]bool{}
+		for i, cr := range st.interior {
+			for k, c := range cr.Clusters() {
+				want := fedOf(ref.interior[i].At(k))
+				if c.Points != nil {
+					t.Fatalf("%s: interior crowd %v holds %d points at tick %d", how, cr, len(c.Points), c.T)
+				}
+				if c.T != want.T || !reflect.DeepEqual(c.Objects, want.Objects) || c.MBR() != want.MBR() {
+					t.Fatalf("%s: summary (T %d, %v, %v) of fed cluster (T %d, %v, %v)", how,
+						c.T, c.Objects, c.MBR(), want.T, want.Objects, want.MBR())
+				}
+				listed[reflect.ValueOf(c).Pointer()] = true
+				summaries++
+			}
+			for _, g := range st.interiorGathers[i] {
+				for k, c := range g.Crowd.Clusters() {
+					if c != cr.At(g.Lo+k) {
+						t.Fatalf("%s: gathering [%d,%d) of crowd %v holds a cluster its crowd does not", how, g.Lo, g.Hi, cr)
+					}
+				}
+			}
+		}
+		for p := range reachableClusters([]any{st.interior, st.interiorGathers}) {
+			if !listed[p] {
+				t.Fatalf("%s: an interior crowd or gathering reaches a cluster no interior crowd lists", how)
+			}
+		}
+		for j, cr := range st.tail {
+			c, want := cr.Last(), fedOf(ref.tail[j].Last())
+			if c.Points == nil || !reflect.DeepEqual(c.Points, want.Points) {
+				t.Fatalf("%s: tail candidate %v holds points %v at its last tick, want %v", how, cr, c.Points, want.Points)
+			}
+			tails++
+		}
+	}
+	retentionStream(t, func(s *Store, batch *snapshot.CDB) {
+		for _, cs := range batch.Clusters {
+			for _, c := range cs {
+				fed[keyOf(c)] = c
+			}
+		}
+		check(s, s, "after Append")
+
+		loaded, err := Load(appendStore(nil, saveDTO(t, s)), gridFactory(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(loaded, s, "after a Save/Load round trip")
+
+		v2 := saveDTO(t, s)
+		v2.Version = 2
+		for i, cr := range s.interior {
+			d := v2.Interior[i]
+			for k, c := range cr.Clusters() {
+				v2.Ticks[int(d.Start)+k][d.Index[k]].Points = fedOf(c).Points
+			}
+		}
+		loaded, err = Load(appendStore(nil, v2), gridFactory(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(loaded, s, "after loading a version-2 section")
+		if got, want := gatheringSigs(loaded), gatheringSigs(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("gatherings of a version-2 section:\n got %v\nwant %v", got, want)
+		}
+	})
+	if summaries == 0 || tails == 0 {
+		t.Fatalf("vacuous stream: %d summaries and %d tail candidates checked", summaries, tails)
 	}
 }

@@ -23,7 +23,13 @@ import (
 //
 // Clusters are shared, not copied: every crowd that covers the tick and
 // every snapshot answer holding such a crowd holds the same pointer, so
-// no field or element changes once NewCluster or Build returns.
+// no field or element changes once NewCluster, NewSummary or Build
+// returns.
+//
+// A summary (NewSummary) has nil Points and keeps only T, Objects and the
+// MBR. The incremental store gives final crowds summaries, since nothing
+// reads a closed crowd's points again; so streaming results carry Points
+// only on crowds that can still grow.
 type Cluster struct {
 	T       trajectory.Tick
 	Objects []trajectory.ObjectID
@@ -48,6 +54,13 @@ func NewCluster(t trajectory.Tick, objs []trajectory.ObjectID, pts []geo.Point) 
 	return c
 }
 
+// NewSummary builds a point-free cluster: objs (strictly ascending, not
+// copied) at tick t with bounding box mbr. It keeps what an answer reads
+// of a cluster, its tick, members and MBR, and none of its points.
+func NewSummary(t trajectory.Tick, objs []trajectory.ObjectID, mbr geo.Rect) *Cluster {
+	return &Cluster{T: t, Objects: objs, mbr: mbr}
+}
+
 // byObject sorts a cluster's parallel slices by object ID.
 type byObject struct{ c *Cluster }
 
@@ -63,7 +76,8 @@ func (s byObject) Swap(i, j int) {
 // Len returns the number of objects in the cluster.
 func (c *Cluster) Len() int { return len(c.Objects) }
 
-// MBR returns the minimum bounding rectangle of the cluster's points.
+// MBR returns the minimum bounding rectangle of the cluster's points (a
+// summary's, of the points it was made from).
 func (c *Cluster) MBR() geo.Rect { return c.mbr }
 
 // Contains reports whether object id is a member of the cluster.
