@@ -18,7 +18,11 @@
 // ticks, and the discovery sweep, DBSCAN and grid-index scratch are
 // pooled — so steady-state per-batch cost is proportional to the batch,
 // not the stream age (§III-C, Theorem 2; BenchmarkIncrementalAppend pins
-// this flat).
+// this flat). The DBSCAN pool (snapshot.Build) holds, per worker, the
+// interpolation cursor and snapshot buffer and DBSCAN's sort buffers,
+// cell and unit tables, union-find and labels, taken for one batch and
+// returned after it. It is transient heap, not retained state: the
+// garbage collector frees an idle scratch within two cycles.
 //
 // One RWMutex guards the store: the applier takes it to apply, readers
 // take its read lock to copy the closed crowds out. The first read after

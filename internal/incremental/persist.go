@@ -38,13 +38,15 @@ import (
 // Snapshot clusters are written once, listed under their tick, and a
 // crowd names the cluster it holds at each of its ticks by its index in
 // that tick's list, so shared clusters stay shared after a round trip.
-// Each tick lists only the clusters some saved crowd references. The
-// clusters of interior crowds are summaries (snapshot.NewSummary), so
-// they are written point-free; a tail candidate's clusters keep their
-// points, which the next Append's Hausdorff tests read. A tail
-// candidate with no cached gatherings has the list "none", told apart
-// from an empty list, so a loaded store runs the next Append down the
-// same path as the store that was saved.
+// Summaries of one fed cluster (one T and Objects array) are one entry,
+// even when different Appends made them. Each tick lists only the
+// clusters some saved crowd references. The clusters of interior crowds
+// are summaries (snapshot.NewSummary), so they are written point-free;
+// a tail candidate's clusters keep their points, which the next
+// Append's Hausdorff tests read. A tail candidate with no cached
+// gatherings has the list "none", told apart from an empty list, so a
+// loaded store runs the next Append down the same path as the store that
+// was saved.
 //
 // Version 2 is the same layout without point-free clusters: every
 // cluster carries its points. Load still reads it, and summarises its
@@ -112,13 +114,14 @@ func (s *Store) Save(w io.Writer) error {
 		Domain:       s.domain,
 		Ticks:        make([][]clusterDTO, s.domain.N),
 	}
-	indexOf := make(map[*snapshot.Cluster]int)
+	indexOf := make(map[entryKey]int)
 	size := 64 // the section's length, estimated to size its buffer once
 	encodeCrowd := func(cr *crowd.Crowd) (crowdDTO, error) {
 		cls := cr.Clusters()
 		d := crowdDTO{Start: cr.Start, Index: make([]int, len(cls))}
 		for i, c := range cls {
-			idx, ok := indexOf[c]
+			key := keyOfEntry(c)
+			idx, ok := indexOf[key]
 			if !ok {
 				t := int(cr.Start) + i
 				if t < 0 || t >= len(dto.Ticks) {
@@ -126,7 +129,7 @@ func (s *Store) Save(w io.Writer) error {
 				}
 				idx = len(dto.Ticks[t])
 				dto.Ticks[t] = append(dto.Ticks[t], clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points, MBR: c.MBR()})
-				indexOf[c] = idx
+				indexOf[key] = idx
 				size += 48 + 2*len(c.Objects) + 16*len(c.Points)
 			}
 			d.Index[i] = idx
@@ -164,6 +167,24 @@ func (s *Store) Save(w io.Writer) error {
 	}
 	_, err := w.Write(appendStore(make([]byte, 0, size), &dto))
 	return err
+}
+
+// entryKey names a cluster table entry. A point-free summary is named by
+// its tick and Objects array: the store summarises a fed cluster once per
+// Append, so crowds that closed in different Appends can hold distinct
+// summaries of one fed cluster, and Save writes it once (Load then gives
+// them one cluster). Any other cluster is named by its pointer.
+type entryKey struct {
+	c     *snapshot.Cluster
+	t     trajectory.Tick
+	first *trajectory.ObjectID
+}
+
+func keyOfEntry(c *snapshot.Cluster) entryKey {
+	if c.Points == nil && len(c.Objects) > 0 {
+		return entryKey{t: c.T, first: &c.Objects[0]}
+	}
+	return entryKey{c: c}
 }
 
 // appendStore appends the section encoding d to b.

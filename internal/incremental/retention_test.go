@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -228,8 +229,11 @@ type savedRef struct{ tick, index int }
 
 // TestSavedClustersAreReferenced: the checkpoint's cluster table has one
 // entry per tick of the domain and lists exactly the clusters the saved
-// crowds reference, each under its own tick.
+// crowds reference, each under its own tick, and each fed cluster once
+// per form: summaries of one fed cluster that different Appends made
+// share one entry.
 func TestSavedClustersAreReferenced(t *testing.T) {
+	entries, held, pointers := 0, 0, 0
 	retentionStream(t, func(s *Store, _ *snapshot.CDB) {
 		dto := saveDTO(t, s)
 		if len(dto.Ticks) != dto.Domain.N {
@@ -248,10 +252,17 @@ func TestSavedClustersAreReferenced(t *testing.T) {
 				}
 			}
 		}
-		if len(used) != len(referencedClusters(s)) {
-			t.Fatalf("checkpoint lists %d clusters, the store references %d", len(used), len(referencedClusters(s)))
+		if want := len(referencedKeys(s)); len(used) != want {
+			t.Fatalf("checkpoint lists %d clusters, the store references %d fed clusters per form", len(used), want)
 		}
+		entries += len(used)
+		held += len(referencedKeys(s))
+		pointers += len(referencedClusters(s))
 	})
+	t.Logf("%d entries for %d fed clusters per form, held as %d cluster values", entries, held, pointers)
+	if pointers == held {
+		t.Fatal("vacuous stream: no fed cluster was held as two summaries")
+	}
 }
 
 // fullHistoryDTO encodes s the way checkpoints were written while the
@@ -330,14 +341,8 @@ func TestLoadFullHistoryCheckpoint(t *testing.T) {
 	}
 
 	resaved := saveDTO(t, loaded)
-	count := func(d *storeDTO) (n int) {
-		for _, cs := range d.Ticks {
-			n += len(cs)
-		}
-		return n
-	}
-	if got, want := count(resaved), len(referencedKeys(s)); got != want || got >= count(old) {
-		t.Fatalf("re-saved checkpoint lists %d clusters, want the %d referenced of %d", got, want, count(old))
+	if got, want := countEntries(resaved), len(referencedKeys(s)); got != want || got >= countEntries(old) {
+		t.Fatalf("re-saved checkpoint lists %d clusters, want the %d referenced of %d", got, want, countEntries(old))
 	}
 
 	next := retentionBatch(r, trajectory.Tick(s.Ticks()), 4)
@@ -436,4 +441,90 @@ func TestInteriorClustersHoldNoPoints(t *testing.T) {
 	if summaries == 0 || tails == 0 {
 		t.Fatalf("vacuous stream: %d summaries and %d tail candidates checked", summaries, tails)
 	}
+}
+
+// pointerKeyedDTO encodes s the way a version-3 checkpoint was written
+// before Save named summaries by their fed cluster: one entry per
+// distinct cluster value, so two summaries of one fed cluster are listed
+// twice.
+func pointerKeyedDTO(t *testing.T, s *Store) *storeDTO {
+	t.Helper()
+	dto := saveDTO(t, s)
+	dto.Ticks = make([][]clusterDTO, s.domain.N)
+	indexOf := map[*snapshot.Cluster]int{}
+	encode := func(crs []*crowd.Crowd) []crowdDTO {
+		out := make([]crowdDTO, len(crs))
+		for i, cr := range crs {
+			out[i] = crowdDTO{Start: cr.Start}
+			for k, c := range cr.Clusters() {
+				idx, ok := indexOf[c]
+				if !ok {
+					tick := int(cr.Start) + k
+					idx = len(dto.Ticks[tick])
+					dto.Ticks[tick] = append(dto.Ticks[tick], clusterDTO{T: c.T, Objects: c.Objects, Points: c.Points, MBR: c.MBR()})
+					indexOf[c] = idx
+				}
+				out[i].Index = append(out[i].Index, idx)
+			}
+		}
+		return out
+	}
+	dto.Interior, dto.Tail = encode(s.interior), encode(s.tail)
+	return dto
+}
+
+// TestLoadDuplicateSummaries: a version-3 section that lists one fed
+// cluster's summaries more than once, as Save wrote them while it keyed
+// its table by pointer, still loads to the same answers. Load builds one
+// cluster per entry, so the duplicates stay distinct clusters and the
+// re-save lists no more entries than the section did, and Save, Load,
+// Save is byte-identical.
+func TestLoadDuplicateSummaries(t *testing.T) {
+	dups := 0
+	retentionStream(t, func(s *Store, _ *snapshot.CDB) {
+		old := pointerKeyedDTO(t, s)
+		loaded, err := Load(appendStore(nil, old), gridFactory(1))
+		if err != nil {
+			t.Fatalf("a section listing duplicate summaries is refused: %v", err)
+		}
+		if got, want := signatures(loaded.Crowds()), signatures(s.Crowds()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("crowds after loading duplicate summaries:\n got %v\nwant %v", got, want)
+		}
+		if got, want := gatheringSigs(loaded), gatheringSigs(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("gatherings after loading duplicate summaries:\n got %v\nwant %v", got, want)
+		}
+		var first, again bytes.Buffer
+		if err := loaded.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		resaved, err := decodeStore(first.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := countEntries(resaved), countEntries(old); got > want {
+			t.Fatalf("re-saving a section of %d entries lists %d", want, got)
+		}
+		reloaded, err := Load(first.Bytes(), gridFactory(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reloaded.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatal("Save, Load, Save is not byte-identical")
+		}
+		dups += countEntries(old) - len(referencedKeys(s))
+	})
+	if dups == 0 {
+		t.Fatal("vacuous stream: no section listed a duplicate summary")
+	}
+}
+
+// countEntries returns the number of clusters d's table lists.
+func countEntries(d *storeDTO) (n int) {
+	for _, cs := range d.Ticks {
+		n += len(cs)
+	}
+	return n
 }

@@ -137,10 +137,13 @@ type Options struct {
 // Build interpolates db onto its time domain and clusters every tick,
 // returning the cluster database. Ticks are independent, so with
 // Options.Parallelism > 1 they are processed by a worker pool. Each worker
-// owns one buildScratch, so the interpolation cursor and buffer and the
-// DBSCAN working memory (sort buffers, cell and unit tables, labels) are
-// reused across all the ticks it handles — only the emitted clusters
-// allocate, each with arrays of its own. Ticks are handed out in
+// takes one buildScratch from scratchPool for the whole call and puts it
+// back at the end, so the interpolation cursor and buffer and the DBSCAN
+// working memory (sort buffers, cell and unit tables, union-find, labels)
+// are reused across all the ticks it handles and across calls — only the
+// emitted clusters allocate, each with arrays of its own. The pool is
+// transient heap, not state a caller retains: the garbage collector frees
+// a scratch no Build has used for two cycles. Ticks are handed out in
 // increasing order, so every worker's cursor only steps forward after its
 // first tick.
 func Build(db *trajectory.DB, opt Options) *CDB {
@@ -152,10 +155,11 @@ func Build(db *trajectory.DB, opt Options) *CDB {
 		return out
 	}
 	if opt.Parallelism < 2 {
-		var sc buildScratch
+		sc := scratchPool.Get().(*buildScratch)
 		for t := 0; t < db.Domain.N; t++ {
 			out.Clusters[t] = sc.clusterTick(db, trajectory.Tick(t), opt)
 		}
+		scratchPool.Put(sc)
 		return out
 	}
 
@@ -165,10 +169,11 @@ func Build(db *trajectory.DB, opt Options) *CDB {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc buildScratch
+			sc := scratchPool.Get().(*buildScratch)
 			for t := range ticks {
 				out.Clusters[t] = sc.clusterTick(db, trajectory.Tick(t), opt)
 			}
+			scratchPool.Put(sc)
 		}()
 	}
 	for t := 0; t < db.Domain.N; t++ {
@@ -178,6 +183,15 @@ func Build(db *trajectory.DB, opt Options) *CDB {
 	wg.Wait()
 	return out
 }
+
+// scratchPool recycles tick-clustering scratch across Build calls, so a
+// stream of small batches (the engine's, recovery replay's) stops regrowing
+// it every batch. A pool, not a scratch the caller owns, so an idle
+// scratch does not stay live. A scratch holds no pointer into the
+// databases or clusters it served (clusterTick clears objs and cpts), and
+// its cursor's hints are only hints, so handing one from database to
+// database changes no position.
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // buildScratch is one worker's reusable tick-clustering state. objs and
 // cpts hold, per DBSCAN label, the arrays of the cluster being filled;

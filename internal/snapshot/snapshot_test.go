@@ -9,6 +9,7 @@ import (
 	"repro/internal/dbscan"
 	"repro/internal/geo"
 	"repro/internal/trajectory"
+	"repro/internal/wal"
 )
 
 func pt(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
@@ -155,6 +156,104 @@ func TestClusterTickAllocs(t *testing.T) {
 	})
 	if want := float64(3*k + 1); n != want {
 		t.Fatalf("warmed clusterTick allocates %.1f times per tick for %d clusters, want %.0f", n, k, want)
+	}
+}
+
+// TestBuildAllocs pins what a whole Build of a 2-tick batch allocates
+// once one warm-up call has left a scratch in the pool: 3k+1 per tick for
+// its k clusters (see TestClusterTickAllocs) plus a fixed per-call
+// constant — the CDB and its tick list, and with workers the tick
+// channel, the wait group and one goroutine closure per worker. The
+// scratch (interpolation cursor and buffer, DBSCAN's sort buffers, cell
+// and unit tables, union-find and labels) comes from the pool, so a
+// stream of small batches does not regrow it every batch.
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector; the allocation guards run without it")
+	}
+	db := makeDB(12, 2)
+	for _, tc := range []struct {
+		par   int
+		fixed float64
+	}{{1, 2}, {2, 2 + 2 + 2}} {
+		opt := Options{DBSCAN: dbscan.Params{Eps: 20, MinPts: 3}, Parallelism: tc.par}
+		cdb := Build(db, opt)
+		var want float64
+		for _, cs := range cdb.Clusters {
+			if len(cs) != 2 {
+				t.Fatalf("%d clusters at a tick, want 2", len(cs))
+			}
+			want += float64(3*len(cs) + 1)
+		}
+		want += tc.fixed
+		if n := testing.AllocsPerRun(20, func() { Build(db, opt) }); n != want {
+			t.Fatalf("parallelism %d: warmed Build of %d ticks allocates %.1f times, want %.0f", tc.par, db.Domain.N, n, want)
+		}
+	}
+}
+
+// freshBuild is Build with a new scratch for the whole call, as every
+// Build ran before scratch was pooled.
+func freshBuild(db *trajectory.DB, opt Options) *CDB {
+	out := &CDB{Domain: db.Domain, Clusters: make([][]*Cluster, db.Domain.N)}
+	var sc buildScratch
+	for t := range out.Clusters {
+		out.Clusters[t] = sc.clusterTick(db, trajectory.Tick(t), opt)
+	}
+	return out
+}
+
+// TestBuildPooledScratchMatchesFresh interleaves Build calls whose pooled
+// scratch last served another database: databases of 5 to 60
+// trajectories, batch views visited in shuffled order (so a cursor meets
+// earlier ticks than it last saw), and WAL-decoded records of those
+// views, whose trajectories hold only the window's samples, at 1 to 4
+// workers. Every result must equal a fresh-scratch build, cluster for
+// cluster: T, Objects, Points and MBR.
+func TestBuildPooledScratchMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	p := dbscan.Params{Eps: 8, MinPts: 3}
+	var dbs []*trajectory.DB
+	for _, n := range []int{60, 5, 33, 12} {
+		db := &trajectory.DB{Domain: trajectory.TimeDomain{Start: float64(r.Intn(5)), Step: 0.5, N: 40}}
+		for id := 0; id < n; id++ {
+			tr := trajectory.Trajectory{ID: trajectory.ObjectID(id * 3)}
+			tm := db.Domain.Start + float64(r.Intn(8)) - 2
+			cx, cy := float64(id%3)*100, float64(id%2)*100
+			for k := 5 + r.Intn(30); k > 0; k-- {
+				tr.Samples = append(tr.Samples, trajectory.Sample{Time: tm, P: pt(cx+r.Float64()*30, cy+r.Float64()*30)})
+				tm += []float64{0, 0.25, 0.5, 1.5}[r.Intn(4)]
+			}
+			db.Trajs = append(db.Trajs, tr)
+		}
+		dbs = append(dbs, db)
+		for _, size := range []int{2, 7} {
+			for i, view := range db.Batches(size) {
+				dbs = append(dbs, view)
+				_, rec, err := wal.DecodePayload(wal.EncodePayload(nil, uint64(i), view))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dbs = append(dbs, rec)
+			}
+		}
+	}
+	clusters := 0
+	for round := 0; round < 3; round++ {
+		for _, i := range r.Perm(len(dbs)) {
+			db := dbs[i]
+			want := freshBuild(db, Options{DBSCAN: p})
+			par := 1 + r.Intn(4)
+			got := Build(db, Options{DBSCAN: p, Parallelism: par})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, database %d (%d trajectories, from %v), parallelism %d: pooled build\n got %v\nwant %v",
+					round, i, len(db.Trajs), db.Domain.Start, par, got.Clusters, want.Clusters)
+			}
+			clusters += want.NumClusters()
+		}
+	}
+	if clusters == 0 {
+		t.Fatal("no database formed a cluster; the comparison would be vacuous")
 	}
 }
 

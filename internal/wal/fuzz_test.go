@@ -2,7 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/trajectory"
@@ -90,4 +96,123 @@ func timeSorted(db *trajectory.DB) bool {
 		}
 	}
 	return true
+}
+
+// FuzzOpen writes k valid records (k < 4), then arbitrary bytes, as a
+// crash or a disk fault can leave after them, and opens the log. Open
+// must replay those k records, and beyond them exactly what scanBytes,
+// the byte-slice scan Open used before it streamed the file, replays
+// (only bytes that frame-check and decode as records themselves), and
+// truncate the file to the end of the last record it replayed.
+func FuzzOpen(f *testing.F) {
+	whole := frame(EncodePayload(nil, 9, testDB(9, 2, 2)))
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(2), []byte{1, 2, 3})
+	f.Add(uint8(1), []byte{0xff, 0xff, 0xff, 0x3f, 0, 0, 0, 0, 9}) // a length past the end of the file
+	f.Add(uint8(1), []byte{0, 0, 0, 0x40, 0, 0, 0, 0})             // a length past the record limit
+	f.Add(uint8(3), whole[:len(whole)-1])                          // a record torn by one byte
+	f.Add(uint8(1), whole)                                         // a whole record: replayed too
+	f.Fuzz(func(t *testing.T, k uint8, junk []byte) {
+		k %= 4
+		path := filepath.Join(t.TempDir(), "wal")
+		w, err := Open(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := 0; seq < int(k); seq++ {
+			if err := w.Append(uint64(seq), testDB(seq, 3, 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := int64(len(data))
+		data = append(data, junk...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want []rec
+		wantValid, err := scanBytes(path, data, func(seq uint64, db *trajectory.DB) error {
+			want = append(want, rec{seq, db})
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("reference scan: %v", err)
+		}
+		got := replayAll(t, path)
+		if len(got) < int(k) {
+			t.Fatalf("replayed %d records, want at least the %d written", len(got), k)
+		}
+		for i := 0; i < int(k); i++ {
+			if got[i].seq != uint64(i) || !reflect.DeepEqual(got[i].db, testDB(i, 3, 2)) {
+				t.Fatalf("record %d replayed as seq %d %+v", i, got[i].seq, got[i].db)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("replayed %d records, the reference scan %d", len(got), len(want))
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != wantValid {
+			t.Fatalf("Open left %d bytes, the reference's valid prefix is %d", fi.Size(), wantValid)
+		}
+		if len(got) == int(k) && fi.Size() != written {
+			t.Fatalf("Open left %d bytes, want the %d of the %d records written", fi.Size(), written, k)
+		}
+	})
+}
+
+// frame prefixes a payload with its record frame: length and CRC.
+func frame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// scanBytes is the scan Open ran over the whole log read into memory,
+// kept as FuzzOpen's reference: it validates the frames of data (read
+// from path), decoding each payload; fn (when non-nil) receives each
+// record. It returns the byte offset of the valid prefix: the end of the
+// last record that decoded, or 0 for an empty log.
+func scanBytes(path string, data []byte, fn func(seq uint64, db *trajectory.DB) error) (valid int64, err error) {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	if len(data) < headerSize || string(data[:4]) != magic {
+		return 0, fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
+		return 0, fmt.Errorf("%w: %s is log version %d, this build reads %d", ErrCorrupt, path, v, version)
+	}
+	at := int64(headerSize)
+	rest := data[headerSize:]
+	for len(rest) >= frameSize {
+		plen := binary.LittleEndian.Uint32(rest[0:4])
+		if plen > maxRecordSize || int(plen) > len(rest)-frameSize {
+			break // torn tail
+		}
+		payload := rest[frameSize : frameSize+int(plen)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
+			break // torn or corrupt tail
+		}
+		seq, db, derr := decode(payload)
+		if derr != nil {
+			break // frame intact but payload malformed: treat as tail
+		}
+		if fn != nil {
+			if err := fn(seq, db); err != nil {
+				return at, err
+			}
+		}
+		at += frameSize + int64(plen)
+		rest = rest[frameSize+int(plen):]
+	}
+	return at, nil
 }

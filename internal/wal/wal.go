@@ -16,9 +16,11 @@
 // batch's ticks interpolate from (see EncodePayload). The length/CRC frame
 // makes a torn tail — the half-written record of the write that crashed —
 // detectable: Open replays up to the first frame that does not check out
-// and truncates the file there. Records are encoded into a buffer reused
-// across appends, so steady-state logging does not allocate (guarded by
-// TestAppendAllocs).
+// and truncates the file there. Open reads the log record by record, into
+// one payload buffer reused across records, so replay memory is bounded by
+// the largest record, not by the log. Records are encoded into a buffer
+// reused across appends, so steady-state logging does not allocate
+// (guarded by TestAppendAllocs).
 package wal
 
 import (
@@ -96,12 +98,14 @@ type Writer struct {
 // Open replays every intact record of the log at path, in order, through
 // fn (nil only validates them), truncates the torn or corrupt tail a crash
 // left behind, and returns a Writer positioned after the last intact
-// record. The file is read once. A missing or empty file is started
-// fresh. The tail ends the replay silently — those bytes never finished
-// being written, so they hold at most a batch the producer will
-// re-deliver — but a corrupt header, an unreadable file or an error from
-// fn fails the open and leaves the file as it was. The writer syncs on
-// every append (SyncAppend); use SetSync to relax it.
+// record. The file is read record by record, each frame straight into
+// one reused payload buffer, so memory is bounded by the largest record,
+// not by the log. A missing or empty file is started fresh. The tail ends
+// the replay silently — those bytes never finished being written, so they
+// hold at most a batch the producer will re-deliver — but a corrupt
+// header, an unreadable file or an error from fn fails the open and
+// leaves the file as it was. The writer syncs on every append
+// (SyncAppend); use SetSync to relax it.
 func Open(path string, fn func(seq uint64, db *trajectory.DB) error) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -109,9 +113,9 @@ func Open(path string, fn func(seq uint64, db *trajectory.DB) error) (*Writer, e
 	}
 	w := &Writer{f: f}
 	var valid int64
-	data, err := io.ReadAll(f)
+	fi, err := f.Stat()
 	if err == nil {
-		valid, err = scan(path, data, fn)
+		valid, err = scan(path, f, fi.Size(), fn)
 	}
 	switch {
 	case err != nil:
@@ -252,29 +256,48 @@ func (w *Writer) reset() error {
 // Close closes the underlying file (without an implicit Sync).
 func (w *Writer) Close() error { return w.f.Close() }
 
-// scan walks the log contents data (read from path), validating frames
-// and decoding each payload; fn (when non-nil) receives each record. It
-// returns the byte offset of the valid prefix: the end of the last record
-// that decoded, or 0 for an empty log.
-func scan(path string, data []byte, fn func(seq uint64, db *trajectory.DB) error) (valid int64, err error) {
-	if len(data) == 0 {
+// scan reads the size-byte log r (the file at path, positioned at its
+// start) frame by frame, validating each and decoding its payload; fn
+// (when non-nil) receives each record. A frame whose length field claims
+// more bytes than the file has left is a torn tail, refused before its
+// payload is allocated. It returns the byte offset of the valid prefix:
+// the end of the last record that decoded, or 0 for an empty log.
+func scan(path string, r io.Reader, size int64, fn func(seq uint64, db *trajectory.DB) error) (valid int64, err error) {
+	if size == 0 {
 		return 0, nil
 	}
-	if len(data) < headerSize || string(data[:4]) != magic {
+	if size < headerSize {
 		return 0, fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, err
+	}
+	if string(hdr[:4]) != magic {
+		return 0, fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != version {
 		return 0, fmt.Errorf("%w: %s is log version %d, this build reads %d", ErrCorrupt, path, v, version)
 	}
 	at := int64(headerSize)
-	rest := data[headerSize:]
-	for len(rest) >= frameSize {
-		plen := binary.LittleEndian.Uint32(rest[0:4])
-		if plen > maxRecordSize || int(plen) > len(rest)-frameSize {
+	var frame [frameSize]byte
+	var payload []byte
+	for size-at >= frameSize {
+		if _, err := io.ReadFull(r, frame[:]); err != nil {
+			return at, err
+		}
+		plen := int64(binary.LittleEndian.Uint32(frame[0:4]))
+		if plen > maxRecordSize || plen > size-at-frameSize {
 			break // torn tail
 		}
-		payload := rest[frameSize : frameSize+int(plen)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
+		if int64(cap(payload)) < plen {
+			payload = make([]byte, plen)
+		}
+		payload = payload[:plen]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return at, err
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
 			break // torn or corrupt tail
 		}
 		seq, db, derr := decode(payload)
@@ -286,8 +309,7 @@ func scan(path string, data []byte, fn func(seq uint64, db *trajectory.DB) error
 				return at, err
 			}
 		}
-		at += frameSize + int64(plen)
-		rest = rest[frameSize+int(plen):]
+		at += frameSize + plen
 	}
 	return at, nil
 }
@@ -304,14 +326,21 @@ func decode(p []byte) (uint64, *trajectory.DB, error) {
 	if r.bad || ntr < 0 || ntr > len(r.p)/12 { // id + count per trajectory
 		return 0, nil, fmt.Errorf("%w: record shape", ErrCorrupt)
 	}
+	// Every byte after the trajectory headers is a sample (time, x, y), so
+	// one arena sized from the payload holds a well-formed record's
+	// samples exactly. Each trajectory gets a capacity-capped window of it,
+	// so appending to one reallocates instead of overwriting the next.
+	arena := make([]trajectory.Sample, (len(r.p)-12*ntr)/24)
 	db.Trajs = make([]trajectory.Trajectory, 0, ntr)
+	a := 0
 	for i := 0; i < ntr; i++ {
 		id := trajectory.ObjectID(r.uint64())
 		ns := int(r.uint32())
-		if r.bad || ns < 0 || ns > len(r.p)/24 { // time, x, y per sample
+		if r.bad || ns < 0 || ns > len(arena)-a {
 			return 0, nil, fmt.Errorf("%w: record shape", ErrCorrupt)
 		}
-		samples := make([]trajectory.Sample, ns)
+		samples := arena[a : a+ns : a+ns]
+		a += ns
 		for j := range samples {
 			samples[j].Time = r.float()
 			samples[j].P = geo.Point{X: r.float(), Y: r.float()}

@@ -318,3 +318,44 @@ func TestAppendRefusesOversizedRecord(t *testing.T) {
 		t.Fatal("oversized record accepted")
 	}
 }
+
+// TestDecodedTrajectoriesDoNotAlias: decode puts a record's samples in one
+// arena, but each trajectory's window of it has cap == len, so appending
+// to a decoded trajectory, as trajectory.DB.Append does when it merges
+// the next batch, reallocates instead of overwriting its neighbour.
+func TestDecodedTrajectoriesDoNotAlias(t *testing.T) {
+	const batches, ticks, trajs = 3, 4, 5
+	var dbs []*trajectory.DB
+	for seq := 0; seq < batches; seq++ {
+		_, db, err := DecodePayload(EncodePayload(nil, uint64(seq), testDB(seq, ticks, trajs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range db.Trajs {
+			if cap(tr.Samples) != len(tr.Samples) {
+				t.Fatalf("batch %d, trajectory %d: %d samples with capacity %d", seq, tr.ID, len(tr.Samples), cap(tr.Samples))
+			}
+		}
+		dbs = append(dbs, db)
+	}
+	merged := dbs[0]
+	for _, db := range dbs[1:] {
+		if err := merged.Append(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tr := range merged.Trajs {
+		var want []trajectory.Sample
+		for seq := 0; seq < batches; seq++ {
+			want = append(want, testDB(seq, ticks, trajs).Trajs[i].Samples...)
+		}
+		if !reflect.DeepEqual(tr.Samples, want) {
+			t.Fatalf("merged trajectory %d:\n got %v\nwant %v", tr.ID, tr.Samples, want)
+		}
+	}
+	for seq := 1; seq < batches; seq++ {
+		if want := testDB(seq, ticks, trajs); !reflect.DeepEqual(dbs[seq].Trajs, want.Trajs) {
+			t.Fatalf("merging changed decoded batch %d", seq)
+		}
+	}
+}
